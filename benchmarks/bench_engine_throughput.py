@@ -22,7 +22,6 @@ from repro.config import BASELINE, PROMOTION, PROMOTION_PACKING, MachineConfig
 from repro.experiments import columns
 from repro.trace.bias_table import BranchBiasTable
 from repro.core.machine import Machine
-from repro.core.machine_event import Machine as EventMachine
 from repro.core.machine_reference import Machine as ReferenceMachine
 from repro.experiments import diskcache
 from repro.experiments import runner
@@ -48,12 +47,6 @@ MACHINE_CONFIGS = (
 #: Best-of-N minima: on a 1-core container single timings are noisy, the
 #: minimum of a few adjacent runs is the stable estimator.
 MACHINE_REPEATS = 2
-
-#: Timing-memoization A/B benchmarks: the grid benchmark plus the two
-#: workloads with the highest measured steady-state context recurrence
-#: (the paper's loop-structure argument predicts interpreter-like
-#: codes recur most; ``perl`` is the repo's best case).
-MEMO_BENCHMARKS = ("compress", "perl", "go")
 
 
 def _scalar_census(oracle, program) -> dict:
@@ -293,21 +286,21 @@ def bench_engine_throughput(benchmark, emit):
 
 
 def _time_machine() -> dict:
-    """Machine-core speed record: three generations of the same machine.
+    """Machine-core speed record: the core against the frozen seed core.
 
     Runs the figure-11-class machine grid (one benchmark, the paper's three
     front-end configurations, warmed front end) end to end — front-end
-    warmup plus machine window — once per core per repeat over all three
-    cores (the seed reference, the frozen event-driven core it was replaced
-    by, and the current columnar core), keeps the best-of-N minimum per
-    configuration, and asserts the serialized results are byte-identical
-    across all three before recording the speedups.  A second section times
-    :func:`runner.run_machine_multi`: the same three-config grid as one
-    batched pass over a shared oracle stream versus three isolated cold
-    points, which is where a cold multi-config grid actually saves time.
+    warmup plus machine window — once per core per repeat over
+    :mod:`repro.core.machine` and the seed reference it must match, keeps
+    the best-of-N minimum per configuration, and asserts the serialized
+    results are byte-identical before recording the speedups.  A second
+    section times :func:`runner.run_machine_multi`: the same three-config
+    grid as one batched pass over a shared oracle stream versus three
+    isolated cold points, which is where a cold multi-config grid actually
+    saves time.
     """
-    report = {"schema": 3, "grid": [], "grid_total": {},
-              "multi_config": {}, "memo": {}, "trace_files": {}}
+    report = {"schema": 4, "grid": [], "grid_total": {},
+              "multi_config": {}, "trace_files": {}}
     os.environ["REPRO_DISK_CACHE"] = "0"
     try:
         runner.clear_caches()
@@ -334,40 +327,32 @@ def _time_machine() -> dict:
             return seconds, canonical_json(machine_result_to_dict(result)), \
                 result
 
-        total_ref = total_event = total_col = 0.0
+        total_ref = total_fast = 0.0
         for label, frontend in MACHINE_CONFIGS:
             config = MachineConfig(frontend=frontend)
-            col_s, col_json, col_result = best_point(Machine, config)
-            event_s, event_json, _ = best_point(EventMachine, config)
+            fast_s, fast_json, fast_result = best_point(Machine, config)
             ref_s, ref_json, _ = best_point(ReferenceMachine, config)
-            identical = col_json == event_json == ref_json
             total_ref += ref_s
-            total_event += event_s
-            total_col += col_s
+            total_fast += fast_s
             report["grid"].append({
                 "benchmark": name,
                 "config": label,
                 "machine_instructions": n,
                 "warmup_instructions": warm_n,
                 "reference_seconds": ref_s,
-                "event_seconds": event_s,
-                "columnar_seconds": col_s,
-                "speedup_vs_reference": ref_s / col_s if col_s else 0.0,
-                "speedup_vs_event": event_s / col_s if col_s else 0.0,
-                "machine_inst_per_sec": col_result.retired / col_s
-                if col_s else 0.0,
-                "ipc": col_result.ipc,
-                "cycles": col_result.cycles,
-                "results_identical": identical,
+                "machine_seconds": fast_s,
+                "speedup_vs_reference": ref_s / fast_s if fast_s else 0.0,
+                "machine_inst_per_sec": fast_result.retired / fast_s
+                if fast_s else 0.0,
+                "ipc": fast_result.ipc,
+                "cycles": fast_result.cycles,
+                "results_identical": fast_json == ref_json,
             })
         report["grid_total"] = {
             "reference_seconds": total_ref,
-            "event_seconds": total_event,
-            "columnar_seconds": total_col,
-            "speedup_vs_reference": total_ref / total_col
-            if total_col else 0.0,
-            "speedup_vs_event": total_event / total_col
-            if total_col else 0.0,
+            "machine_seconds": total_fast,
+            "speedup_vs_reference": total_ref / total_fast
+            if total_fast else 0.0,
         }
 
         # One-pass multi-config grid: with caches genuinely cold (no disk
@@ -403,74 +388,6 @@ def _time_machine() -> dict:
         finally:
             os.environ.pop("REPRO_TRACE_FILES", None)
 
-        # Timing-memoization A/B: the same warmed point with the memo
-        # layer off vs on, interleaved best-of-N after one discarded
-        # warmup run so neither mode pays one-time process setup.  The
-        # honest record: wall-clock speedup, hit rate, and the bailout
-        # accounting that explains any shortfall (no speedup floor is
-        # asserted — the hit-rate row is the explanation the trajectory
-        # tracks; identity is the hard contract).
-        from repro.core import memo as machine_memo
-        report["memo"] = {"knob": "REPRO_MACHINE_MEMO", "rows": []}
-        memo_prev = os.environ.get("REPRO_MACHINE_MEMO")
-        try:
-            for bench in MEMO_BENCHMARKS:
-                prog = runner.get_program(bench)
-                m_n = runner.machine_length(bench)
-                m_oracle = runner.get_oracle(bench,
-                                             runner.default_length(bench))
-                config = MachineConfig(frontend=PROMOTION_PACKING)
-
-                def memo_point(flag):
-                    os.environ["REPRO_MACHINE_MEMO"] = flag
-                    machine_memo.reset_tables()
-                    start = time.perf_counter()
-                    engine = build_engine(prog, config.frontend,
-                                          memory_config=config.memory)
-                    FrontEndSimulator(prog, config.frontend,
-                                      oracle=m_oracle, engine=engine).run()
-                    result = Machine(prog, config, max_instructions=m_n,
-                                     engine=engine).run()
-                    return time.perf_counter() - start, result
-
-                memo_point("0")  # discarded process warmup
-                runs = [(memo_point("0"), memo_point("1"))
-                        for _ in range(MACHINE_REPEATS)]
-                off_s = min(r[0][0] for r in runs)
-                on_s = min(r[1][0] for r in runs)
-                off_result = runs[0][0][1]
-                on_result = runs[0][1][1]
-                stats = on_result.memo_stats or {}
-                lookups = stats.get("hits", 0) + stats.get("misses", 0)
-                report["memo"]["rows"].append({
-                    "benchmark": bench,
-                    "config": "promotion_packing",
-                    "machine_instructions": m_n,
-                    "off_seconds": off_s,
-                    "memo_seconds": on_s,
-                    "speedup": off_s / on_s if on_s else 0.0,
-                    "hits": stats.get("hits", 0),
-                    "misses": stats.get("misses", 0),
-                    "bailouts": stats.get("bailouts", 0),
-                    "lookups": lookups,
-                    "hit_rate": stats.get("hits", 0) / lookups
-                    if lookups else 0.0,
-                    "cycles_fast_forwarded":
-                        stats.get("cycles_fast_forwarded", 0),
-                    "instructions_replayed":
-                        stats.get("instructions_replayed", 0),
-                    "memo_inst_per_sec": on_result.retired / on_s
-                    if on_s else 0.0,
-                    "results_identical":
-                        canonical_json(machine_result_to_dict(on_result)) ==
-                        canonical_json(machine_result_to_dict(off_result)),
-                })
-        finally:
-            if memo_prev is None:
-                os.environ.pop("REPRO_MACHINE_MEMO", None)
-            else:
-                os.environ["REPRO_MACHINE_MEMO"] = memo_prev
-            machine_memo.reset_tables()
     finally:
         os.environ.pop("REPRO_DISK_CACHE", None)
 
@@ -514,37 +431,25 @@ def bench_machine_core(benchmark, emit):
     (OUTPUT_DIR / "BENCH_machine.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    lines = ["Machine core: columnar vs event-driven vs seed reference "
+    lines = ["Machine core vs seed reference "
              f"({MACHINE_GRID_BENCHMARK} machine grid, warmed front end)"]
     for row in report["grid"]:
         lines.append(
             f"  {row['config']:<18} ref {row['reference_seconds']:5.2f}s  "
-            f"event {row['event_seconds']:5.2f}s  "
-            f"columnar {row['columnar_seconds']:5.2f}s  "
+            f"machine {row['machine_seconds']:5.2f}s  "
             f"{row['speedup_vs_reference']:4.2f}x vs ref  "
             f"({row['machine_inst_per_sec']:,.0f} machine inst/s, "
             f"identical={row['results_identical']})")
     total = report["grid_total"]
     lines.append(f"  grid total         ref {total['reference_seconds']:5.2f}s"
-                 f"  event {total['event_seconds']:5.2f}s  "
-                 f"columnar {total['columnar_seconds']:5.2f}s  "
-                 f"{total['speedup_vs_reference']:4.2f}x vs ref, "
-                 f"{total['speedup_vs_event']:4.2f}x vs event")
+                 f"  machine {total['machine_seconds']:5.2f}s  "
+                 f"{total['speedup_vs_reference']:4.2f}x vs ref")
     multi = report["multi_config"]
     lines.append(f"  multi-config grid  {len(multi['configs'])} cold points "
                  f"{multi['per_point_seconds']:5.2f}s -> one-pass batch "
                  f"{multi['batched_seconds']:5.2f}s  "
                  f"{multi['amortization_speedup']:4.2f}x  "
                  f"(identical={multi['results_identical']})")
-    for row in report["memo"]["rows"]:
-        lines.append(
-            f"  memo {row['benchmark']:<13} off {row['off_seconds']:5.2f}s  "
-            f"on {row['memo_seconds']:5.2f}s  {row['speedup']:4.2f}x  "
-            f"hit rate {row['hit_rate']:6.1%} "
-            f"({row['hits']}/{row['lookups']} lookups, "
-            f"{row['bailouts']} bailouts)  "
-            f"{row['memo_inst_per_sec']:,.0f} inst/s  "
-            f"(identical={row['results_identical']})")
     tf = report["trace_files"]
     if tf["enabled"]:
         lines.append(
@@ -554,15 +459,13 @@ def bench_machine_core(benchmark, emit):
             f"({tf['replay_speedup']:,.0f}x replay speedup)")
     emit("BENCH_machine", "\n".join(lines))
 
-    # The optimization contract: byte-identical results across all three
-    # cores, the columnar grid well ahead of the seed reference and no
-    # worse than parity-with-noise against the frozen event core, and the
-    # batched multi-config pass beating isolated cold points.  (Per-config
-    # jitter on a shared 1-core container is real; grid totals are the
-    # stable numbers, so only they carry floors.)
+    # The optimization contract: byte-identical results across both
+    # cores, the grid well ahead of the seed reference, and the batched
+    # multi-config pass beating isolated cold points.  (Per-config jitter
+    # on a shared 1-core container is real; grid totals are the stable
+    # numbers, so only they carry floors.)
     assert all(row["results_identical"] for row in report["grid"])
     assert total["speedup_vs_reference"] >= 1.5
-    assert total["speedup_vs_event"] >= 0.7
     assert multi["results_identical"]
     # The batch shares one program build and one functional oracle
     # execution across the grid; three isolated cold points pay three.
@@ -570,15 +473,6 @@ def bench_machine_core(benchmark, emit):
     # scale, so the floor only requires the batch not to *lose* (with a
     # jitter allowance); the measured margin is the record.
     assert multi["batched_seconds"] <= multi["per_point_seconds"] * 1.10
-    # Memo rows: identity is the hard contract; the speedup column is an
-    # honest record, not a floor (measured hit spans are one cycle deep
-    # on these workloads, so the layer is bounded-overhead rather than a
-    # win — the hit-rate/bailout columns are the explanation).  The
-    # run-level give-up must keep the overhead bounded.
-    memo_rows = report["memo"]["rows"]
-    assert memo_rows, "memo A/B section must run"
-    assert all(row["results_identical"] for row in memo_rows)
-    assert any(row["lookups"] > 0 for row in memo_rows)
     if tf["enabled"]:
         assert tf["stored"] and tf["loaded"]
         # Replaying from the binary trace must beat functional

@@ -14,7 +14,7 @@ result) raises, printing the seed so the case replays exactly:
 ``--mode machine`` fuzzes the cycle-level core instead: the same random
 program, a random machine configuration (random front end, randomly
 perfect memory disambiguation, randomly warmed), run through both the
-columnar core + fast front end and the frozen seed core + reference
+machine core + fast front end and the frozen seed core + reference
 front end, asserting the serialized ``MachineResult``s are
 byte-identical.  ``--mode both`` alternates.
 
@@ -129,17 +129,12 @@ def random_machine_config(rng: np.random.Generator):
 def run_one_machine(seed: int, length: int = DEFAULT_LENGTH) -> str:
     """One machine-core fuzz case; returns a label, raises on divergence.
 
-    Pairs the columnar core with the fast front end and the frozen seed
+    Pairs the machine core with the fast front end and the frozen seed
     core with the reference front end (the same pairing the runner's
     lockstep guard uses), so a serialized-result mismatch flags a
-    divergence in either layer.  The columnar core runs twice — timing
-    memoization off and on — and both serializations must match the
-    reference, so every seed also races ``REPRO_MACHINE_MEMO`` against
-    the live-simulation semantics.  The machine window is a quarter of
-    the front-end budget — cycle-level runs are the slow part of a
-    sweep.
+    divergence in either layer.  The machine window is a quarter of the
+    front-end budget — cycle-level runs are the slow part of a sweep.
     """
-    from repro.core import memo
     from repro.core.machine import Machine
     from repro.core.machine_reference import Machine as ReferenceMachine
     from repro.experiments.cachekey import canonical_json
@@ -167,32 +162,13 @@ def run_one_machine(seed: int, length: int = DEFAULT_LENGTH) -> str:
         return machine_cls(program, config, max_instructions=machine_n,
                            engine=engine).run()
 
-    def in_memo_mode(flag: str):
-        previous = os.environ.get("REPRO_MACHINE_MEMO")
-        os.environ["REPRO_MACHINE_MEMO"] = flag
-        memo.reset_tables()
-        try:
-            return one_run(Machine, fast=True)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_MACHINE_MEMO", None)
-            else:
-                os.environ["REPRO_MACHINE_MEMO"] = previous
-            memo.reset_tables()
-
     reference = one_run(ReferenceMachine, fast=False)
-    wanted = canonical_json(machine_result_to_dict(reference))
-    if canonical_json(machine_result_to_dict(in_memo_mode("0"))) != wanted:
+    result = one_run(Machine, fast=True)
+    if (canonical_json(machine_result_to_dict(result))
+            != canonical_json(machine_result_to_dict(reference))):
         raise DivergenceError(
-            "columnar machine diverged from reference: serialized "
-            "MachineResult mismatch (REPRO_MACHINE_MEMO=0)")
-    memo_result = in_memo_mode("1")
-    if canonical_json(machine_result_to_dict(memo_result)) != wanted:
-        stats = {k: v for k, v in (memo_result.memo_stats or {}).items()
-                 if k != "table"}
-        raise DivergenceError(
-            "timing-memoized machine diverged from reference: serialized "
-            f"MachineResult mismatch (REPRO_MACHINE_MEMO=1, {stats})")
+            "fast machine diverged from reference: serialized "
+            "MachineResult mismatch")
     warm = "warm" if warmup else "cold"
     return f"{profile.name}/{config.describe()}/{warm}"
 

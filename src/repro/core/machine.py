@@ -1,4 +1,9 @@
-"""The full-machine, cycle-level simulator on flat array state.
+"""The full-machine, cycle-level simulator.
+
+An event-driven, object-per-instruction core: every in-flight instruction
+is an :class:`~repro.core.inflight.InFlight` record.  Serialized results
+are byte-identical to the frozen seed core in
+:mod:`repro.core.machine_reference`, which is the spec.
 
 Pipeline per cycle (processed in reverse order so stages are pipelined):
 
@@ -27,41 +32,26 @@ executing.  If the diverging branch resolves against its prediction the
 dormant instructions activate immediately (zero refetch penalty); otherwise
 they squash.
 
-Array-backed in-flight state (this module's third-generation layout; the
-object-per-instruction predecessors are frozen in
-:mod:`repro.core.machine_reference` and :mod:`repro.core.machine_event`):
+The cycle loop is event-driven rather than scan-driven:
 
-* Every in-flight instruction lives in a **circular window slot**
-  ``seq & (WINDOW - 1)`` of a set of preallocated parallel columns
-  (``bytearray`` for small enums/flags, plain lists for objects), so the
-  per-instruction record allocation and attribute traffic of the previous
-  cores disappears.  All cross-references — rename table, store map,
-  completion buckets, ready heaps, dependence lists, memory-scheduler
-  structures — hold plain sequence numbers; a stale reference is detected
-  by ``c_seq[seq & MASK] != seq`` (the slot was recycled after the record
-  departed) and treated exactly as the old cores treated a departed
-  record.  A per-fetch span check guarantees no *live* record's slot is
-  ever recycled.
-* Instruction semantics are pre-decoded once per static instruction into a
-  **decode row** ``(kind, a, b, c, srcs, next_pc, code)``; the dispatch
-  stage interprets rows with an integer-keyed chain instead of re-reading
-  opcode objects and operand attributes per dynamic instance.
-* Trace fetches replay **compiled machine plans**: per
-  :class:`~repro.frontend.fetch.CompiledVariant`, the enqueue metadata of
-  every slot (decode row, direction, promotion, prediction-record fields,
-  and the (GHR, RAS) checkpoint snapshot *reconstruction* offsets) is
-  memoized on first use, so steady-state fetches enter the window without
-  touching per-instruction front-end state.  Snapshot capture is switched
-  off on the engine — the fast variant fetch path stays unlocked — and
-  the per-branch (GHR, RAS) snapshots the repair machinery needs are
-  reconstructed arithmetically from the fetch-entry values plus the
-  variant's batched GHR bits and RAS pushes.  Fetches that cannot be
-  reconstructed (pending promoted-fault overrides) temporarily re-enable
-  capture and take the frozen slow path, byte-identical to the reference.
-
-The event-driven cycle loop of the previous generation is preserved:
-completions live in a wheel keyed by finish cycle, readiness is a counter,
-and provably-idle stall stretches are skipped in one batch.
+* Completions live in a wheel (dict keyed by absolute finish cycle) with a
+  min-heap of pending bucket cycles alongside, so the machine always knows
+  when the next instruction finishes without scanning the window.
+* Readiness is tracked by a single counter (``ready_total``) maintained at
+  wake-up/issue/squash, so quiescent cycles skip the scheduler entirely,
+  and the conservative memory scheduler keeps a lazily-cleaned min-heap of
+  stores with unknown addresses instead of rescanning the store queue per
+  blocked load.
+* When a cycle ends with nothing ready, nothing dispatchable, and the
+  fetch stage blocked on a stable stall regime (trap, misfetch, recovery
+  bubble, icache miss, full window), the machine jumps straight to the
+  cycle before the next completion event and charges the whole quiescent
+  stretch to the stall's cycle-accounting category in one batch — the
+  result is identical to stepping those cycles one at a time.
+* Dependence metadata is pre-resolved per instruction: dispatch wires
+  source operands once via the instruction's cached ``_srcs`` tuple and an
+  inlined interpreter (no per-instruction call into the shared executor),
+  and the checkpoint-boundary test is cached on the record at fetch.
 """
 
 from __future__ import annotations
@@ -73,15 +63,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
-from repro.core import memo
 from repro.core.inflight import (
-    Checkpoint, FetchGroup,
+    Checkpoint, FetchGroup, InFlight,
     S_DORMANT, S_WAITING, S_READY, S_MEM_BLOCKED, S_EXECUTING, S_DONE, S_SQUASHED,
 )
 from repro.frontend.build import build_engine
-from repro.frontend.fetch import (
-    FetchResult, ICacheFetchEngine, PredRecord, TraceFetchEngine,
-)
+from repro.frontend.fetch import FetchResult
 from repro.frontend.stats import CycleCategory
 from repro.isa.executor import STACK_BASE
 from repro.isa.instruction import NUM_REGS, REG_LINK, REG_SP
@@ -99,15 +86,17 @@ _MASK = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
 _TWO64 = 1 << 64
 
-#: Circular window capacity (slots).  Must exceed the maximum live span of
-#: sequence numbers (ROB + dispatch queue + one fetch); the enqueue stage
-#: checks the span per fetch and refuses to recycle a live slot.
-WINDOW = 8192
-W_MASK = WINDOW - 1
-
-#: Shared per-length reset templates for the enqueue slices (slice
-#: assignment copies, so reuse across fetches is safe).
-_RESET_TMPL: dict = {}
+# Opcode members as module globals: the dispatch-stage interpreter below is
+# a frequency-ordered identity chain over these (same ordering rationale as
+# the shared executor's step_instruction).
+_ADDI = Opcode.ADDI; _ADD = Opcode.ADD; _LD = Opcode.LD; _ST = Opcode.ST
+_BNE = Opcode.BNE; _BEQ = Opcode.BEQ; _BLT = Opcode.BLT; _BGE = Opcode.BGE
+_SUB = Opcode.SUB; _AND = Opcode.AND; _OR = Opcode.OR; _XOR = Opcode.XOR
+_SHL = Opcode.SHL; _SHR = Opcode.SHR; _SLT = Opcode.SLT; _MUL = Opcode.MUL
+_ANDI = Opcode.ANDI; _ORI = Opcode.ORI; _XORI = Opcode.XORI
+_SLTI = Opcode.SLTI; _LUI = Opcode.LUI; _JMP = Opcode.JMP
+_CALL = Opcode.CALL; _RET = Opcode.RET; _JR = Opcode.JR
+_NOP = Opcode.NOP; _TRAP = Opcode.TRAP; _HALT = Opcode.HALT
 
 # Quiescent-stretch stall regimes (priority order of the fetch stage).
 _R_TRAP = 0
@@ -115,196 +104,6 @@ _R_MISFETCH = 1
 _R_BUBBLE = 2
 _R_ICACHE = 3
 _R_FULL_WINDOW = 4
-
-# Decode-row kinds, ordered by dynamic frequency in the paper workloads
-# (ANDI/ADDI/ADD/LD alone cover ~60% of the dispatch stream) so the
-# dispatch interpreter's if/elif chain matches early for the common ops.
-_K_ANDI = 1
-_K_ADDI = 2
-_K_ADD = 3
-_K_LD = 4
-_K_BNE = 5
-_K_BEQ = 6
-_K_ST = 7
-_K_MUL = 8
-_K_AND = 9
-_K_XOR = 10
-_K_SUB = 11
-_K_SLTI = 12
-_K_OR = 13
-_K_BLT = 14
-_K_BGE = 15
-_K_SHL = 16
-_K_SHR = 17
-_K_SLT = 18
-_K_ORI = 19
-_K_XORI = 20
-_K_LUI = 21
-_K_CONST = 22   # next_pc precomputed, no operands: NOP, TRAP, JMP, HALT
-_K_CALL = 23
-_K_RET = 24
-_K_JR = 25
-
-_ROW_KIND = {
-    Opcode.ANDI: _K_ANDI, Opcode.ADDI: _K_ADDI, Opcode.ADD: _K_ADD,
-    Opcode.LD: _K_LD, Opcode.BNE: _K_BNE, Opcode.BEQ: _K_BEQ,
-    Opcode.ST: _K_ST, Opcode.MUL: _K_MUL, Opcode.AND: _K_AND,
-    Opcode.XOR: _K_XOR, Opcode.SUB: _K_SUB, Opcode.SLTI: _K_SLTI,
-    Opcode.OR: _K_OR, Opcode.BLT: _K_BLT, Opcode.BGE: _K_BGE,
-    Opcode.SHL: _K_SHL, Opcode.SHR: _K_SHR, Opcode.SLT: _K_SLT,
-    Opcode.ORI: _K_ORI, Opcode.XORI: _K_XORI, Opcode.LUI: _K_LUI,
-    Opcode.NOP: _K_CONST, Opcode.TRAP: _K_CONST, Opcode.JMP: _K_CONST,
-    Opcode.HALT: _K_CONST, Opcode.CALL: _K_CALL, Opcode.RET: _K_RET,
-    Opcode.JR: _K_JR,
-}
-
-_REG3 = frozenset((_K_ADD, _K_MUL, _K_AND, _K_XOR, _K_SUB, _K_OR,
-                   _K_SHL, _K_SHR, _K_SLT))
-_IMM_MASKED = frozenset((_K_ANDI, _K_ORI, _K_XORI))
-_IMM_RAW = frozenset((_K_ADDI, _K_LD, _K_SLTI))
-_BRANCHES = frozenset((_K_BNE, _K_BEQ, _K_BLT, _K_BGE))
-#: Kinds whose row ``c`` field is a destination register.
-_DESTFUL = frozenset((_K_ANDI, _K_ADDI, _K_ADD, _K_LD, _K_MUL, _K_AND,
-                      _K_XOR, _K_SUB, _K_SLTI, _K_OR, _K_SHL, _K_SHR,
-                      _K_SLT, _K_ORI, _K_XORI, _K_LUI))
-
-
-def _decode_row(inst) -> tuple:
-    """Pre-decode one static instruction into an interpreter row.
-
-    ``(kind, a, b, c, srcs, next_pc, code, dest)`` — operand fields
-    resolved so the dispatch interpreter never touches the instruction
-    object, the fall-through/constant successor precomputed, ``code`` the
-    opcode's commit code (doubling as the scheduler's latency class), and
-    ``dest`` the destination register (``None`` for ops without one — the
-    commit and window-replay walks gate their value reads on it).
-    """
-    op = inst.op
-    kind = _ROW_KIND[op]
-    addr = inst.addr
-    npc = addr + 1
-    a = b = c = 0
-    if kind in _REG3:
-        a = inst.rs1; b = inst.rs2; c = inst._dest
-    elif kind in _IMM_RAW:
-        a = inst.rs1; b = inst.imm; c = inst._dest
-    elif kind in _BRANCHES:
-        a = inst.rs1; b = inst.rs2; c = inst.target
-    elif kind == _K_ST:
-        a = inst.rs1; b = inst.imm; c = inst.rs2
-    elif kind in _IMM_MASKED:
-        a = inst.rs1; b = inst.imm & _MASK; c = inst._dest
-    elif kind == _K_LUI:
-        b = (inst.imm << 16) & _MASK; c = inst._dest
-    elif kind == _K_CONST:
-        if op is Opcode.JMP:
-            npc = inst.target
-        elif op is Opcode.HALT:
-            npc = addr
-    elif kind == _K_CALL:
-        b = npc          # link value (fall-through)
-        npc = inst.target
-    elif kind == _K_JR:
-        a = inst.rs1
-    if kind in _DESTFUL:
-        dest = c
-    elif kind == _K_CALL:
-        dest = REG_LINK
-    else:
-        dest = None
-    return (kind, a, b, c, inst._srcs, npc, op.commit_code, dest)
-
-
-def _compile_machine_plan(variant, segment, rows: dict) -> tuple:
-    """Build the machine core's enqueue plan for one compiled variant.
-
-    Replays the segment's fetch-plan *events* once (exactly the walk
-    ``compile_variant`` performed, cut at the same diverging branch) to
-    recover, per branch position, how many GHR pushes and RAS pushes
-    precede it — enough to reconstruct the (GHR, RAS) checkpoint snapshot
-    the reference capture walk would have taken, from the fetch-entry
-    values alone.
-
-    Returns ``(n_act, all_insts, all_rows, all_codes, act_flags,
-    act_branches, inact_branches, trap_off)``.  The ``all_*`` lists span
-    active followed by inactive instructions and are shaped for direct
-    column *slice assignment* — the enqueue stage writes each column once
-    per fetch at C speed instead of once per instruction.  Branch
-    metadata is sparse: ``act_branches`` holds ``(pos, direction,
-    promoted, baddr, dyn_i, jshift, prefix, rpre)`` per active branch
-    (for a dynamic branch, ``(baddr, dyn_i)`` rebuild its ``PredRecord``
-    from the per-fetch predictor tokens; for any branch, its checkpoint
-    snapshot is ``((entry_ghr << jshift) | prefix) & mask`` and
-    ``entry_ras (+ rpre)``); ``inact_branches`` holds ``(pos, static_dir,
-    promoted, cp_need)`` per dormant branch, positions offset past the
-    active block.  ``trap_off`` is the active index of the trap when the
-    variant ends with one, else -1.
-    """
-    events = segment.fetch_plan()[0]
-    key = variant.key
-    branch_meta = {}
-    j = 0
-    p = 0
-    dyn_index = 0
-    for kind, pos, payload in events:
-        if kind == 0:
-            p += 1
-            continue
-        branch_meta[pos] = (j, p)
-        j += 1
-        if kind == 2:
-            predicted = bool((key >> dyn_index) & 1)
-            dyn_index += 1
-            if predicted != payload[0]:
-                break
-    ghr_bits = variant.ghr_bits
-    ghr_count = variant.ghr_count
-    ras_pushes = variant.ras_pushes
-    dirs = variant.dirs
-    promoted_flags = variant.promoted
-    n_act = len(variant.active)
-    all_insts = list(variant.active) + list(variant.inactive)
-    all_rows = []
-    for inst in all_insts:
-        row = rows.get(id(inst))
-        if row is None:
-            row = _decode_row(inst)
-            rows[id(inst)] = row
-        all_rows.append(row)
-    all_codes = [row[6] for row in all_rows]
-    act_flags = [1] * n_act + [0] * len(variant.inactive)
-    act_branches = []
-    dyn_i = 0
-    for pos in range(n_act):
-        d = dirs[pos]
-        if d is None:
-            continue
-        jshift, pp = branch_meta[pos]
-        prefix = ghr_bits >> (ghr_count - jshift)
-        rpre = tuple(ras_pushes[:pp]) if pp else None
-        if promoted_flags[pos]:
-            act_branches.append((pos, d, True, 0, 0, jshift, prefix, rpre))
-        else:
-            act_branches.append((pos, d, False, all_insts[pos].addr, dyn_i,
-                                 jshift, prefix, rpre))
-            dyn_i += 1
-    inact_branches = []
-    inactive_dirs = variant.inactive_dirs
-    inactive_promoted = variant.inactive_promoted
-    for k in range(len(variant.inactive)):
-        sdir = inactive_dirs[k]
-        if sdir is None:
-            continue
-        prom = inactive_promoted[k]
-        inact_branches.append((n_act + k, sdir, prom, 0 if prom else 1))
-    trap_off = -1
-    if variant.ends_with_trap:
-        for pos in range(n_act):
-            if all_insts[pos].op.opclass is OpClass.TRAP:
-                trap_off = pos
-                break
-    return (n_act, all_insts, all_rows, all_codes, act_flags,
-            act_branches, inact_branches, trap_off)
 
 
 @dataclass
@@ -340,10 +139,6 @@ class MachineResult:
     promotions: int = 0
     demotions: int = 0
     fill_reasons: dict = field(default_factory=dict)
-    # Timing-memo accounting (None when the memo layer is off).  Excluded
-    # from comparison and from serialization so memo-on and memo-off
-    # results stay byte-identical.
-    memo_stats: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def ipc(self) -> float:
@@ -368,8 +163,7 @@ class Machine:
     """One configured machine bound to one program."""
 
     def __init__(self, program: Program, config: MachineConfig,
-                 max_instructions: Optional[int] = 100_000, engine=None,
-                 memo_table=None):
+                 max_instructions: Optional[int] = 100_000, engine=None):
         self.program = program
         self.config = config
         self.max_instructions = max_instructions
@@ -381,34 +175,27 @@ class Machine:
             # match a machine starting at the program entry.
             engine.restore((0, ()))
         self.engine = engine
-        # The core repairs from per-branch (GHR, RAS) checkpoints.  On the
-        # fast engines these are *reconstructed* from fetch-entry state and
-        # the compiled variant's batched GHR/RAS metadata, so snapshot
-        # capture stays off and the compiled-variant fetch path stays
-        # unlocked; any other engine falls back to capture-on generic
-        # fetches (the frozen reference behaviour).
-        fast_fetch = isinstance(engine, (TraceFetchEngine, ICacheFetchEngine))
-        self._fast_fetch = fast_fetch
-        engine.capture_snapshots = not fast_fetch
-        self._overrides = (getattr(engine, "_fault_overrides", None)
-                           if fast_fetch else None)
+        # The core repairs from per-branch checkpoints, so it needs the
+        # engine to capture (GHR, RAS) snapshots — engines default to the
+        # capture-off fast path (warmed engines may also arrive with
+        # capture disabled by the front-end simulator).
+        engine.capture_snapshots = True
         self.fill_unit = getattr(self.engine, "fill_unit", None)
         core = config.core
 
-        # Speculative architectural state (dispatch-order functional
-        # execution).  The rename table holds producer *sequence numbers*
-        # (0 = no in-flight producer).
+        # Speculative architectural state (dispatch-order functional execution).
         self.spec_regs = [0] * NUM_REGS
         self.spec_regs[REG_SP] = STACK_BASE
         self.memory_image: Dict[int, int] = dict(program.data)
-        self.rename: List[int] = [0] * NUM_REGS
-        self.store_queue: List[int] = []
-        self.load_queue: List[int] = []
-        # Address-indexed view of the store queue: mem_addr -> store seqs
-        # in dispatch order.  Entries are filtered on read (slot-validity +
-        # ``sq_live``/state) rather than eagerly removed, with dead tails
-        # pruned opportunistically.
-        self.store_map: Dict[int, List[int]] = {}
+        self.rename: List[Optional[InFlight]] = [None] * NUM_REGS
+        self.store_queue: List[InFlight] = []
+        self.load_queue: List[InFlight] = []
+        # Address-indexed view of the store queue: mem_addr -> stores in
+        # dispatch (= sequence) order.  Entries are filtered on read with
+        # ``sq_live``/state rather than eagerly removed, with dead tails
+        # pruned opportunistically, so load forwarding and memory
+        # scheduling probe one bucket instead of scanning the whole queue.
+        self.store_map: Dict[int, List[InFlight]] = {}
         # Committed architectural state, maintained at retire.  Only used to
         # reconstruct speculative state when a recovery has no live
         # checkpoint to restore (rare: promoted fault before any boundary).
@@ -416,55 +203,22 @@ class Machine:
         self.arch_ghr = 0
         self.arch_ras: List[int] = []
 
-        # The columnar window: parallel arrays indexed by circular slot
-        # ``seq & W_MASK``.  ``c_seq`` is the occupancy/validity column —
-        # a cross-reference whose seq no longer matches its slot points at
-        # a departed record.  Columns mirroring InFlight fields the old
-        # constructor left unset (functional results, branch metadata) are
-        # likewise only reset when their enqueue arm assigns them; every
-        # read is gated the same way the object core's reads were.
-        self.c_seq = [0] * WINDOW
-        self.c_inst = [None] * WINDOW
-        self.c_row = [None] * WINDOW
-        self.c_group = [None] * WINDOW
-        self.c_state = [0] * WINDOW
-        self.c_code = [0] * WINDOW      # commit/latency code
-        self.c_pending = [0] * WINDOW        # outstanding source operands
-        self.c_deps = [None] * WINDOW        # dependent seqs (lazy list)
-        self.c_snap = [None] * WINDOW        # (ghr_before, ras_state)
-        self.c_next = [0] * WINDOW           # resolved next pc
-        self.c_taken = [None] * WINDOW       # branch outcome (branch-gated)
-        self.c_mem = [None] * WINDOW         # memory address
-        self.c_value = [None] * WINDOW       # result value
-        self.c_predrec = [None] * WINDOW     # PredRecord
-        self.c_ptaken = [None] * WINDOW      # dynamic prediction
-        self.c_promoted = [0] * WINDOW
-        self.c_static = [None] * WINDOW      # embedded static direction
-        self.c_prednext = [None] * WINDOW    # predicted indirect successor
-        self.c_cp = [None] * WINDOW          # Checkpoint
-        self.c_buffer = [None] * WINDOW      # dormant seqs (inactive issue)
-        self.c_cpneed = [0] * WINDOW
-        self.c_known = [0] * WINDOW     # store address known
-        self.c_sqlive = [0] * WINDOW    # store-queue membership
-        self.c_fcycle = [0] * WINDOW         # fetch cycle
-        self.c_dcycle = [0] * WINDOW         # dispatch cycle (-1 = queued)
-        self.c_active = [0] * WINDOW    # active (vs dormant) flag
-
-        # Window structures (all hold sequence numbers).
+        # Window structures.
         self.rob: deque = deque()
         self.rs_count = [0] * core.n_fus
         self.ready_heaps: List[list] = [[] for _ in range(core.n_fus)]
-        self.completions: Dict[int, List[int]] = {}
+        self.completions: Dict[int, List[InFlight]] = {}
         self.checkpoints: List[Tuple[int, Checkpoint]] = []  # (seq, cp), sorted
-        self.blocked_loads: List[int] = []
+        self.blocked_loads: List[InFlight] = []
         # Event bookkeeping: pending completion-bucket cycles (min-heap,
         # one entry per bucket), count of READY-state instructions, and the
-        # conservative memory scheduler's heap of store seqs whose
+        # conservative memory scheduler's heap of (seq, store) records whose
         # addresses the scheduler does not yet consider known.  Both heaps
-        # are cleaned lazily.
+        # are cleaned lazily: entries are invalidated in place by state
+        # changes and dropped when they surface.
         self.comp_cycles: List[int] = []
         self.ready_total = 0
-        self.unknown_stores: List[int] = []
+        self.unknown_stores: List[Tuple[int, InFlight]] = []
 
         # Fetch state.
         self.pc = program.entry
@@ -475,14 +229,14 @@ class Machine:
         self.redirect_bubble = 0
         self.icache_stall = 0
         self.pending_fetch: Optional[Tuple[FetchResult, FetchGroup]] = None
-        self.dispatch_queue: deque = deque()  # seqs awaiting dispatch slots
+        self.dispatch_queue: deque = deque()  # InFlights awaiting dispatch slots
         self.trap_pending: Optional[int] = None     # seq of in-flight trap
         self.misfetch_waiting: Optional[int] = None  # seq of unresolved JR
         self.fault_redirect_delay = 0
 
         self.result = MachineResult(benchmark=program.name, config=config)
         self._fetch_cycle_groups: List[Tuple[int, FetchGroup]] = []
-        self._mem_waiters: Dict[int, List[int]] = {}  # store seq -> load seqs
+        self._mem_waiters: Dict[int, List[InFlight]] = {}  # store seq -> loads
         # Sequence numbers after which the fill unit's pending segment is
         # cut: recoveries re-synchronize filling with fetch alignment, but
         # the cut must land where the *retire* stream reaches the
@@ -498,11 +252,6 @@ class Machine:
         self.acc_branch_miss = 0
         self.acc_cache_miss = 0
         self.acc_full_window = 0
-
-        # Decode-row cache for the generic (non-variant) enqueue path,
-        # keyed by instruction identity (program instructions are static
-        # and outlive the machine).
-        self._rows: dict = {}
 
         # Stable per-run bindings for the hot loops.
         self._n_fus = core.n_fus
@@ -524,25 +273,6 @@ class Machine:
         # (zero cost when off — the flag gates every call site).
         from repro import validate
         self._validate_state = validate.invariants_armed()
-
-        # Timing memoization (REPRO_MACHINE_MEMO): span replay for
-        # recurring (compiled plan, pipeline context) pairs.  Only armed
-        # on the fast fetch engines (the memo keys hold compiled
-        # variants) and never under validation — the scalar cycle loop
-        # stays the reference semantics the lockstep guard compares
-        # against.
-        if self._fast_fetch and not validate.armed() and memo.enabled():
-            self._memo = memo_table if memo_table is not None \
-                else memo.default_table()
-        else:
-            self._memo = None
-        self._memo_rec = None            # SpanRecorder of an open span
-        self._memo_sig = None            # chained successor signature
-        self._max_cycles = 200 * (max_instructions or 100_000)
-        self._memo_run_stats = {
-            "hits": 0, "misses": 0, "bailouts": 0, "aborts": 0,
-            "cycles_fast_forwarded": 0, "instructions_replayed": 0,
-        }
 
     # ------------------------------------------------------------------ run
 
@@ -582,17 +312,15 @@ class Machine:
         advances straight there and batches the accounting.
         """
         rob = self.rob
-        c_state = self.c_state
         if rob:
-            st = c_state[rob[0] & W_MASK]
+            st = rob[0].state
             if st == S_DONE or st == S_SQUASHED:
                 return  # retire would make progress (or clean up) next cycle
         queue = self.dispatch_queue
         if queue:
             head = queue[0]
-            hslot = head & W_MASK
-            if self.rs_count[head % self._n_fus] < self._rs_per_fu and not (
-                self.c_active[hslot] and self.c_cpneed[hslot]
+            if self.rs_count[head.seq % self._n_fus] < self._rs_per_fu and not (
+                head.is_active and head.cp_need
                 and len(self.checkpoints) >= self._cp_budget
             ):
                 return  # dispatch would place this instruction next cycle
@@ -654,67 +382,58 @@ class Machine:
         retired = 0
         rob = self.rob
         popleft = rob.popleft
-        c_state = self.c_state
-        c_active = self.c_active
         while rob:
             head = rob[0]
-            slot = head & W_MASK
-            st = c_state[slot]
+            st = head.state
             if st == S_SQUASHED:
                 popleft()
                 continue
-            if st != S_DONE or not c_active[slot]:
+            if st != S_DONE or not head.is_active:
                 return
             popleft()
             retired += 1
-            self._commit(head, slot)
+            self._commit(head)
             if self.halted or retired >= width:
                 return
 
-    def _commit(self, seq: int, slot: int) -> None:
+    def _commit(self, rec: InFlight) -> None:
         result = self.result
         result.retired += 1
-        self.c_group[slot].retired_any = True
-        inst = self.c_inst[slot]
-        code = self.c_code[slot]
-        dest = self.c_row[slot][7]
-        taken = self.c_taken[slot] if code == 3 else None
-        if dest is not None:
-            self.arch_regs[dest] = self.c_value[slot]
+        rec.group.retired_any = True
+        inst = rec.inst
+        if rec.dest is not None:
+            self.arch_regs[rec.dest] = rec.value
         fill_retire = self._fill_retire
         if fill_retire is not None:
-            fill_retire(inst, taken)
-            if seq in self._fill_cuts:
-                self._fill_cuts.discard(seq)
+            fill_retire(inst, rec.taken)
+            if rec.seq in self._fill_cuts:
+                self._fill_cuts.discard(rec.seq)
                 self.fill_unit.note_recovery()
+        code = inst.op.commit_code
         if code:
             if code == 1:  # store
-                self.memory_image[self.c_mem[slot]] = self.c_value[slot]
-                self.c_sqlive[slot] = 0
-                if self.store_queue and self.store_queue[0] == seq:
+                self.memory_image[rec.mem_addr] = rec.value
+                rec.sq_live = False
+                if self.store_queue and self.store_queue[0] is rec:
                     self.store_queue.pop(0)
                 else:  # pragma: no cover - defensive
-                    self.store_queue.remove(seq)
-                if self._memo_rec is not None:
-                    self._memo_rec.store_pops += 1
+                    self.store_queue.remove(rec)
             elif code == 2:  # load
-                if self.load_queue and self.load_queue[0] == seq:
+                if self.load_queue and self.load_queue[0] is rec:
                     self.load_queue.pop(0)
-                elif seq in self.load_queue:
-                    self.load_queue.remove(seq)
+                elif rec in self.load_queue:
+                    self.load_queue.remove(rec)
             elif code == 3:  # conditional branch
-                self.arch_ghr = ((self.arch_ghr << 1) | int(taken)) & self._ghr_mask
-                if self.c_promoted[slot]:
+                self.arch_ghr = ((self.arch_ghr << 1) | int(rec.taken)) & self._ghr_mask
+                if rec.promoted:
                     result.promoted_branches += 1
                 else:
                     result.cond_branches += 1
-                    pred_record = self.c_predrec[slot]
-                    if pred_record is not None:
-                        group = self.c_group[slot]
+                    if rec.pred_record is not None:
                         self.engine.train_branch(
-                            pred_record, taken, tuple(group.actual_path)
+                            rec.pred_record, rec.taken, tuple(rec.group.actual_path)
                         )
-                        group.actual_path.append(taken)
+                        rec.group.actual_path.append(rec.taken)
             elif code == 4:  # call
                 self.arch_ras.append(inst.fall_through)
             elif code == 5:  # return
@@ -722,24 +441,24 @@ class Machine:
                     self.arch_ras.pop()
             elif code == 6:  # indirect
                 result.indirect_jumps += 1
-                self.engine.indirect.update(inst.addr, self.c_next[slot])
+                self.engine.indirect.update(inst.addr, rec.next_pc)
             elif code == 7:  # trap
-                if self.trap_pending == seq:
+                if self.trap_pending == rec.seq:
                     self.trap_pending = None
             elif code == 8:  # halt
                 self.halted = True
-        if self.c_cp[slot] is not None:
-            self._drop_checkpoint(seq, slot)
+        if rec.checkpoint is not None:
+            self._drop_checkpoint(rec)
         if self.max_instructions is not None and result.retired >= self.max_instructions:
             self.halted = True
 
-    def _drop_checkpoint(self, seq: int, slot: int) -> None:
-        if self.c_cp[slot] is not None:
-            for i, (cseq, _cp) in enumerate(self.checkpoints):
-                if cseq == seq:
+    def _drop_checkpoint(self, rec: InFlight) -> None:
+        if rec.checkpoint is not None:
+            for i, (seq, _cp) in enumerate(self.checkpoints):
+                if seq == rec.seq:
                     del self.checkpoints[i]
                     break
-            self.c_cp[slot] = None
+            rec.checkpoint = None
             if self._validate_state:
                 self.validate_state()
 
@@ -751,128 +470,104 @@ class Machine:
             return
         heappush = heapq.heappush
         ready_heaps = self.ready_heaps
-        c_seq = self.c_seq
-        c_state = self.c_state
-        c_deps = self.c_deps
-        c_pending = self.c_pending
-        n_fus = self._n_fus
-        for seq in done:
-            slot = seq & W_MASK
-            if c_seq[slot] != seq:
-                continue  # departed (squashed and retired out of the window)
-            if c_state[slot] == S_SQUASHED:
+        for rec in done:
+            if rec.state == S_SQUASHED:
                 continue
-            c_state[slot] = S_DONE
-            deps = c_deps[slot]
+            rec.state = S_DONE
+            deps = rec.dependents
             if deps:
-                # Dependents of a live producer are always live themselves:
-                # they are younger, dispatched (registration happens at
-                # wiring), and the ROB pops in order — so no slot-validity
-                # check is needed here.
-                for dseq in deps:
-                    dslot = dseq & W_MASK
-                    if c_state[dslot] == S_WAITING:
-                        remaining = c_pending[dslot] - 1
-                        c_pending[dslot] = remaining
+                for dep in deps:
+                    if dep.state == S_WAITING:
+                        remaining = dep.pending_srcs - 1
+                        dep.pending_srcs = remaining
                         if remaining <= 0:
-                            c_state[dslot] = S_READY
+                            dep.state = S_READY
                             self.ready_total += 1
-                            heappush(ready_heaps[dseq % n_fus], dseq)
-                c_deps[slot] = None
-            code = self.c_code[slot]
+                            heappush(ready_heaps[dep.fu], (dep.seq, dep))
+                rec.dependents = None
+            code = rec.inst.op.commit_code
             if code == 1:  # store
-                self.c_known[slot] = 1
-                self._wake_store_waiters(seq)
+                rec.addr_known = True
+                self._wake_store_waiters(rec)
             elif code == 3:  # conditional branch
-                self._resolve_branch(seq, slot)
+                self._resolve_branch(rec)
             elif code == 5 or code == 6:  # return / indirect
-                self._resolve_indirect(seq, slot)
-            if self.misfetch_waiting == seq:
+                self._resolve_indirect(rec)
+            if self.misfetch_waiting == rec.seq:
                 self.misfetch_waiting = None
-                self.pc = self.c_next[slot]
+                self.pc = rec.next_pc
 
-    def _wake_store_waiters(self, store_seq: int) -> None:
-        c_seq = self.c_seq
-        c_state = self.c_state
-        waiters = self._mem_waiters.pop(store_seq, None)
+    def _wake_store_waiters(self, store: InFlight) -> None:
+        waiters = self._mem_waiters.pop(store.seq, None)
         if waiters:
-            for lseq in waiters:
-                lslot = lseq & W_MASK
-                if c_seq[lslot] == lseq and c_state[lslot] == S_MEM_BLOCKED:
-                    self._make_ready(lseq, lslot)
+            for load in waiters:
+                if load.state == S_MEM_BLOCKED:
+                    self._make_ready(load)
         if self.blocked_loads:
             oldest_unknown = self._oldest_unknown_store_seq()
             still_blocked = []
-            for lseq in self.blocked_loads:
-                lslot = lseq & W_MASK
-                if c_seq[lslot] != lseq or c_state[lslot] != S_MEM_BLOCKED:
+            for load in self.blocked_loads:
+                if load.state != S_MEM_BLOCKED:
                     continue
-                if oldest_unknown is None or oldest_unknown >= lseq:
-                    self._make_ready(lseq, lslot)
+                if oldest_unknown is None or oldest_unknown >= load.seq:
+                    self._make_ready(load)
                 else:
-                    still_blocked.append(lseq)
+                    still_blocked.append(load)
             self.blocked_loads = still_blocked
 
-    def _make_ready(self, seq: int, slot: int) -> None:
-        self.c_state[slot] = S_READY
+    def _make_ready(self, rec: InFlight) -> None:
+        rec.state = S_READY
         self.ready_total += 1
-        heapq.heappush(self.ready_heaps[seq % self._n_fus], seq)
+        heapq.heappush(self.ready_heaps[rec.fu], (rec.seq, rec))
 
     # --------------------------------------------------------- branch repair
 
-    def _resolve_branch(self, seq: int, slot: int) -> None:
-        actual = self.c_taken[slot]
-        if self.c_promoted[slot]:
-            predicted = self.c_static[slot]
+    def _resolve_branch(self, rec: InFlight) -> None:
+        actual = rec.taken
+        if rec.promoted:
+            predicted = rec.static_dir
         else:
-            predicted = self.c_ptaken[slot]
+            predicted = rec.predicted_taken
         if predicted == actual:
-            buffer = self.c_buffer[slot]
-            if buffer:
-                for dseq in buffer:
-                    self._squash_one(dseq)
-                self.c_buffer[slot] = None
+            if rec.inactive_buffer:
+                for dormant in rec.inactive_buffer:
+                    self._squash_one(dormant)
+                rec.inactive_buffer = None
             return
         # Mispredicted.  Track stats, then repair.
-        self.result.resolution_time_sum += \
-            self.cycle + REDIRECT_BUBBLE - self.c_fcycle[slot]
+        self.result.resolution_time_sum += self.cycle + REDIRECT_BUBBLE - rec.fetch_cycle
         self.result.resolution_count += 1
-        if self.c_promoted[slot]:
+        if rec.promoted:
             self.result.promoted_faults += 1
-            self._recover_fault(seq, slot)
+            self._recover_fault(rec)
         else:
             self.result.cond_mispredicts += 1
-            self._recover_mispredict(seq, slot)
+            self._recover_mispredict(rec)
 
-    def _recover_mispredict(self, seq: int, slot: int) -> None:
+    def _recover_mispredict(self, branch: InFlight) -> None:
         """Checkpoint repair at the branch's own checkpoint."""
-        if self._memo_rec is not None:
-            self._memo_rec = None   # recoveries are never memoized
-            self._memo_run_stats["aborts"] += 1
-        cp = self.c_cp[slot]
+        cp = branch.checkpoint
         assert cp is not None, "dynamic branch without checkpoint"
-        taken = self.c_taken[slot]
-        next_pc = self.c_next[slot]
         self._restore(cp)
-        self.engine.ghr.push(taken)
-        buffer = self.c_buffer[slot]
-        self.c_buffer[slot] = None
-        activate = bool(buffer) and self.c_inst[buffer[0] & W_MASK].addr == next_pc
-        exempt = frozenset(buffer) if activate else frozenset()
-        self._squash_younger(seq, exempt=exempt)
-        self._fill_cuts.add(seq)
+        self.engine.ghr.push(branch.taken)
+        buffer = branch.inactive_buffer
+        branch.inactive_buffer = None
+        activate = bool(buffer) and buffer[0].inst.addr == branch.next_pc
+        exempt = frozenset(rec.seq for rec in buffer) if activate else frozenset()
+        self._squash_younger(branch.seq, exempt=exempt)
+        self._fill_cuts.add(branch.seq)
         # The checkpoint stays live until the branch retires; a later fault
         # rolling back to it must resume along the now-known-correct path.
-        cp.resume_pc = next_pc
+        cp.resume_pc = branch.next_pc
         if activate:
             redirect = self._activate_dormant(buffer)
         else:
-            redirect = next_pc
+            redirect = branch.next_pc
         self.pc = redirect
         self.redirect_bubble = REDIRECT_BUBBLE
         self._clear_fetch_state()
 
-    def _recover_fault(self, seq: int, slot: int) -> None:
+    def _recover_fault(self, branch: InFlight) -> None:
         """Promoted-branch fault: back up to the *previous* checkpoint.
 
         The machine restores the nearest older checkpoint, squashes
@@ -881,46 +576,41 @@ class Machine:
         point with a one-shot direction override installed so the branch
         executes correctly this time.
         """
-        if self._memo_rec is not None:
-            self._memo_rec = None
-            self._memo_run_stats["aborts"] += 1
         cp_entry = None
-        for cseq, cp in reversed(self.checkpoints):
-            if cseq < seq:
-                cp_entry = (cseq, cp)
+        for seq, cp in reversed(self.checkpoints):
+            if seq < branch.seq:
+                cp_entry = (seq, cp)
                 break
-        buffer = self.c_buffer[slot]
-        if buffer:
-            for dseq in buffer:
-                self._squash_one(dseq)
-            self.c_buffer[slot] = None
+        if branch.inactive_buffer:
+            for dormant in branch.inactive_buffer:
+                self._squash_one(dormant)
+            branch.inactive_buffer = None
         add_fault_override = getattr(self.engine, "add_fault_override", None)
         if add_fault_override is not None:
-            add_fault_override(self.c_inst[slot].addr, self.c_taken[slot])
+            add_fault_override(branch.inst.addr, branch.taken)
         if cp_entry is None:
             # No older checkpoint alive (fault very early in a fetch
             # burst): fall back to branch-local recovery.
-            self._restore_at_branch(seq, slot)
-            self.pc = self.c_next[slot]
+            self._restore_at_branch(branch)
+            self.pc = branch.next_pc
         else:
-            cseq, cp = cp_entry
-            oslot = self._find_in_rob(cseq)
-            self._fill_cuts.add(cseq)
+            seq, cp = cp_entry
+            owner = self._find_in_rob(seq)
+            self._fill_cuts.add(seq)
             self._restore(cp)
-            if oslot >= 0 and self.c_inst[oslot].op.is_cond_branch:
-                if self.c_state[oslot] == S_DONE:
-                    self.engine.ghr.push(self.c_taken[oslot])
+            if owner is not None and owner.inst.op.is_cond_branch:
+                if owner.state == S_DONE:
+                    self.engine.ghr.push(owner.taken)
                 else:
                     self.engine.ghr.push(
-                        self.c_static[oslot] if self.c_promoted[oslot]
-                        else self.c_ptaken[oslot]
+                        owner.static_dir if owner.promoted else owner.predicted_taken
                     )
-            self._squash_younger(cseq)
-            self.pc = cp.resume_pc if cp.resume_pc is not None else self.c_next[slot]
+            self._squash_younger(seq)
+            self.pc = cp.resume_pc if cp.resume_pc is not None else branch.next_pc
         self.redirect_bubble = REDIRECT_BUBBLE + FAULT_EXTRA_PENALTY
         self._clear_fetch_state()
 
-    def _restore_at_branch(self, bseq: int, bslot: int) -> None:
+    def _restore_at_branch(self, branch: InFlight) -> None:
         """Recovery at a branch without its own checkpoint.
 
         Reconstructs speculative state by replaying the window on top of
@@ -928,79 +618,58 @@ class Machine:
         live instruction up to the branch, global history and return
         address stack from the in-flight control instructions.
         """
-        self._memo_sig = None   # same stale-delta guard as _restore
         regs = list(self.arch_regs)
-        rename: List[int] = [0] * NUM_REGS
+        rename: List[Optional[InFlight]] = [None] * NUM_REGS
         ghr = self.arch_ghr
         ras = list(self.arch_ras)
-        c_state = self.c_state
-        c_active = self.c_active
-        c_row = self.c_row
-        c_value = self.c_value
-        c_inst = self.c_inst
-        for seq in self.rob:
-            slot = seq & W_MASK
-            if seq > bseq or c_state[slot] == S_SQUASHED or not c_active[slot]:
+        for rec in self.rob:
+            if rec.seq > branch.seq or rec.state == S_SQUASHED or not rec.is_active:
                 continue
-            dest = c_row[slot][7]
-            if dest is not None:
-                regs[dest] = c_value[slot]
-                rename[dest] = seq
-            op = c_inst[slot].op
+            if rec.dest is not None:
+                regs[rec.dest] = rec.value
+                rename[rec.dest] = rec
+            op = rec.inst.op
             if op.is_cond_branch:
-                if seq == bseq:
-                    fetched_dir = self.c_taken[slot]  # repair pushes the outcome
-                else:
-                    fetched_dir = (self.c_static[slot] if self.c_promoted[slot]
-                                   else self.c_ptaken[slot])
+                fetched_dir = rec.static_dir if rec.promoted else rec.predicted_taken
+                if rec.seq == branch.seq:
+                    fetched_dir = rec.taken  # the repair pushes the actual outcome
                 ghr = ((ghr << 1) | int(bool(fetched_dir))) & self._ghr_mask
             elif op.opclass is OpClass.CALL:
-                ras.append(c_inst[slot].fall_through)
+                ras.append(rec.inst.fall_through)
             elif op.opclass is OpClass.RETURN and ras:
                 ras.pop()
         self.spec_regs = regs
         self.rename = rename
         self.engine.ghr.restore(ghr)
         self.engine.ras.restore(tuple(ras))
-        self._truncate_mem_queues(bseq)
+        self._truncate_mem_queues(branch.seq)
         self._rescan_mem_blocked()
-        self._squash_younger(bseq)
+        self._squash_younger(branch.seq)
 
-    def _resolve_indirect(self, seq: int, slot: int) -> None:
+    def _resolve_indirect(self, rec: InFlight) -> None:
         """JR / RET target verification."""
-        predicted_next = self.c_prednext[slot]
-        if predicted_next is None:
+        if rec.predicted_next is None:
             # Misfetch: fetch has been stalled on this jump; _complete
             # redirects via misfetch_waiting.
             return
-        next_pc = self.c_next[slot]
-        if predicted_next == next_pc:
+        if rec.predicted_next == rec.next_pc:
             return
         self.result.indirect_mispredicts += 1
-        self.result.resolution_time_sum += \
-            self.cycle + REDIRECT_BUBBLE - self.c_fcycle[slot]
+        self.result.resolution_time_sum += self.cycle + REDIRECT_BUBBLE - rec.fetch_cycle
         self.result.resolution_count += 1
-        if self._memo_rec is not None:
-            self._memo_rec = None
-            self._memo_run_stats["aborts"] += 1
-        cp = self.c_cp[slot]
-        self._fill_cuts.add(seq)
+        cp = rec.checkpoint
+        self._fill_cuts.add(rec.seq)
         if cp is not None:
             self._restore(cp)
-            self._squash_younger(seq)
-            cp.resume_pc = next_pc
+            self._squash_younger(rec.seq)
+            cp.resume_pc = rec.next_pc
         else:  # pragma: no cover - indirect fetch-enders always checkpoint
-            self._restore_at_branch(seq, slot)
-        self.pc = next_pc
+            self._restore_at_branch(rec)
+        self.pc = rec.next_pc
         self.redirect_bubble = REDIRECT_BUBBLE
         self._clear_fetch_state()
 
     def _restore(self, cp: Checkpoint) -> None:
-        # A chained memo signature describes the pipeline as a hit left
-        # it; rolling the core back invalidates that description, so a
-        # restored core must never carry the signature into its next
-        # fetch (it would key a stale delta).
-        self._memo_sig = None
         self.spec_regs = list(cp.regs)
         self.rename = list(cp.rename)
         self.engine.ghr.restore(cp.ghr_before)
@@ -1019,9 +688,8 @@ class Machine:
         * the checkpoint stack is strictly ordered by sequence number
           (restores binary-search and pop it by seq);
         * the store queue is in dispatch (sequence) order and every
-          member occupies its window slot with the ``sq_live`` flag set
-          (commit and truncation clear the flag exactly when they remove
-          the entry);
+          member is flagged ``sq_live`` (commit and truncation clear the
+          flag exactly when they remove the entry);
         * every live store reachable through the address-indexed
           ``store_map`` is present in the store queue — a map entry
           outliving its queue entry would forward dead data to loads.
@@ -1033,32 +701,25 @@ class Machine:
                 raise InvariantError(
                     "checkpoint stack out of order: "
                     f"{[seq for seq, _ in checkpoints]}")
-        queue_seqs = set()
+        queue_ids = set()
         prev_seq = -1
-        for seq in self.store_queue:
-            slot = seq & W_MASK
-            if seq <= prev_seq:
+        for store in self.store_queue:
+            if store.seq <= prev_seq:
                 raise InvariantError(
                     "store queue out of dispatch order at "
-                    f"seq {seq} (after {prev_seq})")
-            prev_seq = seq
-            if self.c_seq[slot] != seq:
+                    f"seq {store.seq} (after {prev_seq})")
+            prev_seq = store.seq
+            if not store.sq_live:
                 raise InvariantError(
-                    f"store seq {seq} is in the store queue but its window "
-                    "slot was recycled")
-            if not self.c_sqlive[slot]:
-                raise InvariantError(
-                    f"store seq {seq} is in the store queue but "
+                    f"store seq {store.seq} is in the store queue but "
                     "not flagged sq_live")
-            queue_seqs.add(seq)
+            queue_ids.add(id(store))
         for addr, bucket in self.store_map.items():
-            for seq in bucket:
-                slot = seq & W_MASK
-                if self.c_seq[slot] == seq and self.c_sqlive[slot] \
-                        and self.c_state[slot] != S_SQUASHED \
-                        and seq not in queue_seqs:
+            for store in bucket:
+                if store.sq_live and store.state != S_SQUASHED \
+                        and id(store) not in queue_ids:
                     raise InvariantError(
-                        f"live store seq {seq} (addr {addr:#x}) is "
+                        f"live store seq {store.seq} (addr {addr:#x}) is "
                         "in store_map but missing from the store queue")
 
     def _truncate_mem_queues(self, seq: int) -> None:
@@ -1069,17 +730,14 @@ class Machine:
         was taken.
         """
         keep = []
-        c_known = self.c_known
-        c_sqlive = self.c_sqlive
-        for sseq in self.store_queue:
-            if sseq <= seq:
-                keep.append(sseq)
+        for store in self.store_queue:
+            if store.seq <= seq:
+                keep.append(store)
             else:
-                slot = sseq & W_MASK
-                c_known[slot] = 1  # squashed; stop blocking loads
-                c_sqlive[slot] = 0
+                store.addr_known = True  # squashed; stop blocking loads
+                store.sq_live = False
         self.store_queue = keep
-        self.load_queue = [ls for ls in self.load_queue if ls <= seq]
+        self.load_queue = [load for load in self.load_queue if load.seq <= seq]
 
     def _rescan_mem_blocked(self) -> None:
         """Re-evaluate every memory-blocked load after a recovery.
@@ -1092,12 +750,9 @@ class Machine:
             waiting.extend(loads)
         self.blocked_loads = []
         self._mem_waiters = {}
-        c_seq = self.c_seq
-        c_state = self.c_state
-        for lseq in waiting:
-            lslot = lseq & W_MASK
-            if c_seq[lslot] == lseq and c_state[lslot] == S_MEM_BLOCKED:
-                self._make_ready(lseq, lslot)
+        for load in waiting:
+            if load.state == S_MEM_BLOCKED:
+                self._make_ready(load)
 
     def _squash_younger(self, seq: int, exempt: frozenset = frozenset()) -> None:
         """Kill everything younger than ``seq`` except exempted sequence
@@ -1109,59 +764,17 @@ class Machine:
         that a full-ROB sweep per recovery was a measurable cost.
         """
         squash_one = self._squash_one
-        c_state = self.c_state
-        c_deps = self.c_deps
-        c_cp = self.c_cp
-        c_buffer = self.c_buffer
-        c_dcycle = self.c_dcycle
-        rs_count = self.rs_count
-        n_fus = self._n_fus
-        # _squash_one is inlined in both loops below (it is the hottest
-        # recovery call on branchy codes); the buffered-dormant recursion
-        # still goes through the method.
-        for rseq in reversed(self.rob):
-            if rseq <= seq:
+        for rec in reversed(self.rob):
+            if rec.seq <= seq:
                 break
-            if rseq not in exempt:
-                slot = rseq & W_MASK
-                previous = c_state[slot]
-                if previous == S_SQUASHED:
-                    continue
-                c_state[slot] = S_SQUASHED
-                c_deps[slot] = None
-                c_cp[slot] = None
-                buffer = c_buffer[slot]
-                if buffer:
-                    for dseq in buffer:
-                        if c_state[dseq & W_MASK] != S_SQUASHED:
-                            squash_one(dseq)
-                    c_buffer[slot] = None
-                if previous == S_READY:
-                    self.ready_total -= 1
-                if previous < S_EXECUTING and c_dcycle[slot] >= 0:
-                    rs_count[rseq % n_fus] -= 1
+            if rec.seq not in exempt and rec.state != S_SQUASHED:
+                squash_one(rec)
         # Anything still waiting to dispatch is on the wrong path too;
         # exempted records leave the queue and are force-dispatched by
         # dormant activation.
-        for qseq in self.dispatch_queue:
-            if qseq not in exempt:
-                slot = qseq & W_MASK
-                previous = c_state[slot]
-                if previous == S_SQUASHED:
-                    continue
-                c_state[slot] = S_SQUASHED
-                c_deps[slot] = None
-                c_cp[slot] = None
-                buffer = c_buffer[slot]
-                if buffer:
-                    for dseq in buffer:
-                        if c_state[dseq & W_MASK] != S_SQUASHED:
-                            squash_one(dseq)
-                    c_buffer[slot] = None
-                if previous == S_READY:
-                    self.ready_total -= 1
-                if previous < S_EXECUTING and c_dcycle[slot] >= 0:
-                    rs_count[qseq % n_fus] -= 1
+        for rec in self.dispatch_queue:
+            if rec.seq not in exempt and rec.state != S_SQUASHED:
+                squash_one(rec)
         self.dispatch_queue.clear()
         checkpoints = self.checkpoints
         while checkpoints and checkpoints[-1][0] > seq:
@@ -1171,73 +784,67 @@ class Machine:
         if self.misfetch_waiting is not None and self.misfetch_waiting > seq:
             self.misfetch_waiting = None
 
-    def _squash_one(self, seq: int) -> None:
-        slot = seq & W_MASK
-        c_state = self.c_state
-        previous = c_state[slot]
-        c_state[slot] = S_SQUASHED
-        self.c_deps[slot] = None
-        self.c_cp[slot] = None
-        buffer = self.c_buffer[slot]
-        if buffer:
-            for dseq in buffer:
-                if c_state[dseq & W_MASK] != S_SQUASHED:
-                    self._squash_one(dseq)
-            self.c_buffer[slot] = None
+    def _squash_one(self, rec: InFlight) -> None:
+        previous = rec.state
+        rec.state = S_SQUASHED
+        rec.dependents = None
+        rec.checkpoint = None
+        if rec.inactive_buffer:
+            for dormant in rec.inactive_buffer:
+                if dormant.state != S_SQUASHED:
+                    self._squash_one(dormant)
+            rec.inactive_buffer = None
         if previous == S_READY:
             self.ready_total -= 1
         # States below EXECUTING still hold a reservation-station slot.
-        if previous < S_EXECUTING and self.c_dcycle[slot] >= 0:
-            self.rs_count[seq % self._n_fus] -= 1
+        if previous < S_EXECUTING and rec.dispatch_cycle >= 0:
+            self.rs_count[rec.fu] -= 1
 
-    def _find_in_rob(self, seq: int) -> int:
-        """Window slot of ``seq`` if it is still in the ROB, else -1."""
-        for rseq in reversed(self.rob):
-            if rseq == seq:
-                return seq & W_MASK
-            if rseq < seq:
-                return -1
-        return -1
+    def _find_in_rob(self, seq: int) -> Optional[InFlight]:
+        for rec in reversed(self.rob):
+            if rec.seq == seq:
+                return rec
+            if rec.seq < seq:
+                return None
+        return None
 
     def _clear_fetch_state(self) -> None:
         self.pending_fetch = None
         self.icache_stall = 0
 
-    def _activate_dormant(self, buffer: List[int]) -> int:
+    def _activate_dormant(self, buffer: List[InFlight]) -> int:
         """Wake inactively issued instructions after their branch
         mispredicted in their favour; returns the fetch resume address."""
-        resume = self.c_inst[buffer[-1] & W_MASK].addr + 1
+        resume = buffer[-1].inst.addr + 1
         n_fus = self._n_fus
-        c_state = self.c_state
-        c_dcycle = self.c_dcycle
-        for seq in buffer:
-            slot = seq & W_MASK
-            if c_state[slot] == S_SQUASHED and c_dcycle[slot] >= 0:
+        for rec in buffer:
+            if rec.state == S_SQUASHED and rec.dispatch_cycle >= 0:
                 # An *older* recovery (e.g. a promoted-branch fault rolling
                 # back past this fetch) squashed the buffer while its branch
                 # was still unresolved.  The entry is still in the ROB at
                 # the right position: resurrect it in place.
-                self.rs_count[seq % n_fus] += 1
-            if c_dcycle[slot] < 0:
+                self.rs_count[rec.seq % n_fus] += 1
+            if rec.dispatch_cycle < 0:
                 # Still in (or squashed out of) the dispatch queue: give it
                 # its window slot now — it issues as part of the recovery.
-                self.rs_count[seq % n_fus] += 1
-                self.rob.append(seq)
-                c_dcycle[slot] = self.cycle
-            self.c_active[slot] = 1
-            self._wire_and_execute(seq, slot)
+                rec.fu = rec.seq % n_fus
+                self.rs_count[rec.fu] += 1
+                self.rob.append(rec)
+                rec.dispatch_cycle = self.cycle
+            rec.is_active = True
+            self._wire_and_execute(rec)
             self.result.dormant_activations += 1
-            resume = self.c_next[slot]
-            inst = self.c_inst[slot]
+            resume = rec.next_pc
+            inst = rec.inst
             if inst.op.is_cond_branch:
                 # The embedded trace direction serves as the prediction
                 # (these branches were never dynamically predicted).
                 # Promoted branches do not get checkpoints, matching the
                 # dispatch policy.
-                if not self.c_promoted[slot]:
-                    self.c_ptaken[slot] = self.c_static[slot]
-                    self._checkpoint_for(seq, slot)
-                self.engine.ghr.push(self.c_static[slot])
+                if not rec.promoted:
+                    rec.predicted_taken = rec.static_dir
+                    self._checkpoint_for(rec)
+                self.engine.ghr.push(rec.static_dir)
             elif inst.op is Opcode.CALL:
                 self.engine.ras.push(inst.fall_through)
         return resume
@@ -1254,21 +861,17 @@ class Machine:
         alu_latency = self._alu_latency
         mul_latency = self._mul_latency
         ready_total = self.ready_total
-        c_seq = self.c_seq
-        c_state = self.c_state
-        c_code = self.c_code
         for fu, heap in enumerate(self.ready_heaps):
             if not heap:
                 continue
             while heap:
-                seq = heap[0]
-                slot = seq & W_MASK
-                if c_seq[slot] != seq or c_state[slot] != S_READY:
-                    heappop(heap)  # squashed, departed, or stale entry
+                rec = heap[0][1]
+                if rec.state != S_READY:
+                    heappop(heap)  # squashed or stale entry
                     continue
-                code = c_code[slot]
+                code = rec.inst.op.commit_code
                 if code == 2:  # load
-                    verdict = self._try_schedule_load(seq, slot)
+                    verdict = self._try_schedule_load(rec)
                     if verdict is None:
                         # Blocked; parked with the memory scheduler.
                         heappop(heap)
@@ -1280,16 +883,16 @@ class Machine:
                 else:
                     latency = alu_latency
                 heappop(heap)
-                c_state[slot] = S_EXECUTING
+                rec.state = S_EXECUTING
                 rs_count[fu] -= 1
                 ready_total -= 1
                 finish = cycle + latency
                 bucket = completions.get(finish)
                 if bucket is None:
-                    completions[finish] = [seq]
+                    completions[finish] = [rec]
                     heappush(comp_cycles, finish)
                 else:
-                    bucket.append(seq)
+                    bucket.append(rec)
                 break
             if not ready_total:
                 break
@@ -1298,80 +901,53 @@ class Machine:
     def _oldest_unknown_store_seq(self) -> Optional[int]:
         """Sequence number of the oldest store whose address the memory
         scheduler does not yet consider known, cleaning stale heap entries
-        (completed, squashed, truncated, or departed stores) on the way."""
+        (completed, squashed or truncated stores) on the way."""
         heap = self.unknown_stores
-        c_seq = self.c_seq
-        c_state = self.c_state
-        c_known = self.c_known
         while heap:
-            seq = heap[0]
-            slot = seq & W_MASK
-            if c_seq[slot] != seq:
+            store = heap[0][1]
+            state = store.state
+            if store.addr_known or state == S_DONE or state == S_SQUASHED:
                 heapq.heappop(heap)
                 continue
-            state = c_state[slot]
-            if c_known[slot] or state == S_DONE or state == S_SQUASHED:
-                heapq.heappop(heap)
-                continue
-            return seq
+            return heap[0][0]
         return None
 
-    def _youngest_older_matching_store(self, load_seq: int, mem_addr) -> int:
-        """Seq of the youngest live store older than the load at the same
-        address, or 0 when there is none."""
-        bucket = self.store_map.get(mem_addr)
+    def _youngest_older_matching_store(self, load: InFlight) -> Optional[InFlight]:
+        bucket = self.store_map.get(load.mem_addr)
         if not bucket:
-            return 0
-        c_seq = self.c_seq
-        c_state = self.c_state
-        c_sqlive = self.c_sqlive
+            return None
         # Prune departed (committed/squashed) stores off the tail while
         # they are youngest; interior dead entries are skipped below and
         # become prunable once everything younger has departed too.
         while bucket:
-            seq = bucket[-1]
-            slot = seq & W_MASK
-            if c_seq[slot] == seq and c_sqlive[slot] and c_state[slot] != S_SQUASHED:
+            store = bucket[-1]
+            if store.sq_live and store.state != S_SQUASHED:
                 break
             bucket.pop()
-        for seq in reversed(bucket):
-            slot = seq & W_MASK
-            if seq < load_seq and c_seq[slot] == seq and c_sqlive[slot] \
-                    and c_state[slot] != S_SQUASHED:
-                return seq
-        return 0
+        seq = load.seq
+        for store in reversed(bucket):
+            if store.seq < seq and store.sq_live and store.state != S_SQUASHED:
+                return store
+        return None
 
-    def _try_schedule_load(self, seq: int, slot: int) -> Optional[int]:
+    def _try_schedule_load(self, load: InFlight) -> Optional[int]:
         """Memory scheduling for a load; returns latency or None if blocked."""
         if not self._perfect_disamb:
             oldest_unknown = self._oldest_unknown_store_seq()
-            if oldest_unknown is not None and oldest_unknown < seq:
-                self.c_state[slot] = S_MEM_BLOCKED
-                self.blocked_loads.append(seq)
-                if self._memo_rec is not None:
-                    # Conservative-disambiguation block: the wake-up
-                    # ordering is not modelled, abort the recording.
-                    self._memo_rec = None
-                    self._memo_run_stats["aborts"] += 1
+            if oldest_unknown is not None and oldest_unknown < load.seq:
+                load.state = S_MEM_BLOCKED
+                self.blocked_loads.append(load)
                 return None
-        match = self._youngest_older_matching_store(seq, self.c_mem[slot])
-        if match:
-            if self.c_state[match & W_MASK] != S_DONE:
-                self.c_state[slot] = S_MEM_BLOCKED
-                self._mem_waiters.setdefault(match, []).append(seq)
-                if self._memo_rec is not None:
-                    self._memo_rec = None
-                    self._memo_run_stats["aborts"] += 1
+        match = self._youngest_older_matching_store(load)
+        if match is not None:
+            if match.state != S_DONE:
+                load.state = S_MEM_BLOCKED
+                self._mem_waiters.setdefault(match.seq, []).append(load)
                 return None
             self.result.load_forwards += 1
-            if self._memo_rec is not None:
-                memo.record_load(self, self._memo_rec, seq, match, None)
             return 1
         self.result.dcache_accesses += 1
-        latency = self._data_latency(self.c_mem[slot])
-        if self._memo_rec is not None:
-            memo.record_load(self, self._memo_rec, seq, 0, latency)
-        return latency
+        return self._data_latency(load.mem_addr)
 
     # -------------------------------------------------------------- dispatch
 
@@ -1379,12 +955,11 @@ class Machine:
         """Rename, functionally execute, and window up to ``width``
         instructions.
 
-        The interpreter is row-driven: every operand index, immediate, and
-        successor was resolved once per static instruction by
-        :func:`_decode_row`, so the loop body touches only ints and the
-        register file.  No recovery can interleave with the dispatch stage,
-        so the speculative-state bindings hoisted above the loop are stable
-        for the whole call.
+        The wiring and instruction semantics of :meth:`_wire_and_execute`
+        are inlined into the loop body: this code runs once per fetched
+        instruction (wrong path included) and no recovery can interleave
+        with the dispatch stage, so the speculative-state bindings hoisted
+        above the loop are stable for the whole call.
         """
         dispatched = 0
         checkpoints_this_cycle = 0
@@ -1408,84 +983,66 @@ class Machine:
         track_unknown = not self._perfect_disamb
         heappush = heapq.heappush
         ready_total = self.ready_total
-        c_seq = self.c_seq
-        c_state = self.c_state
-        c_row = self.c_row
-        c_deps = self.c_deps
-        c_pending = self.c_pending
-        c_active = self.c_active
-        c_cpneed = self.c_cpneed
-        c_dcycle = self.c_dcycle
-        c_next = self.c_next
-        c_taken = self.c_taken
-        c_mem = self.c_mem
-        c_value = self.c_value
-        c_sqlive = self.c_sqlive
-        # Each interpreter arm stores only the result columns its op
-        # actually produces; every read of those columns is gated on the
-        # op class (or, for values, the row's dest field) exactly as the
-        # arms leave them.
         while queue and dispatched < width:
-            seq = queue[0]
-            fu = seq % n_fus
+            rec = queue[0]
+            fu = rec.seq % n_fus
             if rs_count[fu] >= rs_per_fu:
                 break  # window full
-            slot = seq & W_MASK
             # A checkpoint accompanies every fetch-block boundary: each
             # dynamically predicted branch and the end of each fetch
-            # (pre-resolved in the ``cp_need`` column at enqueue).
-            active = c_active[slot]
-            needs_cp = active and c_cpneed[slot]
+            # (pre-resolved on the record as ``cp_need``).
+            active = rec.is_active
+            needs_cp = active and rec.cp_need
             if needs_cp and (
                 len(self.checkpoints) >= cp_budget
                 or checkpoints_this_cycle > cp_per_cycle
             ):
                 break  # out of checkpoint resources; resume next cycle
             queue.popleft()
+            rec.fu = fu
             rs_count[fu] += 1
-            rob_append(seq)
-            c_dcycle[slot] = cycle
+            rob_append(rec)
+            rec.dispatch_cycle = cycle
             dispatched += 1
             if not active:
-                c_state[slot] = S_DORMANT
+                rec.state = S_DORMANT
                 continue
 
-            row = c_row[slot]
-            srcs = row[4]
+            inst = rec.inst
             pending = 0
-            if srcs:
-                for reg in srcs:
-                    pseq = rename[reg]
-                    if pseq:
-                        pslot = pseq & W_MASK
-                        if c_seq[pslot] == pseq:
-                            pstate = c_state[pslot]
-                            if pstate != S_DONE and pstate != S_SQUASHED:
-                                pending += 1
-                                pdeps = c_deps[pslot]
-                                if pdeps is None:
-                                    c_deps[pslot] = [seq]
-                                else:
-                                    pdeps.append(seq)
+            for reg in inst._srcs:
+                producer = rename[reg]
+                if producer is not None:
+                    pstate = producer.state
+                    if pstate != S_DONE and pstate != S_SQUASHED:
+                        pending += 1
+                        pdeps = producer.dependents
+                        if pdeps is None:
+                            producer.dependents = [rec]
+                        else:
+                            pdeps.append(rec)
+            rec.pending_srcs = pending
 
-            kind = row[0]
-            a = row[1]
-            b = row[2]
-            c = row[3]
+            # The opcode chain is ordered by dynamic frequency in the
+            # paper workloads (ANDI/ADDI/LD/ADD alone cover ~60% of the
+            # dispatch stream), not by opcode-table order.
+            op = inst.op
+            next_pc = inst.addr + 1
+            taken = None
+            mem_addr = None
             value = None
             dest = None
-            if kind == 1:    # ANDI
-                value = regs[a] & b
-                dest = c
-            elif kind == 2:  # ADDI
-                value = (regs[a] + b) & _MASK
-                dest = c
-            elif kind == 3:  # ADD
-                value = (regs[a] + regs[b]) & _MASK
-                dest = c
-            elif kind == 4:  # LD
-                mem_addr = (regs[a] + b) & _MASK
-                c_mem[slot] = mem_addr
+            if op is _ANDI:
+                value = regs[inst.rs1] & (inst.imm & _MASK)
+                dest = inst._dest
+            elif op is _ADDI:
+                value = (regs[inst.rs1] + inst.imm) & _MASK
+                dest = inst._dest
+            elif op is _ADD:
+                value = (regs[inst.rs1] + regs[inst.rs2]) & _MASK
+                dest = inst._dest
+            elif op is _LD:
+                mem_addr = (regs[inst.rs1] + inst.imm) & _MASK
                 # Youngest live store to the address forwards its data
                 # (committed stores fall through to the memory image,
                 # which their commit already updated — same value the
@@ -1493,305 +1050,309 @@ class Machine:
                 bucket = store_map_get(mem_addr)
                 if bucket:
                     while bucket:
-                        sseq = bucket[-1]
-                        sslot = sseq & W_MASK
-                        if c_seq[sslot] == sseq and c_sqlive[sslot] \
-                                and c_state[sslot] != S_SQUASHED:
-                            value = c_value[sslot] & _MASK
+                        store = bucket[-1]
+                        if store.sq_live and store.state != S_SQUASHED:
+                            value = store.value & _MASK
                             break
                         bucket.pop()
                 if value is None:
                     value = memory_get(mem_addr, 0) & _MASK
-                dest = c
-                load_queue.append(seq)
-            elif kind == 5:  # BNE
-                taken = regs[a] != regs[b]
-                c_taken[slot] = taken
-                c_next[slot] = c if taken else row[5]
-            elif kind == 6:  # BEQ
-                taken = regs[a] == regs[b]
-                c_taken[slot] = taken
-                c_next[slot] = c if taken else row[5]
-            elif kind == 7:  # ST
-                mem_addr = (regs[a] + b) & _MASK
-                c_mem[slot] = mem_addr
-                c_value[slot] = regs[c] & _MASK
-                store_queue.append(seq)
-                c_sqlive[slot] = 1
+                dest = inst._dest
+            elif op is _BNE:
+                taken = regs[inst.rs1] != regs[inst.rs2]
+                if taken:
+                    next_pc = inst.target
+            elif op is _BEQ:
+                taken = regs[inst.rs1] == regs[inst.rs2]
+                if taken:
+                    next_pc = inst.target
+            elif op is _ST:
+                mem_addr = (regs[inst.rs1] + inst.imm) & _MASK
+                value = regs[inst.rs2] & _MASK
+            elif op is _MUL:
+                value = (regs[inst.rs1] * regs[inst.rs2]) & _MASK
+                dest = inst._dest
+            elif op is _AND:
+                value = regs[inst.rs1] & regs[inst.rs2]
+                dest = inst._dest
+            elif op is _XOR:
+                value = regs[inst.rs1] ^ regs[inst.rs2]
+                dest = inst._dest
+            elif op is _SUB:
+                value = (regs[inst.rs1] - regs[inst.rs2]) & _MASK
+                dest = inst._dest
+            elif op is _SLTI:
+                a = regs[inst.rs1]
+                value = 1 if (a - _TWO64 if a & _SIGN_BIT else a) < inst.imm else 0
+                dest = inst._dest
+            elif op is _OR:
+                value = regs[inst.rs1] | regs[inst.rs2]
+                dest = inst._dest
+            elif op is _BLT:
+                a = regs[inst.rs1]
+                b = regs[inst.rs2]
+                taken = (a - _TWO64 if a & _SIGN_BIT else a) \
+                    < (b - _TWO64 if b & _SIGN_BIT else b)
+                if taken:
+                    next_pc = inst.target
+            elif op is _BGE:
+                a = regs[inst.rs1]
+                b = regs[inst.rs2]
+                taken = (a - _TWO64 if a & _SIGN_BIT else a) \
+                    >= (b - _TWO64 if b & _SIGN_BIT else b)
+                if taken:
+                    next_pc = inst.target
+            elif op is _SHL:
+                value = (regs[inst.rs1] << (regs[inst.rs2] & 63)) & _MASK
+                dest = inst._dest
+            elif op is _SHR:
+                value = (regs[inst.rs1] & _MASK) >> (regs[inst.rs2] & 63)
+                dest = inst._dest
+            elif op is _SLT:
+                a = regs[inst.rs1]
+                b = regs[inst.rs2]
+                value = 1 if (a - _TWO64 if a & _SIGN_BIT else a) \
+                    < (b - _TWO64 if b & _SIGN_BIT else b) else 0
+                dest = inst._dest
+            elif op is _ORI:
+                value = regs[inst.rs1] | (inst.imm & _MASK)
+                dest = inst._dest
+            elif op is _XORI:
+                value = regs[inst.rs1] ^ (inst.imm & _MASK)
+                dest = inst._dest
+            elif op is _LUI:
+                value = (inst.imm << 16) & _MASK
+                dest = inst._dest
+            elif op is _JMP:
+                next_pc = inst.target
+            elif op is _CALL:
+                value = next_pc
+                dest = REG_LINK
+                next_pc = inst.target
+            elif op is _RET:
+                next_pc = regs[REG_LINK] & _MASK
+            elif op is _JR:
+                next_pc = regs[inst.rs1] & _MASK
+            elif op is _NOP or op is _TRAP:
+                pass
+            elif op is _HALT:
+                next_pc = inst.addr
+            else:  # pragma: no cover - exhaustive over the opcode set
+                raise NotImplementedError(op)
+
+            rec.next_pc = next_pc
+            rec.taken = taken
+            rec.mem_addr = mem_addr
+            rec.value = value
+            rec.dest = dest
+            if dest is not None:
+                regs[dest] = value
+                rename[dest] = rec
+            if op is _ST:
+                store_queue.append(rec)
+                rec.sq_live = True
                 bucket = store_map_get(mem_addr)
                 if bucket is None:
-                    store_map[mem_addr] = [seq]
+                    store_map[mem_addr] = [rec]
                 else:
-                    bucket.append(seq)
+                    bucket.append(rec)
                 if track_unknown:
-                    heappush(unknown_stores, seq)
-            elif kind == 8:  # MUL
-                value = (regs[a] * regs[b]) & _MASK
-                dest = c
-            elif kind == 9:  # AND
-                value = regs[a] & regs[b]
-                dest = c
-            elif kind == 10:  # XOR
-                value = regs[a] ^ regs[b]
-                dest = c
-            elif kind == 11:  # SUB
-                value = (regs[a] - regs[b]) & _MASK
-                dest = c
-            elif kind == 12:  # SLTI
-                x = regs[a]
-                value = 1 if (x - _TWO64 if x & _SIGN_BIT else x) < b else 0
-                dest = c
-            elif kind == 13:  # OR
-                value = regs[a] | regs[b]
-                dest = c
-            elif kind == 14:  # BLT
-                x = regs[a]
-                y = regs[b]
-                taken = (x - _TWO64 if x & _SIGN_BIT else x) \
-                    < (y - _TWO64 if y & _SIGN_BIT else y)
-                c_taken[slot] = taken
-                c_next[slot] = c if taken else row[5]
-            elif kind == 15:  # BGE
-                x = regs[a]
-                y = regs[b]
-                taken = (x - _TWO64 if x & _SIGN_BIT else x) \
-                    >= (y - _TWO64 if y & _SIGN_BIT else y)
-                c_taken[slot] = taken
-                c_next[slot] = c if taken else row[5]
-            elif kind == 16:  # SHL
-                value = (regs[a] << (regs[b] & 63)) & _MASK
-                dest = c
-            elif kind == 17:  # SHR
-                value = (regs[a] & _MASK) >> (regs[b] & 63)
-                dest = c
-            elif kind == 18:  # SLT
-                x = regs[a]
-                y = regs[b]
-                value = 1 if (x - _TWO64 if x & _SIGN_BIT else x) \
-                    < (y - _TWO64 if y & _SIGN_BIT else y) else 0
-                dest = c
-            elif kind == 19:  # ORI
-                value = regs[a] | b
-                dest = c
-            elif kind == 20:  # XORI
-                value = regs[a] ^ b
-                dest = c
-            elif kind == 21:  # LUI
-                value = b
-                dest = c
-            elif kind == 22:  # NOP / TRAP / JMP / HALT: successor in the row
-                pass
-            elif kind == 23:  # CALL
-                value = b
-                dest = REG_LINK
-            elif kind == 24:  # RET
-                c_next[slot] = regs[REG_LINK] & _MASK
-            elif kind == 25:  # JR
-                c_next[slot] = regs[a] & _MASK
-            else:  # pragma: no cover - exhaustive over the row kinds
-                raise NotImplementedError(kind)
-
-            if dest is not None:
-                c_value[slot] = value
-                regs[dest] = value
-                rename[dest] = seq
-            if pending:
-                c_pending[slot] = pending  # stays S_WAITING from enqueue
-            else:
-                c_state[slot] = S_READY
+                    heappush(unknown_stores, (rec.seq, rec))
+            elif op is _LD:
+                load_queue.append(rec)
+            if pending == 0:
+                rec.state = S_READY
                 ready_total += 1
-                heappush(ready_heaps[fu], seq)
+                heappush(ready_heaps[fu], (rec.seq, rec))
+            else:
+                rec.state = S_WAITING
 
             if needs_cp:
-                self._checkpoint_for(seq, slot)
+                self._checkpoint_for(rec)
                 checkpoints_this_cycle += 1
         self.ready_total = ready_total
 
-    def _wire_and_execute(self, seq: int, slot: int) -> None:
+    def _wire_and_execute(self, rec: InFlight) -> None:
         """Rename, functionally execute, and queue one instruction.
 
-        The out-of-line twin of the dispatch loop body, used by dormant
-        activation (which wires records during recovery, outside the
-        dispatch stage).  Semantics are identical.
+        The instruction semantics are inlined (same frequency-ordered
+        chain as the shared executor's ``step_instruction``) because this
+        runs once per dispatched instruction — wrong path included — and
+        the call/ExecResult overhead dominated dispatch in profiles.
+        Source wiring uses the instruction's precomputed ``_srcs``/``_dest``
+        so no dataflow is re-derived here.
         """
+        inst = rec.inst
         rename = self.rename
-        c_seq = self.c_seq
-        c_state = self.c_state
-        c_deps = self.c_deps
-        row = self.c_row[slot]
         pending = 0
-        for reg in row[4]:
-            pseq = rename[reg]
-            if pseq:
-                pslot = pseq & W_MASK
-                if c_seq[pslot] == pseq:
-                    pstate = c_state[pslot]
-                    if pstate != S_DONE and pstate != S_SQUASHED:
-                        pending += 1
-                        pdeps = c_deps[pslot]
-                        if pdeps is None:
-                            c_deps[pslot] = [seq]
-                        else:
-                            pdeps.append(seq)
-        self.c_pending[slot] = pending
+        for reg in inst._srcs:
+            producer = rename[reg]
+            if producer is not None:
+                pstate = producer.state
+                if pstate != S_DONE and pstate != S_SQUASHED:
+                    pending += 1
+                    pdeps = producer.dependents
+                    if pdeps is None:
+                        producer.dependents = [rec]
+                    else:
+                        pdeps.append(rec)
+        rec.pending_srcs = pending
 
         regs = self.spec_regs
-        kind = row[0]
-        a = row[1]
-        b = row[2]
-        c = row[3]
-        next_pc = row[5]
+        op = inst.op
+        next_pc = inst.addr + 1
         taken = None
         mem_addr = None
         value = None
         dest = None
-        if kind == 1:    # ANDI
-            value = regs[a] & b
-            dest = c
-        elif kind == 2:  # ADDI
-            value = (regs[a] + b) & _MASK
-            dest = c
-        elif kind == 3:  # ADD
-            value = (regs[a] + regs[b]) & _MASK
-            dest = c
-        elif kind == 4:  # LD
-            mem_addr = (regs[a] + b) & _MASK
+        if op is _ANDI:
+            value = regs[inst.rs1] & (inst.imm & _MASK)
+            dest = inst._dest
+        elif op is _ADDI:
+            value = (regs[inst.rs1] + inst.imm) & _MASK
+            dest = inst._dest
+        elif op is _ADD:
+            value = (regs[inst.rs1] + regs[inst.rs2]) & _MASK
+            dest = inst._dest
+        elif op is _LD:
+            mem_addr = (regs[inst.rs1] + inst.imm) & _MASK
+            # Speculative read: youngest live store to the address
+            # forwards its data, otherwise the dispatch-order memory image.
             bucket = self.store_map.get(mem_addr)
             if bucket:
-                c_sqlive = self.c_sqlive
-                c_value = self.c_value
                 while bucket:
-                    sseq = bucket[-1]
-                    sslot = sseq & W_MASK
-                    if c_seq[sslot] == sseq and c_sqlive[sslot] \
-                            and c_state[sslot] != S_SQUASHED:
-                        value = c_value[sslot] & _MASK
+                    store = bucket[-1]
+                    if store.sq_live and store.state != S_SQUASHED:
+                        value = store.value & _MASK
                         break
                     bucket.pop()
             if value is None:
                 value = self.memory_image.get(mem_addr, 0) & _MASK
-            dest = c
-        elif kind == 5:  # BNE
-            taken = regs[a] != regs[b]
+            dest = inst._dest
+        elif op is _BNE:
+            taken = regs[inst.rs1] != regs[inst.rs2]
             if taken:
-                next_pc = c
-        elif kind == 6:  # BEQ
-            taken = regs[a] == regs[b]
+                next_pc = inst.target
+        elif op is _BEQ:
+            taken = regs[inst.rs1] == regs[inst.rs2]
             if taken:
-                next_pc = c
-        elif kind == 7:  # ST
-            mem_addr = (regs[a] + b) & _MASK
-            value = regs[c] & _MASK
-        elif kind == 8:  # MUL
-            value = (regs[a] * regs[b]) & _MASK
-            dest = c
-        elif kind == 9:  # AND
-            value = regs[a] & regs[b]
-            dest = c
-        elif kind == 10:  # XOR
-            value = regs[a] ^ regs[b]
-            dest = c
-        elif kind == 11:  # SUB
-            value = (regs[a] - regs[b]) & _MASK
-            dest = c
-        elif kind == 12:  # SLTI
-            x = regs[a]
-            value = 1 if (x - _TWO64 if x & _SIGN_BIT else x) < b else 0
-            dest = c
-        elif kind == 13:  # OR
-            value = regs[a] | regs[b]
-            dest = c
-        elif kind == 14:  # BLT
-            x = regs[a]
-            y = regs[b]
-            taken = (x - _TWO64 if x & _SIGN_BIT else x) \
-                < (y - _TWO64 if y & _SIGN_BIT else y)
+                next_pc = inst.target
+        elif op is _ST:
+            mem_addr = (regs[inst.rs1] + inst.imm) & _MASK
+            value = regs[inst.rs2] & _MASK
+        elif op is _MUL:
+            value = (regs[inst.rs1] * regs[inst.rs2]) & _MASK
+            dest = inst._dest
+        elif op is _AND:
+            value = regs[inst.rs1] & regs[inst.rs2]
+            dest = inst._dest
+        elif op is _XOR:
+            value = regs[inst.rs1] ^ regs[inst.rs2]
+            dest = inst._dest
+        elif op is _SUB:
+            value = (regs[inst.rs1] - regs[inst.rs2]) & _MASK
+            dest = inst._dest
+        elif op is _SLTI:
+            a = regs[inst.rs1]
+            value = 1 if (a - _TWO64 if a & _SIGN_BIT else a) < inst.imm else 0
+            dest = inst._dest
+        elif op is _OR:
+            value = regs[inst.rs1] | regs[inst.rs2]
+            dest = inst._dest
+        elif op is _BLT:
+            a = regs[inst.rs1]
+            b = regs[inst.rs2]
+            taken = (a - _TWO64 if a & _SIGN_BIT else a) \
+                < (b - _TWO64 if b & _SIGN_BIT else b)
             if taken:
-                next_pc = c
-        elif kind == 15:  # BGE
-            x = regs[a]
-            y = regs[b]
-            taken = (x - _TWO64 if x & _SIGN_BIT else x) \
-                >= (y - _TWO64 if y & _SIGN_BIT else y)
+                next_pc = inst.target
+        elif op is _BGE:
+            a = regs[inst.rs1]
+            b = regs[inst.rs2]
+            taken = (a - _TWO64 if a & _SIGN_BIT else a) \
+                >= (b - _TWO64 if b & _SIGN_BIT else b)
             if taken:
-                next_pc = c
-        elif kind == 16:  # SHL
-            value = (regs[a] << (regs[b] & 63)) & _MASK
-            dest = c
-        elif kind == 17:  # SHR
-            value = (regs[a] & _MASK) >> (regs[b] & 63)
-            dest = c
-        elif kind == 18:  # SLT
-            x = regs[a]
-            y = regs[b]
-            value = 1 if (x - _TWO64 if x & _SIGN_BIT else x) \
-                < (y - _TWO64 if y & _SIGN_BIT else y) else 0
-            dest = c
-        elif kind == 19:  # ORI
-            value = regs[a] | b
-            dest = c
-        elif kind == 20:  # XORI
-            value = regs[a] ^ b
-            dest = c
-        elif kind == 21:  # LUI
-            value = b
-            dest = c
-        elif kind == 22:  # NOP / TRAP / JMP / HALT
-            pass
-        elif kind == 23:  # CALL
-            value = b
+                next_pc = inst.target
+        elif op is _SHL:
+            value = (regs[inst.rs1] << (regs[inst.rs2] & 63)) & _MASK
+            dest = inst._dest
+        elif op is _SHR:
+            value = (regs[inst.rs1] & _MASK) >> (regs[inst.rs2] & 63)
+            dest = inst._dest
+        elif op is _SLT:
+            a = regs[inst.rs1]
+            b = regs[inst.rs2]
+            value = 1 if (a - _TWO64 if a & _SIGN_BIT else a) \
+                < (b - _TWO64 if b & _SIGN_BIT else b) else 0
+            dest = inst._dest
+        elif op is _ORI:
+            value = regs[inst.rs1] | (inst.imm & _MASK)
+            dest = inst._dest
+        elif op is _XORI:
+            value = regs[inst.rs1] ^ (inst.imm & _MASK)
+            dest = inst._dest
+        elif op is _LUI:
+            value = (inst.imm << 16) & _MASK
+            dest = inst._dest
+        elif op is _JMP:
+            next_pc = inst.target
+        elif op is _CALL:
+            value = next_pc
             dest = REG_LINK
-        elif kind == 24:  # RET
+            next_pc = inst.target
+        elif op is _RET:
             next_pc = regs[REG_LINK] & _MASK
-        elif kind == 25:  # JR
-            next_pc = regs[a] & _MASK
-        else:  # pragma: no cover - exhaustive over the row kinds
-            raise NotImplementedError(kind)
+        elif op is _JR:
+            next_pc = regs[inst.rs1] & _MASK
+        elif op is _NOP or op is _TRAP:
+            pass
+        elif op is _HALT:
+            next_pc = inst.addr
+        else:  # pragma: no cover - exhaustive over the opcode set
+            raise NotImplementedError(op)
 
-        self.c_next[slot] = next_pc
-        self.c_taken[slot] = taken
-        self.c_mem[slot] = mem_addr
-        self.c_value[slot] = value
+        rec.next_pc = next_pc
+        rec.taken = taken
+        rec.mem_addr = mem_addr
+        rec.value = value
+        rec.dest = dest
         if dest is not None:
             regs[dest] = value
-            rename[dest] = seq
-        if kind == 7:
-            self.store_queue.append(seq)
-            self.c_sqlive[slot] = 1
+            rename[dest] = rec
+        if op is _ST:
+            self.store_queue.append(rec)
+            rec.sq_live = True
             bucket = self.store_map.get(mem_addr)
             if bucket is None:
-                self.store_map[mem_addr] = [seq]
+                self.store_map[mem_addr] = [rec]
             else:
-                bucket.append(seq)
+                bucket.append(rec)
             if not self._perfect_disamb:
-                heapq.heappush(self.unknown_stores, seq)
-        elif kind == 4:
-            self.load_queue.append(seq)
+                heapq.heappush(self.unknown_stores, (rec.seq, rec))
+        elif op is _LD:
+            self.load_queue.append(rec)
         if pending == 0:
-            c_state[slot] = S_READY
+            rec.state = S_READY
             self.ready_total += 1
-            heapq.heappush(self.ready_heaps[seq % self._n_fus], seq)
+            heapq.heappush(self.ready_heaps[rec.fu], (rec.seq, rec))
         else:
-            c_state[slot] = S_WAITING
+            rec.state = S_WAITING
 
-    def _checkpoint_for(self, seq: int, slot: int) -> None:
-        snap = self.c_snap[slot]
-        if snap is not None:
-            ghr_before, ras_state = snap
+    def _checkpoint_for(self, rec: InFlight) -> None:
+        if rec.cp_snapshot is not None:
+            ghr_before, ras_state = rec.cp_snapshot
         else:
             ghr_before = self.engine.ghr.value
             ras_state = self.engine.ras.snapshot()
-        inst = self.c_inst[slot]
-        op = inst.op
-        if op.is_cond_branch and self.c_ptaken[slot] is not None:
-            resume_pc = inst.target if self.c_ptaken[slot] else inst.fall_through
-        elif op.is_cond_branch and self.c_static[slot] is not None:
+        if rec.inst.op.is_cond_branch and rec.predicted_taken is not None:
+            resume_pc = rec.inst.target if rec.predicted_taken else rec.inst.fall_through
+        elif rec.inst.op.is_cond_branch and rec.static_dir is not None:
             # Promoted branch: its static prediction is the fetched path.
-            resume_pc = inst.target if self.c_static[slot] else inst.fall_through
-        elif self.c_prednext[slot] is not None:
-            resume_pc = self.c_prednext[slot]
+            resume_pc = rec.inst.target if rec.static_dir else rec.inst.fall_through
+        elif rec.predicted_next is not None:
+            resume_pc = rec.predicted_next
         else:
-            resume_pc = inst.fall_through
+            resume_pc = rec.inst.fall_through
         cp = Checkpoint(
             regs=list(self.spec_regs),
             rename=list(self.rename),
@@ -1799,13 +1360,11 @@ class Machine:
             ras_state=ras_state,
             sq_len=len(self.store_queue),
             lq_len=len(self.load_queue),
-            seq=seq,
+            seq=rec.seq,
             resume_pc=resume_pc,
         )
-        self.c_cp[slot] = cp
-        self.checkpoints.append((seq, cp))
-        if self._memo_rec is not None:
-            memo.record_checkpoint(self, self._memo_rec, seq)
+        rec.checkpoint = cp
+        self.checkpoints.append((rec.seq, cp))
 
     # ----------------------------------------------------------------- fetch
 
@@ -1834,73 +1393,14 @@ class Machine:
             self.acc_full_window += 1
             return
 
-        engine = self.engine
-        # Timing-memo span boundary: the machine sits at a fetch point, so
-        # an open recording closes here (its successor context doubles as
-        # the next lookup signature) and an applied hit's chained signature
-        # is consumed.  The boundary sits *before* engine.fetch, so the
-        # front end itself (predictors, trace cache, GHR/RAS) always runs
-        # live — only the machine timing of the span is replayed.
-        chain_sig = None
-        if self._memo is not None:
-            rec = self._memo_rec
-            if rec is not None:
-                self._memo_rec = None
-                chain_sig = memo.finalize(self, rec)
-            else:
-                chain_sig = self._memo_sig
-                self._memo_sig = None
-        while True:
-            entry_ghr = 0
-            entry_ras = None
-            if self._fast_fetch:
-                # Capture-off fast path: remember the fetch-entry (GHR,
-                # RAS) so branch snapshots can be reconstructed.  Fetches
-                # cut by a pending promoted-fault override — the one shape
-                # that cannot be reconstructed — capture their snapshots
-                # inside the engine's slow override walk regardless of the
-                # capture flag.
-                entry_ghr = engine.ghr.value
-                entry_ras = engine.ras.snapshot()
-                result = engine.fetch(self.pc)
-            else:
-                result = engine.fetch(self.pc)
-            if not result.active:
-                # Wrong-path fetch ran off the code image; spin until repair.
-                self.acc_branch_miss += 1
-                return
-            self.fetch_id += 1
-            group = FetchGroup(self.fetch_id, self.cycle)
-            self.result.fetches += 1
-            variant = result.variant
-            if variant is not None:
-                # Variant fetches never stall (trace hits are single-cycle).
-                if self._memo is not None:
-                    if memo.on_variant_fetch(self, result, variant, group,
-                                             entry_ghr, entry_ras, chain_sig):
-                        # Hit applied: the machine now sits at the *next*
-                        # fetch point (a recorded span ends exactly where
-                        # its recording did — immediately before a fetch,
-                        # with every stall condition clear), so chain
-                        # straight into that fetch within this cycle's
-                        # fetch stage.
-                        chain_sig = self._memo_sig
-                        self._memo_sig = None
-                        continue
-                    chain_sig = None
-                self._fetch_cycle_groups.append((self.cycle, group))
-                self._enqueue_variant(result, variant, group, entry_ghr,
-                                      entry_ras)
-                return
-            break
-        if entry_ras is not None and result.source == "icache" \
-                and result.active_dirs[-1] is not None:
-            # Capture was off for this icache block: the snapshot the
-            # capture walk would take for its ending branch is exactly the
-            # fetch-entry state (nothing touches GHR/RAS before that
-            # point), so synthesize it.
-            result.control_snapshots = {
-                len(result.active) - 1: (entry_ghr, entry_ras)}
+        result = self.engine.fetch(self.pc)
+        if not result.active:
+            # Wrong-path fetch ran off the code image; spin until repair.
+            self.acc_branch_miss += 1
+            return
+        self.fetch_id += 1
+        group = FetchGroup(self.fetch_id, self.cycle)
+        self.result.fetches += 1
         if result.stall_cycles > 0:
             self.icache_stall = result.stall_cycles
             self.pending_fetch = (result, group)
@@ -1909,215 +1409,72 @@ class Machine:
         self._fetch_cycle_groups.append((self.cycle, group))
         self._enqueue_fetch(result, group)
 
-    def _enqueue_variant(self, result: FetchResult, variant, group: FetchGroup,
-                         entry_ghr: int, entry_ras: tuple) -> None:
-        """Enqueue a compiled-variant fetch through its machine plan.
-
-        Every uniform column is written with one slice assignment per
-        fetch; only the (rare) branch positions get per-slot writes.
-        """
-        plan = variant.machine_plan
-        if plan is None:
-            plan = _compile_machine_plan(variant, result.segment, self._rows)
-            variant.machine_plan = plan
-        (n_act, all_insts, all_rows, all_codes, act_flags,
-         act_branches, inact_branches, trap_off) = plan
-        n = len(all_insts)
-        base = self.seq
-        rob = self.rob
-        if rob and base + n - rob[0] >= WINDOW:
-            raise RuntimeError(
-                f"window span overflow: seq {base + n} vs ROB head {rob[0]}")
-        s0 = (base + 1) & W_MASK
-        self._reset_slots(s0, n, base, all_insts, all_rows, all_codes,
-                          act_flags, group)
-        ghr_mask = self._ghr_mask
-        c_snap = self.c_snap
-        c_cpneed = self.c_cpneed
-        tokens = result.pred_tokens
-        for (pos, direction, promoted, baddr, dyn_i, jshift, prefix,
-             rpre) in act_branches:
-            slot = (s0 + pos) & W_MASK
-            if promoted:
-                self.c_promoted[slot] = 1
-                self.c_static[slot] = direction
-                self.c_ptaken[slot] = None
-            else:
-                self.c_promoted[slot] = 0
-                self.c_ptaken[slot] = direction
-                c_cpneed[slot] = 1
-                self.c_predrec[slot] = PredRecord(baddr, dyn_i, tokens[dyn_i],
-                                                  direction)
-            c_snap[slot] = (
-                ((entry_ghr << jshift) | prefix) & ghr_mask,
-                entry_ras if rpre is None else entry_ras + rpre,
-            )
-        for pos, sdir, promoted, cpn in inact_branches:
-            slot = (s0 + pos) & W_MASK
-            self.c_static[slot] = sdir
-            self.c_promoted[slot] = promoted
-            self.c_ptaken[slot] = None
-            self.c_predrec[slot] = None
-            c_cpneed[slot] = cpn
-        last_seq = base + n_act
-        last_slot = last_seq & W_MASK
-        next_pc = result.next_pc
-        if next_pc is not None:
-            self.c_prednext[last_slot] = next_pc
-            c_cpneed[last_slot] = 1
-        if n > n_act:
-            self.c_buffer[last_slot] = list(range(last_seq + 1, base + n + 1))
-            self.result.inactive_issued += n - n_act
-        self.dispatch_queue.extend(range(base + 1, base + n + 1))
-        self.seq = base + n
-        if trap_off >= 0:
-            self.trap_pending = base + 1 + trap_off
-        if next_pc is None:
-            self.misfetch_waiting = last_seq
-        else:
-            self.pc = next_pc
-
-    def _reset_slots(self, s0: int, n: int, base: int, all_insts, all_rows,
-                     all_codes, act_flags, group: FetchGroup) -> None:
-        """Claim and reset ``n`` window slots starting at slot ``s0`` for
-        sequence numbers ``base+1 .. base+n``.
-
-        One slice assignment per column (the same ``nones``/``zeros``
-        source list serves several columns — slice assignment copies).
-        The wrapped case (the block straddles the end of the circular
-        window) splits every slice in two.
-        """
-        tmpl = _RESET_TMPL.get(n)
-        if tmpl is None:
-            tmpl = _RESET_TMPL[n] = (
-                [None] * n, [0] * n, [S_WAITING] * n, [-1] * n)
-        nones, zeros, waits, negs = tmpl
-        s1 = s0 + n
-        if s1 <= WINDOW:
-            self.c_seq[s0:s1] = range(base + 1, base + 1 + n)
-            self.c_inst[s0:s1] = all_insts
-            self.c_row[s0:s1] = all_rows
-            self.c_code[s0:s1] = all_codes
-            self.c_group[s0:s1] = [group] * n
-            self.c_state[s0:s1] = waits
-            self.c_deps[s0:s1] = nones
-            self.c_snap[s0:s1] = nones
-            self.c_prednext[s0:s1] = nones
-            self.c_cp[s0:s1] = nones
-            self.c_buffer[s0:s1] = nones
-            self.c_cpneed[s0:s1] = zeros
-            self.c_known[s0:s1] = zeros
-            self.c_fcycle[s0:s1] = [group.cycle] * n
-            self.c_dcycle[s0:s1] = negs
-            self.c_active[s0:s1] = act_flags
-        else:
-            k = WINDOW - s0
-            t = s1 - WINDOW
-            for col, vals in (
-                (self.c_seq, list(range(base + 1, base + 1 + n))),
-                (self.c_inst, all_insts),
-                (self.c_row, all_rows),
-                (self.c_code, all_codes),
-                (self.c_group, [group] * n),
-                (self.c_state, waits),
-                (self.c_deps, nones),
-                (self.c_snap, nones),
-                (self.c_prednext, nones),
-                (self.c_cp, nones),
-                (self.c_buffer, nones),
-                (self.c_cpneed, zeros),
-                (self.c_known, zeros),
-                (self.c_fcycle, [group.cycle] * n),
-                (self.c_dcycle, negs),
-                (self.c_active, act_flags),
-            ):
-                col[s0:] = vals[:k]
-                col[:t] = vals[k:]
-
     def _enqueue_fetch(self, result: FetchResult, group: FetchGroup) -> None:
-        active = result.active
-        inactive = result.inactive
-        n_act = len(active)
-        all_insts = active + inactive if inactive else active
-        n = len(all_insts)
-        base = self.seq
-        rob = self.rob
-        if rob and base + n - rob[0] >= WINDOW:
-            raise RuntimeError(
-                f"window span overflow: seq {base + n} vs ROB head {rob[0]}")
-        rows_cache = self._rows
-        all_rows = []
-        rows_append = all_rows.append
-        for inst in all_insts:
-            row = rows_cache.get(id(inst))
-            if row is None:
-                row = _decode_row(inst)
-                rows_cache[id(inst)] = row
-            rows_append(row)
-        all_codes = [row[6] for row in all_rows]
-        if inactive:
-            act_flags = [1] * n_act + [0] * (n - n_act)
-        else:
-            act_flags = [1] * n_act
-        s0 = (base + 1) & W_MASK
-        self._reset_slots(s0, n, base, all_insts, all_rows, all_codes,
-                          act_flags, group)
-        # A non-None fetch direction marks exactly the conditional
-        # branches (every engine fills active_dirs that way); prediction
-        # records attach in order to the dynamic ones.  Each arm fills in
-        # ALL the branch-metadata columns whose reads are branch-gated.
+        records: List[InFlight] = []
+        append = records.append
+        seq = self.seq
+        fetch_cycle = group.cycle
+        # Prediction records attach in order to the dynamic branches.
         rec_iter = iter(result.pred_records)
+        active_dirs = result.active_dirs
         active_promoted = result.active_promoted
         snapshot_get = result.control_snapshots.get
-        c_cpneed = self.c_cpneed
-        for idx, direction in enumerate(result.active_dirs):
-            if direction is None:
-                continue
-            slot = (s0 + idx) & W_MASK
-            if active_promoted[idx]:
-                self.c_promoted[slot] = 1
-                self.c_static[slot] = direction
-                self.c_ptaken[slot] = None
-            else:
-                self.c_promoted[slot] = 0
-                self.c_ptaken[slot] = direction
-                c_cpneed[slot] = 1
-                self.c_predrec[slot] = next(rec_iter, None)
-            snapshot = snapshot_get(idx)
-            if snapshot is not None:
-                self.c_snap[slot] = snapshot
+        for idx, inst in enumerate(result.active):
+            seq += 1
+            rec = InFlight(seq, inst, group, fetch_cycle)
+            # A non-None fetch direction marks exactly the conditional
+            # branches (every engine fills active_dirs that way).
+            direction = active_dirs[idx]
+            if direction is not None:
+                # Each arm fills in ALL the branch-metadata slots the
+                # constructor leaves unset (reads are branch-gated).
+                if active_promoted[idx]:
+                    rec.promoted = True
+                    rec.static_dir = direction
+                    rec.predicted_taken = None
+                else:
+                    rec.promoted = False
+                    rec.predicted_taken = direction
+                    rec.cp_need = True
+                    rec.pred_record = next(rec_iter, None)
+                snapshot = snapshot_get(idx)
+                if snapshot is not None:
+                    rec.cp_snapshot = snapshot
+            append(rec)
         # Attach the end-of-fetch bookkeeping to the last instruction: the
         # fetch's predicted successor doubles as the final block boundary's
         # checkpoint resume point, and for indirect jumps/returns it is the
         # target to verify at execute.
-        last_seq = base + n_act
-        last_slot = last_seq & W_MASK
+        last = records[-1]
         if result.next_pc is not None:
-            self.c_prednext[last_slot] = result.next_pc
-            c_cpneed[last_slot] = 1
-        if inactive:
-            inactive_promoted = result.inactive_promoted
-            for idx, sdir in enumerate(result.inactive_dirs):
-                if sdir is None:
-                    continue
-                slot = (s0 + n_act + idx) & W_MASK
-                prom = inactive_promoted[idx]
-                self.c_static[slot] = sdir
-                self.c_promoted[slot] = prom
-                self.c_ptaken[slot] = None
-                self.c_predrec[slot] = None
-                c_cpneed[slot] = 0 if prom else 1
-            self.c_buffer[last_slot] = list(range(last_seq + 1, base + n + 1))
-            self.result.inactive_issued += n - n_act
-        self.dispatch_queue.extend(range(base + 1, base + n + 1))
-        self.seq = base + n
+            last.predicted_next = result.next_pc
+            last.cp_need = True
+        dormant: List[InFlight] = []
+        if result.inactive:
+            inactive_dirs = result.inactive_dirs
+            for idx, inst in enumerate(result.inactive):
+                seq += 1
+                drec = InFlight(seq, inst, group, fetch_cycle)
+                drec.is_active = False
+                if inactive_dirs[idx] is not None:
+                    drec.static_dir = inactive_dirs[idx]
+                    drec.promoted = result.inactive_promoted[idx]
+                    drec.predicted_taken = None
+                    drec.pred_record = None
+                    drec.cp_need = not drec.promoted
+                dormant.append(drec)
+            last.inactive_buffer = dormant
+            self.result.inactive_issued += len(dormant)
+        self.seq = seq
+        self.dispatch_queue.extend(records)
+        self.dispatch_queue.extend(dormant)
         if result.ends_with_trap:
-            for off in range(n_act):
-                if active[off].op.opclass is OpClass.TRAP:
-                    self.trap_pending = base + 1 + off
+            for rec in records:
+                if rec.inst.op.opclass is OpClass.TRAP:
+                    self.trap_pending = rec.seq
                     break
         if result.next_pc is None:
-            self.misfetch_waiting = last_seq
+            self.misfetch_waiting = last.seq
         else:
             self.pc = result.next_pc
 
@@ -2154,10 +1511,6 @@ class Machine:
             result.tc_hits = trace_cache.stats.hits
             result.tc_misses = trace_cache.stats.misses
         result.l1i_misses = self.engine.memory.l1i.stats.misses
-        if self._memo is not None:
-            stats = dict(self._memo_run_stats)
-            stats["table"] = self._memo.stats()
-            result.memo_stats = stats
         return result
 
 

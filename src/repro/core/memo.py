@@ -1,1205 +1,12 @@
-"""Steady-state timing memoization for the columnar machine core.
+"""Zeroed counters in place of the removed machine timing memo.
 
-The cycle-level machine spends most of its wall clock re-simulating
-work it has already done: loop-dominated workloads re-execute the same
-compiled machine plans (:func:`repro.core.machine._compile_machine_plan`)
-from the same *pipeline context* over and over, and the trace-reuse
-literature (arXiv 1711.06672) shows exactly this repetition dominates.
-PR 4 exploited the repetition at the fetch level (CompiledVariant);
-this module lifts it to the timing level.
-
-A **span** is the stretch between two front-end fetch calls: it starts
-when a fetch block enqueues through an existing compiled machine plan
-and ends when the fetch stage next reaches ``engine.fetch``.  For each
-span the machine records, keyed by ``(variant, predicted next_pc,
-pipeline-context signature)``:
-
-* the cycle delta and the stall-accounting increments,
-* the retire-stream shape (how many ROB pops, commit vs. squash-pop),
-* the memory-scheduler decision trace (per issued load, the forwarding
-  match or the observed data-cache latency, plus the store-commit count
-  at issue so the liveness horizon can be re-derived),
-* the per-branch actual outcomes,
-* the checkpoint creation points (with *net* store/load-queue deltas),
-  and
-* the **successor context** — the same normalized capture that forms
-  the signature, reused both to patch the machine on a hit and as the
-  ready-made lookup key for the next span (memo-edge chaining: steady
-  state loop iterations fast-forward whole plan sequences without ever
-  re-deriving a signature).
-
-The context signature is position- and history-independent.  The ROB at
-a fetch point is typically hundreds of records deep, but almost all of
-it is a retirement backlog of DONE records waiting behind the head —
-timing-inert except for the commit pacing near the head.  The capture
-therefore keeps only:
-
-* the ``seq % n_fus`` FU phase (FU binding is by absolute sequence),
-* a bounded **head prefix** (:data:`PREFIX_K` records) of
-  ``(class, commit-code, checkpoint?)`` triples — this pins the retire
-  pacing, the store/load-queue commit pace and the checkpoint-drop
-  schedule for every record a span can pop (:data:`MAX_POPS` <
-  :data:`PREFIX_K`),
-* the **live set**: every record whose state is neither DONE nor
-  SQUASHED, as offset-relative tuples of (state, code, wiring, pending
-  count, resolution-outcome bit, completion-cycle offset, dependent /
-  dormant-buffer offsets) — the reservation stations, the completion
-  wheel and every in-flight resolution hang off these few records —
-  *except* **quiescent** records: an EXECUTING load whose completion
-  lies more than :data:`QUIES_H` cycles out cannot finish inside any
-  recordable span (spans are bounded to :data:`QUIES_H` cycles), so
-  its counting-down finish offset — one distinct signature per cycle
-  of a main-memory miss — is omitted and its state passes through a
-  hit untouched; the rename map marks its register ``"Q"`` and replay
-  re-wires the span's timing edges onto the hitting machine's own
-  quiescent record,
-* the live-producer rename map, and
-* the checkpoint count (the dispatch gate only reads ``len``).
-
-Everything else — register and memory values, the DONE middle of the
-window, absolute queue contents — is deliberately excluded; replay
-*verifies* the value-dependent decisions against the live machine
-instead (see below), so a false signature match can only cost a
-fallback, never corrupt state.
-
-Replay is two-phase:
-
-1. **Verify** (read-only): a shadow functional pass re-executes the
-   plan's instructions against copies of the speculative state,
-   checking every recorded branch outcome and indirect-target match.
-   Each recorded load re-derives the memory scheduler's decision from
-   the live store map: the recorded store-commit count at issue yields
-   the oldest-live-store horizon, the span stores and the address
-   bucket are walked youngest-first under that horizon, and the result
-   must equal the recorded forwarding match.  Data-cache latencies are
-   verified with *real* accesses made transactional (touched LRU sets
-   and stats are saved and rolled back on mismatch).
-2. **Apply**: the live enqueue runs (identical columns to a live
-   fetch), the shadow results land in the window columns, the recorded
-   ROB pops replay through the real ``_commit`` (so predictor training,
-   fill-unit retirement, architectural state and the memory image see
-   exactly the live side effects), and the surviving records are
-   patched to the recorded successor: records present in the successor
-   live set take its state, the rest are derived (a dormant record that
-   vanished was squashed by its resolving branch, anything else
-   completed), the reservation counts and ready heaps are rebuilt from
-   the patched live set, and the completion wheel is filtered and
-   re-derived so quiescent entries survive with their absolute finish
-   cycles intact (the unknown-store heap is simply left in place —
-   span stores are pushed at dispatch parity and staleness is lazily
-   pruned).
-
-Anything the signature cannot normalize — pending traps or misfetches,
-inactive (dormant) issue in the plan, blocked loads, validation mode —
-bails out to live simulation; any recovery, halt or memory-scheduler
-block *during* a recorded span aborts the recording.  The scalar
-(memo-off) path is the reference semantics and every hit is
-byte-identical to it by construction; the parity suite and
-``fuzz_frontend.py --mode machine`` race the two paths per seed.
+The cycle-level core no longer memoizes timing.  This module exists only
+because ``perfbench/run.py`` imports it and reads ``aggregate_stats()``;
+the next benchmark change removes that import and this module together.
 """
-
-from __future__ import annotations
-
-import weakref
-from collections import OrderedDict
-from heapq import heappush
-from typing import Optional
-
-from repro.core.inflight import (
-    Checkpoint,
-    S_DORMANT, S_WAITING, S_READY, S_MEM_BLOCKED, S_EXECUTING,
-    S_DONE, S_SQUASHED,
-)
-from repro.isa.instruction import NUM_REGS, REG_LINK
-from repro.mem.hierarchy import WORD_BYTES
-
-_MASK = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
-_TWO64 = 1 << 64
-
-#: Quiescence horizon (cycles).  An EXECUTING record whose completion
-#: lies more than this many cycles ahead is **quiescent**: it cannot
-#: complete within any recordable span (:func:`finalize` rejects spans
-#: longer than this), so its counting-down completion offset — pure
-#: signature entropy, one distinct context per cycle of a main-memory
-#: miss — is excluded from the live set and its state passes through a
-#: hit untouched.  The value sits between the L2 latency (an in-span L2
-#: miss must be able to complete without tripping the span-length
-#: guard) and the main-memory latency (so memory misses are quiescent
-#: for most of their flight).  Only loads can be quiescent: every other
-#: op class executes in ``alu_latency``/``mul_latency`` cycles.
-QUIES_H = 24
-
-#: Spans that pop more than this many ROB records are not recorded.  The
-#: bound must stay below :data:`PREFIX_K` so every popped record is
-#: covered by the head-prefix part of the signature.
-MAX_POPS = 64
-
-#: Length of the head-prefix class string in the context signature.
-PREFIX_K = 96
-
-#: Window-occupancy gate (records).  When the fetch point sits more
-#: than this far past the ROB head, the machine is in a stall regime —
-#: a deep retirement backlog or a long dependence shadow — where
-#: measured contexts essentially never recur (the live-set offsets
-#: drift with the backlog depth); attempting a capture there is pure
-#: overhead, so the memo layer steps aside cheaply.  Hits concentrate
-#: below :data:`PREFIX_K` records of occupancy.
-MAX_DEPTH = PREFIX_K
-
-#: Adaptive give-up threshold: once a (variant, next-pc) pair has been
-#: looked up this many times without a single hit, its contexts are
-#: demonstrably non-recurring and the memo layer stops paying for
-#: captures on it (the counter clears with the table, so a later phase
-#: change gets a fresh audition after ``clear_caches``).
-KEY_ATTEMPTS_MAX = 128
-
-#: Run-level give-up: after this many misses, if fewer than one lookup
-#: in four has hit, the workload's pipeline contexts are demonstrably
-#: non-recurring and the memo layer turns itself off for the rest of
-#: the run.  This bounds the worst-case overhead of the default-on knob
-#: to a fixed prefix of the run, whatever the workload.
-RUN_MISS_BUDGET = 512
-
-#: Default memo-table capacity (entries, LRU-evicted).
-DEFAULT_CAPACITY = 4096
-
-
-def enabled() -> bool:
-    """The ``REPRO_MACHINE_MEMO`` knob (default on)."""
-    from repro.experiments import env
-    return env.get_flag("REPRO_MACHINE_MEMO", True)
-
-
-def capacity() -> int:
-    """The ``REPRO_MACHINE_MEMO_MAX`` capacity knob."""
-    from repro.experiments import env
-    value = env.get_int("REPRO_MACHINE_MEMO_MAX", DEFAULT_CAPACITY)
-    return max(1, value if value is not None else DEFAULT_CAPACITY)
-
-
-# ---------------------------------------------------------------- tables
-
-_TABLES: "weakref.WeakSet" = weakref.WeakSet()
-_DEFAULT_TABLE: Optional["MemoTable"] = None
-
-
-class MemoTable:
-    """LRU-bounded map of (variant, next_pc, context) -> span entry.
-
-    Keys hold the :class:`~repro.frontend.fetch.CompiledVariant` object
-    itself (not its ``id``), so a recycled object identity can never
-    alias a stale entry; the table's strong references are bounded by
-    the LRU capacity and dropped by :func:`reset_tables` /
-    ``runner.clear_caches()``.
-    """
-
-    def __init__(self, max_entries: Optional[int] = None):
-        self.data: OrderedDict = OrderedDict()
-        self.max_entries = max_entries if max_entries is not None else capacity()
-        #: variant -> memoizable plan triage, computed once.
-        self.plan_meta: dict = {}
-        #: (variant, next_pc) -> [lookups, hits] adaptive give-up stats.
-        self.key_stats: dict = {}
-        self.stores = 0
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
-        _TABLES.add(self)
-
-    def get(self, key):
-        entry = self.data.get(key)
-        if entry is not None:
-            self.data.move_to_end(key)
-        return entry
-
-    def put(self, key, entry) -> None:
-        data = self.data
-        if key in data:
-            data[key] = entry
-            data.move_to_end(key)
-            return
-        if len(data) >= self.max_entries:
-            data.popitem(last=False)
-            self.evictions += 1
-        data[key] = entry
-        self.stores += 1
-
-    def clear(self) -> None:
-        self.data.clear()
-        self.plan_meta.clear()
-        self.key_stats.clear()
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self.data),
-            "capacity": self.max_entries,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-
-def default_table() -> MemoTable:
-    """The process-wide shared table (used when a machine is built
-    without an explicit table; shared across runs and across the
-    configs of a :func:`~repro.experiments.runner.run_machine_multi`
-    batch — per-config variants never collide because the key holds
-    the variant object)."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = MemoTable()
-    return _DEFAULT_TABLE
-
-
-def reset_tables() -> None:
-    """Drop every live table's entries (``runner.clear_caches()`` and
-    the scheduler's pool-worker initializer call this; a reset is
-    result-identical because entries only ever shortcut work)."""
-    global _DEFAULT_TABLE
-    for table in list(_TABLES):
-        table.clear()
-    _DEFAULT_TABLE = None
 
 
 def aggregate_stats() -> dict:
-    """Summed statistics over every live table (service ``status``)."""
-    total = {"tables": 0, "entries": 0, "stores": 0, "evictions": 0,
-             "hits": 0, "misses": 0}
-    for table in list(_TABLES):
-        stats = table.stats()
-        total["tables"] += 1
-        for field in ("entries", "stores", "evictions", "hits", "misses"):
-            total[field] += stats[field]
-    return total
-
-
-# ------------------------------------------------------------- recording
-
-class SpanRecorder:
-    """Live bookkeeping for one span being recorded (miss path).
-
-    Deliberately tiny: the hot stages only append to ``memops`` (memory
-    scheduler decisions), append to ``cps`` (checkpoint creations) and
-    bump ``store_pops`` (store commits); everything else is derived at
-    finalize time from the columns, which are still intact because no
-    slot can be recycled within a span.
-    """
-
-    __slots__ = ("key", "base", "cycle0", "head0", "rob_len0", "n",
-                 "acc0", "lf0", "dc0", "retired0", "sq0", "lq0",
-                 "store_pops", "memops", "cps")
-
-    def __init__(self, m, key, n: int):
-        self.key = key
-        self.base = m.seq
-        self.cycle0 = m.cycle
-        self.head0 = m.rob[0] if m.rob else m.seq + 1
-        self.rob_len0 = len(m.rob)
-        self.n = n
-        self.acc0 = (m.acc_traps, m.acc_misfetch, m.acc_branch_miss,
-                     m.acc_cache_miss, m.acc_full_window)
-        result = m.result
-        self.lf0 = result.load_forwards
-        self.dc0 = result.dcache_accesses
-        self.retired0 = result.retired
-        self.sq0 = len(m.store_queue)
-        self.lq0 = len(m.load_queue)
-        self.store_pops = 0
-        self.memops: list = []
-        self.cps: list = []
-
-
-def record_load(m, rec: SpanRecorder, seq: int, match: int,
-                latency: Optional[int]) -> None:
-    """Log one issued load's memory-scheduler decision.
-
-    ``match`` is the forwarding store seq (0 = none, i.e. a data-cache
-    access of ``latency`` cycles).  ``store_pops`` — the number of
-    stores committed since the span started — pins the oldest-live
-    store horizon at issue time, from which replay re-derives the
-    youngest-older-matching-store search against its own store map.
-    """
-    base = rec.base
-    rec.memops.append((seq - base,
-                       (match - base) if match else None,
-                       rec.store_pops,
-                       latency if not match else 0))
-
-
-def record_checkpoint(m, rec: SpanRecorder, seq: int) -> None:
-    """Log a checkpoint creation.  Store/load-queue lengths are *net
-    deltas* against the span-start lengths: the head-prefix signature
-    pins the in-span commit pace and the plan pins the appends, so the
-    delta transfers to any machine the signature admits, whatever its
-    absolute queue depths."""
-    rec.cps.append((seq - rec.base,
-                    len(m.store_queue) - rec.sq0,
-                    len(m.load_queue) - rec.lq0))
-
-
-def finalize(m, rec: SpanRecorder):
-    """Close the span at the next fetch point; store the entry.
-
-    Returns the successor context (which doubles as the next lookup
-    signature) or None when the span is not storable.
-    """
-    d = m.cycle - rec.cycle0
-    if d <= 0 or d > QUIES_H:
-        # The span-length bound doubles as the quiescence guarantee: a
-        # record whose completion sat more than QUIES_H cycles out at
-        # span start provably did not complete inside this span.
-        return None
-    ctx = capture_context(m)
-    if ctx is None:
-        return None
-    base = rec.base
-    n = rec.n
-    k_pop = rec.rob_len0 + n - len(m.rob)
-    if k_pop < 0 or k_pop > MAX_POPS:
-        return None
-    # Quiescence-consistency guards.  The patch passes quiescent records
-    # through untouched and derives a vanished near record as completed
-    # (or squashed, for dormants) — both only sound when no record
-    # crossed the near/quiescent boundary during the span.
-    c_state = m.c_state
-    start_live = rec.key[2][2]
-    end_live = ctx[2]
-    end_offs = {r[0] for r in end_live}
-    start_offs = {r0[0] for r0 in start_live}
-    for r in end_live:
-        if r[0] + n < 1 and (r[0] + n) not in start_offs:
-            return None  # quiescent at span start, near now
-    for rec0 in start_live:
-        st = c_state[(base + rec0[0]) & (len(m.c_seq) - 1)]
-        if st != S_DONE and st != S_SQUASHED \
-                and (rec0[0] - n) not in end_offs:
-            return None  # near at span start, quiescent now
-    for off in range(1, n + 1):
-        st = c_state[(base + off) & (len(m.c_seq) - 1)]
-        if st != S_DONE and st != S_SQUASHED \
-                and (off - n) not in end_offs:
-            return None  # span record issued onto a post-horizon latency
-    # The popped records' slots are still intact (no recycling within a
-    # span), so the commit-vs-squash pop pattern is read back from the
-    # state column: commit leaves S_DONE, a squash-pop leaves S_SQUASHED.
-    w_mask = len(m.c_seq) - 1
-    c_state = m.c_state
-    head0 = rec.head0
-    pop_bits = tuple(
-        c_state[(head0 + i) & w_mask] != S_SQUASHED for i in range(k_pop))
-    plan = rec.key[0].machine_plan
-    branch_bits = []
-    c_taken = m.c_taken
-    for meta in plan[5]:  # act_branches: (pos, dir, promoted, ...)
-        slot = (base + 1 + meta[0]) & w_mask
-        branch_bits.append((meta[0] + 1, c_taken[slot]))
-    last_row = plan[2][-1]
-    last_bit = None
-    if last_row[6] == 5 or last_row[6] == 6:  # RET / JR ends the plan
-        last_slot = (base + rec.n) & w_mask
-        last_bit = (m.c_next[last_slot] == rec.key[1])
-    acc0 = rec.acc0
-    result = m.result
-    entry = (
-        ctx,
-        d,
-        pop_bits,
-        (m.acc_traps - acc0[0], m.acc_misfetch - acc0[1],
-         m.acc_branch_miss - acc0[2], m.acc_cache_miss - acc0[3],
-         m.acc_full_window - acc0[4]),
-        result.load_forwards - rec.lf0,
-        result.dcache_accesses - rec.dc0,
-        result.retired - rec.retired0,
-        tuple(rec.memops),
-        tuple(branch_bits),
-        last_bit,
-        tuple(rec.cps),
-    )
-    m._memo.put(rec.key, entry)
-    return ctx
-
-
-# ----------------------------------------------------------- the capture
-
-def capture_context(m):
-    """Normalize the timing-relevant pipeline state into a hashable,
-    position- and backlog-independent tuple (the signature *and* the
-    patch source).
-
-    Sequence numbers are recorded relative to the fetch-point ``seq``
-    and completion cycles relative to the fetch-point ``cycle``.  The
-    DONE retirement backlog in the middle of the window is omitted
-    entirely — it is timing-inert beyond the :data:`PREFIX_K`-record
-    head prefix, which pins retire pacing and in-span commit side
-    effects (every poppable record lies inside it).  Register and
-    memory *values* are deliberately excluded — replay verifies the
-    value-dependent decisions instead — but every value-dependent
-    *decision already taken* by an unresolved in-flight instruction is
-    folded in as an outcome bit (would this branch/indirect resolve
-    clean?), because two contexts that will diverge on resolution must
-    never share an entry.
-
-    Returns None when the state has a shape the signature does not
-    model (pending memory-scheduler blocks, stalled fetch state).
-    """
-    if (m.blocked_loads or m._mem_waiters or m.trap_pending is not None
-            or m.misfetch_waiting is not None or m.redirect_bubble
-            or m.icache_stall or m.pending_fetch is not None
-            or m.dispatch_queue):
-        return None
-    base = m.seq
-    if m.rob and base - m.rob[0] > MAX_DEPTH:
-        return None  # stall regime: contexts there essentially never recur
-    cycle = m.cycle
-    w_mask = len(m.c_seq) - 1
-    c_seq = m.c_seq
-    c_state = m.c_state
-    c_code = m.c_code
-    c_active = m.c_active
-    c_pending = m.c_pending
-    c_known = m.c_known
-    c_sqlive = m.c_sqlive
-    c_promoted = m.c_promoted
-    c_cp = m.c_cp
-    c_deps = m.c_deps
-    c_buffer = m.c_buffer
-    c_taken = m.c_taken
-    comp_at = {}
-    for fc, done in m.completions.items():
-        for s in done:
-            comp_at[s] = fc
-    quies = set()
-    prefix = []
-    prefix_append = prefix.append
-    live = []
-    idx = 0
-    for seq in m.rob:
-        slot = seq & w_mask
-        st = c_state[slot]
-        code = c_code[slot]
-        cpf = 1 if c_cp[slot] is not None else 0
-        if st == S_DONE:
-            if idx < PREFIX_K:
-                prefix_append((1, code, cpf))
-        elif st == S_SQUASHED:
-            if idx < PREFIX_K:
-                prefix_append((2, code, cpf))
-        else:
-            if st == S_MEM_BLOCKED:
-                return None  # parked with the memory scheduler
-            if idx < PREFIX_K:
-                prefix_append((0, code, cpf))
-            dc = None
-            if st == S_EXECUTING:
-                fc = comp_at.get(seq)
-                if fc is None:  # pragma: no cover - wheel invariant
-                    return None
-                dc = fc - cycle
-                if dc > QUIES_H:
-                    # Quiescent: cannot complete within any recordable
-                    # span (finalize bounds spans to QUIES_H cycles), so
-                    # its countdown is excluded from the signature and
-                    # its state passes through a hit untouched.
-                    quies.add(seq)
-                    idx += 1
-                    continue
-            active = c_active[slot]
-            prom = c_promoted[slot] if code == 3 else 0
-            obit = None
-            if active:
-                if code == 3:
-                    taken = c_taken[slot]
-                    predicted = m.c_static[slot] if prom else m.c_ptaken[slot]
-                    if taken is None or predicted is None:
-                        return None  # unmodelled branch shape
-                    obit = taken == predicted
-                elif code == 5 or code == 6:
-                    prednext = m.c_prednext[slot]
-                    # prednext None = misfetch-style jump: resolution is
-                    # a no-op (misfetch_waiting is clear), obit None.
-                    if prednext is not None:
-                        obit = m.c_next[slot] == prednext
-            deps = c_deps[slot]
-            dsig = None
-            if deps:
-                # Only WAITING dependents can ever be woken; squashed
-                # leftovers are inert and would add spurious entropy.
-                dsig = tuple(sorted(
-                    s - base for s in deps
-                    if c_state[s & w_mask] == S_WAITING)) or None
-            buf = c_buffer[slot]
-            live.append((
-                seq - base, st, code, active,
-                c_pending[slot] if st == S_WAITING else 0,
-                c_known[slot], c_sqlive[slot], prom, cpf, obit, dc,
-                tuple(s - base for s in buf) if buf else None,
-                dsig,
-            ))
-        idx += 1
-    if idx < PREFIX_K:
-        prefix_append((3, 0, 0))  # terminal: window shorter than K
-    rename = m.rename
-    rename_sig = []
-    for reg in range(NUM_REGS):
-        pseq = rename[reg]
-        if pseq and c_seq[pseq & w_mask] == pseq:
-            pstate = c_state[pseq & w_mask]
-            if pstate != S_DONE and pstate != S_SQUASHED:
-                # A quiescent producer is position-independent: the
-                # value is already in spec_regs (execution is eager),
-                # only the *timing* edge matters, and dispatch counts
-                # one pending edge per source read regardless of which
-                # producer it lands on.  Replay re-wires the edge to
-                # the hitting machine's own quiescent record.
-                rename_sig.append("Q" if pseq in quies else pseq - base)
-                continue
-        rename_sig.append(None)
-    return (
-        base % m._n_fus,
-        tuple(prefix),
-        tuple(live),
-        tuple(rename_sig),
-        len(m.checkpoints),
-    )
-
-
-def _prefix_of(m) -> tuple:
-    """The head-prefix component of :func:`capture_context`, alone.
-
-    Used to rebuild a chained signature after a hit: the successor
-    context's live set, rename map and checkpoint count transfer
-    verbatim (their offsets are relative to the new fetch point), but
-    its *prefix* reflects the recorded machine's retirement backlog,
-    which this machine need not share — so it is re-read from the live
-    window.
-    """
-    w_mask = len(m.c_seq) - 1
-    c_state = m.c_state
-    c_code = m.c_code
-    c_cp = m.c_cp
-    prefix = []
-    idx = 0
-    for seq in m.rob:
-        if idx >= PREFIX_K:
-            return tuple(prefix)
-        slot = seq & w_mask
-        st = c_state[slot]
-        cls = 1 if st == S_DONE else 2 if st == S_SQUASHED else 0
-        prefix.append((cls, c_code[slot], 1 if c_cp[slot] is not None else 0))
-        idx += 1
-    prefix.append((3, 0, 0))  # terminal: window shorter than K
-    return tuple(prefix)
-
-
-# ------------------------------------------------------------ the lookup
-
-def plan_memoizable(table: MemoTable, variant) -> bool:
-    """Triage a compiled plan once: spans are only memoized for fully
-    active, trap/halt-free plans with a predicted successor."""
-    meta = table.plan_meta.get(variant)
-    if meta is None:
-        plan = variant.machine_plan
-        n_act, all_insts, _rows, all_codes = plan[0], plan[1], plan[2], plan[3]
-        meta = (plan[7] < 0                      # no trap
-                and len(all_insts) == n_act      # no inactive (dormant) tail
-                and 7 not in all_codes and 8 not in all_codes)
-        table.plan_meta[variant] = meta
-    return meta
-
-
-def on_variant_fetch(m, result, variant, group, entry_ghr, entry_ras,
-                     sig) -> bool:
-    """Memo hook at a compiled-variant fetch.  Returns True when a hit
-    was applied (the caller skips the live enqueue); on False the live
-    path runs, possibly with a fresh recording attached."""
-    table = m._memo
-    plan = variant.machine_plan
-    stats = m._memo_run_stats
-    if stats["misses"] >= RUN_MISS_BUDGET \
-            and stats["hits"] * 4 < stats["misses"]:
-        # Run-level give-up: this workload's contexts have demonstrably
-        # not been recurring — stop paying for captures entirely.  (The
-        # condition freezes itself: once lookups stop, the counters no
-        # longer move.)
-        stats["bailouts"] += 1
-        return False
-    # Pending promoted-fault overrides need no bail: the engine routes
-    # any fetch whose segment contains an overridden branch through the
-    # slow segment walk, which never yields a variant — a variant-served
-    # fetch is provably unaffected.
-    if (plan is None or result.next_pc is None
-            or not plan_memoizable(table, variant)):
-        stats["bailouts"] += 1
-        return False
-    kkey = (variant, result.next_pc)
-    kstat = table.key_stats.get(kkey)
-    if kstat is None:
-        kstat = [0, 0]
-        table.key_stats[kkey] = kstat
-    elif kstat[0] >= KEY_ATTEMPTS_MAX and not kstat[1]:
-        # This fetch point's contexts have demonstrably never recurred;
-        # stop paying for captures on it.
-        stats["bailouts"] += 1
-        return False
-    if sig is None:
-        sig = capture_context(m)
-        if sig is None:
-            stats["bailouts"] += 1
-            return False
-    kstat[0] += 1
-    key = (variant, result.next_pc, sig)
-    entry = table.get(key)
-    if entry is not None:
-        retired_delta = entry[6]
-        if ((m.max_instructions is not None
-             and m.result.retired + retired_delta >= m.max_instructions)
-                or m.cycle + entry[1] >= m._max_cycles):
-            stats["bailouts"] += 1
-            return False
-        if _try_apply(m, result, variant, group, entry_ghr, entry_ras,
-                      entry, plan, sig):
-            table.hits += 1
-            kstat[1] += 1
-            stats["hits"] += 1
-            stats["cycles_fast_forwarded"] += entry[1]
-            stats["instructions_replayed"] += plan[0]
-            if m._memo_chain_ok:
-                end_ctx = entry[0]
-                m._memo_sig = (m.seq % m._n_fus, _prefix_of(m),
-                               end_ctx[2], end_ctx[3],
-                               len(m.checkpoints))
-            else:
-                m._memo_sig = None
-            return True
-        stats["bailouts"] += 1
-        return False
-    table.misses += 1
-    stats["misses"] += 1
-    m._memo_rec = SpanRecorder(m, key, plan[0])
-    return False
-
-
-# -------------------------------------------------- verify + apply (hit)
-
-def _tx_data_latency(m, word_addr: int, saves: list) -> int:
-    """A real ``data_latency`` access with enough saved state to undo it.
-
-    Mirrors :meth:`repro.mem.hierarchy.MemoryHierarchy.data_latency`'s
-    address mapping; the touched LRU sets and the stats counters of both
-    levels are pushed onto ``saves`` before the access so a latency
-    mismatch can roll the whole verification back.
-    """
-    memory = m.engine.memory
-    byte_addr = (word_addr * WORD_BYTES) | (1 << 40)
-    for cache in (memory.l1d, memory.l2):
-        index = (byte_addr >> cache._line_shift) & cache._set_mask
-        stats = cache.stats
-        saves.append((cache, index, list(cache._sets[index]),
-                      stats.hits, stats.misses))
-    return m._data_latency(word_addr)
-
-
-def _tx_rollback(saves: list) -> None:
-    for cache, index, ways, hits, misses in reversed(saves):
-        cache._sets[index] = ways
-        cache.stats.hits = hits
-        cache.stats.misses = misses
-    del saves[:]
-
-
-def _try_apply(m, result, variant, group, entry_ghr, entry_ras,
-               entry, plan, sig) -> bool:
-    """Phase 1 verify + phase 2 apply of one memo entry.
-
-    Returns False (machine untouched, caches rolled back) when any
-    value-dependent decision diverges from the recording.
-    """
-    (end_ctx, d, pop_bits, acc_delta, lf_delta, dc_delta, _retired_delta,
-     memops, branch_bits, last_bit, cps) = entry
-    n = plan[0]
-    all_rows = plan[2]
-    base = m.seq
-    cycle0 = m.cycle
-    w_mask = len(m.c_seq) - 1
-
-    # ---------------- phase 1: shadow functional pass (read-only) ----
-    regs = list(m.spec_regs)
-    rename = list(m.rename)
-    vals: list = [None] * (n + 1)
-    takens: list = [None] * (n + 1)
-    mems: list = [None] * (n + 1)
-    nexts: list = [None] * (n + 1)
-    sq_new: list = []        # offs of in-span stores, dispatch order
-    wires: list = []         # (pre-span producer seq, consumer off) reads
-    cp_caps: dict = {}
-    cp_offs = {c[0] for c in cps}
-    c_seq = m.c_seq
-    c_state = m.c_state
-    c_sqlive = m.c_sqlive
-    c_value = m.c_value
-    store_map_get = m.store_map.get
-    memory_get = m.memory_image.get
-    for off in range(1, n + 1):
-        row = all_rows[off - 1]
-        kind = row[0]
-        a = row[1]
-        b = row[2]
-        c = row[3]
-        srcs = row[4]
-        if srcs:
-            # Mirror dispatch's dependence registration: one edge per
-            # source read.  Only edges onto pre-span *quiescent*
-            # producers are re-wired at apply time (near producers'
-            # edges come from the successor context's dependent lists).
-            for reg in srcs:
-                pseq = rename[reg]
-                if pseq and pseq <= base:
-                    wires.append((pseq, off))
-        value = None
-        dest = None
-        if kind == 1:    # ANDI
-            value = regs[a] & b
-            dest = c
-        elif kind == 2:  # ADDI
-            value = (regs[a] + b) & _MASK
-            dest = c
-        elif kind == 3:  # ADD
-            value = (regs[a] + regs[b]) & _MASK
-            dest = c
-        elif kind == 4:  # LD
-            mem_addr = (regs[a] + b) & _MASK
-            mems[off] = mem_addr
-            for soff in reversed(sq_new):
-                if mems[soff] == mem_addr:
-                    value = vals[soff]
-                    break
-            if value is None:
-                bucket = store_map_get(mem_addr)
-                if bucket:
-                    for sseq in reversed(bucket):
-                        sslot = sseq & w_mask
-                        if c_seq[sslot] == sseq and c_sqlive[sslot] \
-                                and c_state[sslot] != S_SQUASHED:
-                            value = c_value[sslot] & _MASK
-                            break
-            if value is None:
-                value = memory_get(mem_addr, 0) & _MASK
-            dest = c
-        elif kind == 5:  # BNE
-            takens[off] = regs[a] != regs[b]
-            nexts[off] = c if takens[off] else row[5]
-        elif kind == 6:  # BEQ
-            takens[off] = regs[a] == regs[b]
-            nexts[off] = c if takens[off] else row[5]
-        elif kind == 7:  # ST
-            mem_addr = (regs[a] + b) & _MASK
-            mems[off] = mem_addr
-            vals[off] = regs[c] & _MASK
-            sq_new.append(off)
-        elif kind == 8:  # MUL
-            value = (regs[a] * regs[b]) & _MASK
-            dest = c
-        elif kind == 9:  # AND
-            value = regs[a] & regs[b]
-            dest = c
-        elif kind == 10:  # XOR
-            value = regs[a] ^ regs[b]
-            dest = c
-        elif kind == 11:  # SUB
-            value = (regs[a] - regs[b]) & _MASK
-            dest = c
-        elif kind == 12:  # SLTI
-            x = regs[a]
-            value = 1 if (x - _TWO64 if x & _SIGN_BIT else x) < b else 0
-            dest = c
-        elif kind == 13:  # OR
-            value = regs[a] | regs[b]
-            dest = c
-        elif kind == 14:  # BLT
-            x = regs[a]
-            y = regs[b]
-            takens[off] = (x - _TWO64 if x & _SIGN_BIT else x) \
-                < (y - _TWO64 if y & _SIGN_BIT else y)
-            nexts[off] = c if takens[off] else row[5]
-        elif kind == 15:  # BGE
-            x = regs[a]
-            y = regs[b]
-            takens[off] = (x - _TWO64 if x & _SIGN_BIT else x) \
-                >= (y - _TWO64 if y & _SIGN_BIT else y)
-            nexts[off] = c if takens[off] else row[5]
-        elif kind == 16:  # SHL
-            value = (regs[a] << (regs[b] & 63)) & _MASK
-            dest = c
-        elif kind == 17:  # SHR
-            value = (regs[a] & _MASK) >> (regs[b] & 63)
-            dest = c
-        elif kind == 18:  # SLT
-            x = regs[a]
-            y = regs[b]
-            value = 1 if (x - _TWO64 if x & _SIGN_BIT else x) \
-                < (y - _TWO64 if y & _SIGN_BIT else y) else 0
-            dest = c
-        elif kind == 19:  # ORI
-            value = regs[a] | b
-            dest = c
-        elif kind == 20:  # XORI
-            value = regs[a] ^ b
-            dest = c
-        elif kind == 21:  # LUI
-            value = b
-            dest = c
-        elif kind == 22:  # NOP / JMP (TRAP/HALT plans never memoize)
-            pass
-        elif kind == 23:  # CALL
-            value = b
-            dest = REG_LINK
-        elif kind == 24:  # RET
-            nexts[off] = regs[REG_LINK] & _MASK
-        elif kind == 25:  # JR
-            nexts[off] = regs[a] & _MASK
-        else:  # pragma: no cover - exhaustive over the row kinds
-            raise NotImplementedError(kind)
-        if dest is not None:
-            vals[off] = value
-            regs[dest] = value
-            rename[dest] = base + off
-        if off in cp_offs:
-            cp_caps[off] = (list(regs), list(rename))
-
-    # Verify every in-span branch outcome against the recording.
-    for boff, bit in branch_bits:
-        if takens[boff] != bit:
-            return False
-    if last_bit is not None and (nexts[n] == result.next_pc) != last_bit:
-        return False
-    # Verify the memory-scheduler decisions in issue order.  For each
-    # recorded load, the store-commit count at issue yields the oldest
-    # store still live then (stores leave the queue front in order);
-    # the youngest older live matching store under that horizon — span
-    # stores first, then the address bucket — must equal the recorded
-    # match, and pure data-cache loads must reproduce the recorded
-    # latency with a real, transactional access.
-    saves: list = []
-    store_queue = m.store_queue
-    nq0 = len(store_queue)
-    sq0a = nq0                   # pre-span queue lengths for checkpoints
-    lq0a = len(m.load_queue)
-    for loff, moff, pops, latency in memops:
-        if loff >= 1:
-            addr = mems[loff]
-        else:
-            # A pre-span load issuing during the span: its address was
-            # computed at its own (pre-span) dispatch, so read it from
-            # the live column.  Span stores are all younger than it, so
-            # the span-store scan below skips them automatically.
-            addr = m.c_mem[(base + loff) & w_mask]
-        if pops < nq0:
-            horizon = store_queue[pops]
-        else:
-            j = pops - nq0
-            # Commits beyond the pre-span queue consumed span stores in
-            # dispatch order; a load can only issue after its horizon
-            # store dispatched, so the index is always in range here.
-            horizon = base + sq_new[j] if j < len(sq_new) else None
-        derived = None
-        if horizon is not None:
-            for soff in reversed(sq_new):
-                if soff >= loff:
-                    continue
-                sseq = base + soff
-                if sseq < horizon:
-                    break
-                if mems[soff] == addr:
-                    derived = sseq
-                    break
-            if derived is None:
-                bucket = store_map_get(addr)
-                if bucket:
-                    for sseq in reversed(bucket):
-                        if sseq < horizon:
-                            break
-                        sslot = sseq & w_mask
-                        if c_seq[sslot] == sseq and c_sqlive[sslot] \
-                                and c_state[sslot] != S_SQUASHED:
-                            derived = sseq
-                            break
-        if derived != (None if moff is None else base + moff):
-            _tx_rollback(saves)
-            return False
-        if moff is None:
-            if _tx_data_latency(m, addr, saves) != latency:
-                _tx_rollback(saves)
-                return False
-
-    # ------------------------- phase 2: apply ------------------------
-    m._fetch_cycle_groups.append((cycle0, group))
-    m._enqueue_variant(result, variant, group, entry_ghr, entry_ras)
-    m.dispatch_queue.clear()
-    rob = m.rob
-    rob.extend(range(base + 1, base + n + 1))
-    c_taken = m.c_taken
-    c_next = m.c_next
-    c_dcycle = m.c_dcycle
-    store_queue = m.store_queue
-    load_queue = m.load_queue
-    store_map = m.store_map
-    unknown_stores = m.unknown_stores
-    track_unknown = not m._perfect_disamb
-    for off in range(1, n + 1):
-        slot = (base + off) & w_mask
-        c_dcycle[slot] = cycle0
-        value = vals[off]
-        if value is not None:
-            c_value[slot] = value
-        taken = takens[off]
-        if taken is not None:
-            c_taken[slot] = taken
-        nxt = nexts[off]
-        if nxt is not None:
-            c_next[slot] = nxt
-        mem_addr = mems[off]
-        if mem_addr is not None:
-            m.c_mem[slot] = mem_addr
-            code = m.c_code[slot]
-            if code == 1:  # store
-                store_queue.append(base + off)
-                c_sqlive[slot] = 1
-                if track_unknown:
-                    # Dispatch parity: every tracked store enters the
-                    # unknown-store heap; lazy pruning drops it once
-                    # the patch marks it known.
-                    heappush(unknown_stores, base + off)
-                bucket = store_map.get(mem_addr)
-                if bucket is None:
-                    store_map[mem_addr] = [base + off]
-                else:
-                    bucket.append(base + off)
-            else:          # load
-                load_queue.append(base + off)
-    engine = m.engine
-    for coff, dsq, dlq in cps:
-        seq = base + coff
-        slot = seq & w_mask
-        snap = m.c_snap[slot]
-        if snap is not None:
-            ghr_before, ras_state = snap
-        else:
-            ghr_before = engine.ghr.value
-            ras_state = engine.ras.snapshot()
-        inst = m.c_inst[slot]
-        op = inst.op
-        if op.is_cond_branch and m.c_ptaken[slot] is not None:
-            resume_pc = inst.target if m.c_ptaken[slot] else inst.fall_through
-        elif op.is_cond_branch and m.c_static[slot] is not None:
-            resume_pc = inst.target if m.c_static[slot] else inst.fall_through
-        elif m.c_prednext[slot] is not None:
-            resume_pc = m.c_prednext[slot]
-        else:
-            resume_pc = inst.fall_through
-        cap = cp_caps[coff]
-        cp = Checkpoint(regs=cap[0], rename=cap[1], ghr_before=ghr_before,
-                        ras_state=ras_state, sq_len=sq0a + dsq,
-                        lq_len=lq0a + dlq, seq=seq, resume_pc=resume_pc)
-        m.c_cp[slot] = cp
-        m.checkpoints.append((seq, cp))
-    m.spec_regs = regs
-    m.rename = rename
-    m.cycle = cycle0 + d
-    # Replay the recorded retire stream through the real commit path so
-    # predictor training, fill-unit retirement, architectural state and
-    # the memory image see exactly the live side effects.
-    commit = m._commit
-    popleft = rob.popleft
-    popped = set()
-    for committed in pop_bits:
-        head = rob[0]
-        popleft()
-        popped.add(head)
-        if committed:
-            commit(head, head & w_mask)
-    _patch(m, base, n, sig[2], end_ctx, popped)
-    # Re-wire the span's dependence edges onto this machine's own
-    # quiescent producers (the recorded machine's were at different
-    # seqs; the signature only pinned *which registers* were quiescent,
-    # one edge per source read).  Near producers are skipped — the
-    # patch installed their dependent lists from the successor context
-    # — as are producers that were already done at dispatch time.
-    start_offs = {r[0] for r in sig[2]}
-    c_deps = m.c_deps
-    for pseq, off in wires:
-        if pseq - base in start_offs:
-            continue
-        pslot = pseq & w_mask
-        if c_seq[pslot] != pseq:
-            continue
-        pst = c_state[pslot]
-        if pst == S_DONE or pst == S_SQUASHED:
-            continue
-        pdeps = c_deps[pslot]
-        if pdeps is None:
-            c_deps[pslot] = [base + off]
-        else:
-            pdeps.append(base + off)
-    m.acc_traps += acc_delta[0]
-    m.acc_misfetch += acc_delta[1]
-    m.acc_branch_miss += acc_delta[2]
-    m.acc_cache_miss += acc_delta[3]
-    m.acc_full_window += acc_delta[4]
-    res = m.result
-    res.load_forwards += lf_delta
-    res.dcache_accesses += dc_delta
-    return True
-
-
-def _patch(m, base, n, start_live, end_ctx, popped) -> None:
-    """Patch the surviving records to the recorded successor context.
-
-    Records present in the successor live set take its state verbatim
-    (offsets re-anchored to the new fetch point); a start-live record
-    that vanished is derived — a dormant one was squashed by its
-    resolving branch (mirror ``_squash_one``), anything else completed
-    (mirror ``_complete``); span records that vanished completed too.
-    The DONE backlog between head prefix and live set is untouched, as
-    is every *quiescent* record (EXECUTING with its completion beyond
-    the span horizon — absent from both live sets by construction).
-    The reservation counts and ready heaps are rebuilt wholesale from
-    the patched live set (both are lazily pruned, so dropping stale
-    entries is behavior-identical); the completion wheel is filtered
-    and re-derived so quiescent entries survive with their absolute
-    finish cycles intact.
-    """
-    end_live = end_ctx[2]
-    base_end = base + n
-    w_mask = len(m.c_seq) - 1
-    c_seq = m.c_seq
-    c_state = m.c_state
-    c_pending = m.c_pending
-    c_known = m.c_known
-    c_deps = m.c_deps
-    c_buffer = m.c_buffer
-    c_cp = m.c_cp
-    c_code = m.c_code
-    end_map = {r[0]: r for r in end_live}
-    seen = 0
-    for rec0 in start_live:
-        seq = base + rec0[0]
-        if seq in popped:
-            continue
-        slot = seq & w_mask
-        if c_seq[slot] != seq:  # pragma: no cover - structural identity
-            raise RuntimeError("memo patch: stale start-live slot")
-        r = end_map.get(seq - base_end)
-        if r is not None:
-            seen += 1
-            st = r[1]
-            c_state[slot] = st
-            if st == S_WAITING:
-                c_pending[slot] = r[4]
-            c_known[slot] = r[5]
-            deps = r[12]
-            c_deps[slot] = [base_end + o for o in deps] if deps else None
-            buf = r[11]
-            c_buffer[slot] = [base_end + o for o in buf] if buf else None
-        elif rec0[1] == S_DORMANT:
-            # Squashed by its branch's in-span correct resolution.
-            c_state[slot] = S_SQUASHED
-            c_deps[slot] = None
-            c_cp[slot] = None
-            c_buffer[slot] = None
-        else:
-            # Completed in-span.
-            c_state[slot] = S_DONE
-            c_deps[slot] = None
-            code = c_code[slot]
-            if code == 1:
-                c_known[slot] = 1
-            elif code == 3:
-                c_buffer[slot] = None  # correct resolution drops it
-    for off in range(1, n + 1):
-        seq = base + off
-        if seq in popped:
-            continue
-        slot = seq & w_mask
-        r = end_map.get(seq - base_end)
-        if r is not None:
-            seen += 1
-            st = r[1]
-            c_state[slot] = st
-            if st == S_WAITING:
-                c_pending[slot] = r[4]
-            c_known[slot] = r[5]
-            deps = r[12]
-            c_deps[slot] = [base_end + o for o in deps] if deps else None
-            buf = r[11]
-            c_buffer[slot] = [base_end + o for o in buf] if buf else None
-        else:
-            c_state[slot] = S_DONE
-            c_deps[slot] = None
-            code = c_code[slot]
-            if code == 1:
-                c_known[slot] = 1
-            elif code == 3:
-                c_buffer[slot] = None
-    if seen != len(end_live):  # pragma: no cover - structural identity
-        raise RuntimeError(
-            f"memo patch: {len(end_live) - seen} unmatched live records")
-    n_fus = m._n_fus
-    rs_count = [0] * n_fus
-    ready_total = 0
-    heaps: list = [[] for _ in range(n_fus)]
-    cycle = m.cycle
-    for r in end_live:
-        seq = r[0] + base_end
-        st = r[1]
-        if st < S_EXECUTING:
-            rs_count[seq % n_fus] += 1
-            if st == S_READY:
-                ready_total += 1
-                heaps[seq % n_fus].append(seq)
-    for heap in heaps:
-        heap.sort()  # a sorted list is a valid binary heap
-    m.rs_count = rs_count
-    m.ready_total = ready_total
-    m.ready_heaps = heaps
-    # Completion wheel: near entries are re-derived from the successor
-    # context; quiescent entries — completions beyond the span horizon,
-    # which the signature deliberately omits — pass through with their
-    # absolute finish cycles intact.  Buckets at or before the new
-    # cycle are in-span completions the patch already applied, or stale
-    # leftovers of pre-span squashes the live path would have popped
-    # and skipped during the span; a quiescent entry can never land
-    # there (its finish lies > QUIES_H >= span length past the start).
-    completions = m.completions
-    start_exec = {base + r0[0] for r0 in start_live if r0[1] == S_EXECUTING}
-    kept_min = None
-    for fc in list(completions):
-        if fc <= cycle:
-            del completions[fc]
-            continue
-        bucket = [s for s in completions[fc] if s not in start_exec]
-        if not bucket:
-            del completions[fc]
-            continue
-        completions[fc] = bucket
-        if kept_min is None or fc < kept_min:
-            kept_min = fc
-    for r in end_live:
-        if r[1] == S_EXECUTING:
-            seq = r[0] + base_end
-            fc = cycle + r[10]
-            bucket = completions.get(fc)
-            if bucket is None:
-                completions[fc] = [seq]
-            else:
-                bucket.append(seq)
-    m.comp_cycles = sorted(completions)
-    # The unknown-store heap is deliberately left alone: pre-span
-    # entries (live or stale) are lazily pruned exactly as on the live
-    # path, and the apply loop pushed the span stores at dispatch
-    # parity.  Chaining the successor signature is sound only while
-    # every preserved wheel entry is still beyond the quiescence
-    # horizon — otherwise the next capture would classify as near a
-    # record the chained signature omits.
-    m._memo_chain_ok = kept_min is None or kept_min - cycle > QUIES_H
+    """Counters of the removed memo tables: always zero."""
+    return {"tables": 0, "entries": 0, "stores": 0, "evictions": 0,
+            "hits": 0, "misses": 0}

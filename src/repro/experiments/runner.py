@@ -50,7 +50,8 @@ _frontend: Dict[Tuple[str, FrontEndConfig, int], FrontEndResult] = {}
 _machine: Dict[Tuple[str, MachineConfig, int], MachineResult] = {}
 
 def fast_machine_enabled() -> bool:
-    """``REPRO_FAST_MACHINE``: the array-backed machine core (default on).
+    """``REPRO_FAST_MACHINE``: the event-driven machine core
+    (:mod:`repro.core.machine`, default on).
 
     ``REPRO_FAST_MACHINE=0`` pins every machine run to the frozen seed
     reference core (:mod:`repro.core.machine_reference`) — the escape
@@ -116,8 +117,6 @@ def clear_caches(disk: bool = False) -> None:
     warnonce.reset()
     from repro.frontend.build import reset_compiled_state
     reset_compiled_state()
-    from repro.core import memo as machine_memo
-    machine_memo.reset_tables()
     if disk:
         diskcache.purge()
         tracefile.purge()
@@ -352,10 +351,12 @@ def _machine_one_stack(benchmark: str, config: MachineConfig, n: int,
                        warmup: bool, fast: Optional[bool]) -> MachineResult:
     """One plain machine run on the named stack (no cross-checking).
 
-    ``fast=None`` keeps the historical default: the event-driven machine
-    core with the front end following ``REPRO_FAST_FRONTEND``;
-    ``fast=False`` additionally swaps in the frozen reference machine
-    core (the scheduler's post-divergence degradation path).
+    ``fast=None`` follows the knobs: ``REPRO_FAST_MACHINE`` picks the
+    machine core (:mod:`repro.core.machine` or the frozen
+    :mod:`repro.core.machine_reference`) and ``REPRO_FAST_FRONTEND`` the
+    front end.  ``fast=True`` pins both fast layers; ``fast=False`` pins
+    the frozen reference stack (the scheduler's post-divergence
+    degradation path).
     """
     from repro.core.machine_reference import Machine as ReferenceMachine
     program = get_program(benchmark)

@@ -314,12 +314,6 @@ def _worker_init(emitted_keys: Tuple[str, ...]) -> None:
         pass  # not the worker main thread / platform without SIGTERM
     warnonce.seed(emitted_keys)
     faults.mark_worker()
-    # Timing-memo tables are keyed by variant object identity; forked
-    # workers must not trust entries recorded against the parent's
-    # engines (identical ids after fork, but independent mutation
-    # histories once workers diverge).  Start each worker cold.
-    from repro.core import memo as machine_memo
-    machine_memo.reset_tables()
 
 
 def _run_point(point, engine: Optional[str] = None):

@@ -133,7 +133,6 @@ class CompiledVariant:
         "ras_pushes", "ghr_count", "ghr_bits", "branch_checks", "n_active",
         "n_dyn", "n_promoted", "n_indirect", "train_meta", "ret_pop",
         "trap_last", "fill_events", "fill_branches", "key", "dyn_pos",
-        "machine_plan",
     )
 
 
@@ -274,10 +273,6 @@ def compile_variant(segment: TraceSegment, key: int,
     v.n_promoted = n_promoted
     v.fill_events = tuple(fill_events)
     v.fill_branches = tuple(fill_branches)
-    # Built lazily by the machine core on the variant's first fetch into
-    # the out-of-order window (decode rows + checkpoint-snapshot
-    # reconstruction metadata); cleared with the variant itself.
-    v.machine_plan = None
     return v
 
 
@@ -669,6 +664,7 @@ class TraceFetchEngine(_FrontEndBase):
         dirs_append = result.active_dirs.append
         promoted_append = result.active_promoted.append
         fault_overrides = self._fault_overrides
+        capture = self.capture_snapshots
         slots = segment._fetch_slots
         if slots is None:
             slots = segment.fetch_slots()
@@ -679,14 +675,8 @@ class TraceFetchEngine(_FrontEndBase):
             direction: Optional[bool] = None
             promoted = False
             if branch is not None:
-                # Snapshots are captured unconditionally on this walk: it
-                # only runs for fetches carrying a pending fault override,
-                # which can cut the line at an arbitrary slot — the one
-                # shape the machine core's capture-off snapshot
-                # reconstruction cannot model.  (With capture on this is
-                # exactly the old behaviour, so reference runs are
-                # unchanged.)
-                result.control_snapshots[pos] = (ghr.value, ras.snapshot())
+                if capture:
+                    result.control_snapshots[pos] = (ghr.value, ras.snapshot())
                 promoted = branch.promoted
                 override = None
                 if promoted and fault_overrides:

@@ -786,7 +786,6 @@ class ExperimentService:
     async def _status_payload(self) -> Dict[str, Any]:
         cache = await asyncio.to_thread(diskcache.cache_stats)
         checkpoints = await asyncio.to_thread(checkpoint.stats)
-        from repro.core import memo as machine_memo
         return {
             "draining": self._draining,
             "jobs": self._jobs,
@@ -802,7 +801,6 @@ class ExperimentService:
             "events": self.hub.stats(),
             "cache": cache,
             "checkpoints": checkpoints,
-            "machine_memo": machine_memo.aggregate_stats(),
         }
 
     # ------------------------------------------------------- connections

@@ -4,6 +4,7 @@ repository documents what it promises."""
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -97,3 +98,24 @@ def test_examples_exist_and_are_executable_scripts():
         text = example.read_text()
         assert '"""' in text.split("\n", 2)[2] or text.startswith("#!"), example
         assert "def main" in text or "__main__" in text, example
+
+
+def _knob_table_names():
+    """``REPRO_*`` names in the first column of README's knob table."""
+    text = (REPO / "README.md").read_text()
+    table = text.split("### Run-time knobs", 1)[1]
+    return [line.split("`")[1] for line in table.splitlines()
+            if line.startswith("| `REPRO_")]
+
+
+def test_knob_table_matches_knobs_read():
+    documented = _knob_table_names()
+    assert len(documented) == len(set(documented)), "duplicate knob rows"
+    pattern = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+    read = set()
+    for tree in ("src", "benchmarks"):
+        for path in (REPO / tree).rglob("*.py"):
+            read.update(pattern.findall(path.read_text()))
+    assert set(documented) == read, (
+        f"undocumented: {sorted(read - set(documented))}, "
+        f"documented but never read: {sorted(set(documented) - read)}")

@@ -1,10 +1,9 @@
-"""Byte-level parity between the columnar core and the frozen seed core.
+"""Byte-level parity between the machine core and the frozen seed core.
 
-The current machine (:mod:`repro.core.machine`) flattened all in-flight
-state into preallocated column arrays indexed by circular window slot
-and compiled per-fetch-block issue plans — pure performance changes on
-top of the earlier event-driven loop.  These tests pin the contract that
-makes the optimizations trustworthy: on identical inputs, its serialized
+The current machine (:mod:`repro.core.machine`) is an event-driven
+rewrite of the seed loop — completion wheel, ready counter, quiescent
+skip-ahead — a pure performance change.  These tests pin the contract
+that makes it trustworthy: on identical inputs, its serialized
 :class:`MachineResult` must be **byte-identical** to the one produced by
 the frozen reference copy of the seed implementation
 (:mod:`repro.core.machine_reference`), including every cycle count,
@@ -163,7 +162,7 @@ def test_run_machine_multi_matches_per_point():
 def test_fast_machine_flag_pins_reference_core(monkeypatch):
     """``REPRO_FAST_MACHINE=0`` routes runner machine runs to the seed core.
 
-    The knob is the escape hatch if columnar-core parity is ever in
+    The knob is the escape hatch if machine-core parity is ever in
     doubt in the field; it must actually instantiate the reference
     implementation, and the result must not change.
     """
@@ -191,6 +190,6 @@ def test_fast_machine_flag_pins_reference_core(monkeypatch):
     runner.clear_caches(disk=True)
     calls.clear()
     fast = runner.machine_result("compress", config, 1_000, warmup=False)
-    assert not calls, "the default path must use the columnar core"
+    assert not calls, "the default path must use the fast machine core"
     assert canonical_json(machine_result_to_dict(fast)) == \
         canonical_json(machine_result_to_dict(pinned))

@@ -364,9 +364,6 @@ def test_submit_matches_direct_computation():
             status = client.status()
             assert status["counters"]["computed_ok"] == 1
             assert status["counters"]["cache_hits"] >= 1
-            # Timing-memo accounting is part of the status surface.
-            memo = status["machine_memo"]
-            assert {"tables", "entries", "hits", "misses"} <= set(memo)
     finally:
         service.stop()
 
