@@ -1,35 +1,30 @@
 """Circuit breaker: degrade from pooled to inline execution gracefully.
 
-The scheduler already has the policy this breaker encodes — after
-``_MAX_POOL_BREAKS`` broken pools a grid finishes serially in the
-parent, because injected faults (and most real crash causes: OOM kills,
-a bad native extension) only live in worker processes, which makes
-in-parent execution the safe floor.  A long-lived service needs the
-*stateful* version of that policy: pool health must persist across
-submissions, and a burst of crashes must not condemn the service to
-serial execution forever.
+A breaker guards each non-floor route of the supervision policy's route
+list (:func:`repro.experiments.faults.pick_route`).  Inline in-parent
+execution is the floor and has no breaker, because injected faults (and
+most real crash causes: OOM kills, a bad native extension) only live in
+worker processes.
 
 Standard three-state machine:
 
-* ``CLOSED`` — healthy; pooled execution allowed.  Each pool break
-  increments a strike counter; reaching the threshold trips to OPEN.
-  Any pooled success resets the counter (strikes measure *consecutive*
-  breaks, matching the scheduler's intent of "this pool keeps dying").
-* ``OPEN`` — pooled execution refused; every point runs inline in the
-  server process.  After ``cooldown`` seconds the next ask is allowed
-  through as a probe and the state moves to HALF_OPEN.
+* ``CLOSED`` — healthy; the route is allowed.  Each break increments a
+  strike counter; reaching the threshold trips to OPEN.  Any success on
+  the route resets the counter (strikes measure *consecutive* breaks).
+* ``OPEN`` — the route is refused; points fall through to the next
+  route.  After ``cooldown`` seconds the next ask is allowed through as
+  a probe and the state moves to HALF_OPEN.
 * ``HALF_OPEN`` — exactly one probe in flight.  Success closes the
   breaker (full reset); another break re-opens it and restarts the
   cooldown clock.
 
-The breaker is driven from one asyncio event loop, so plain attributes
+A grid builds one per run with ``cooldown=math.inf`` and reports no
+successes, so its third pool break finishes it serially; the service's
+breakers live as long as it does and cool down.
+
+Breakers are driven from one thread or event loop, so plain attributes
 are race-free; time comes from an injectable monotonic clock so tests
 can step it deterministically.
-
-The service runs two instances of this machine: one named ``"pool"``
-guarding the local process pool, and one named ``"fleet"`` guarding
-dispatch to remote workers (a flapping fleet degrades to the local pool
-exactly the way a crashing pool degrades to inline execution).
 """
 
 from __future__ import annotations
@@ -42,8 +37,8 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
-#: Default consecutive-break threshold; mirrors the scheduler's
-#: ``_MAX_POOL_BREAKS`` so one grid's worth of crashes trips it.
+#: Default consecutive-break threshold (the scheduler's per-grid pool
+#: breaker uses the same), so one grid's worth of crashes trips it.
 DEFAULT_THRESHOLD = 3
 
 #: Default seconds the breaker stays open before probing the pool again.
@@ -73,6 +68,11 @@ class CircuitBreaker:
                 self._clock() - self._opened_at >= self.cooldown:
             return HALF_OPEN
         return self._state
+
+    @property
+    def strikes(self) -> int:
+        """Breaks counted since the last success."""
+        return self._strikes
 
     def allow_pool(self) -> bool:
         """May the next point use the process pool?

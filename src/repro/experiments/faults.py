@@ -1,20 +1,25 @@
-"""Failure taxonomy, retry policy, and a deterministic fault-injection harness.
+"""Failure taxonomy, the supervision policy, and a fault-injection harness.
 
 The experiment scheduler fans simulation grids out over worker processes;
 at that scale, *something* eventually fails — a worker segfaults under
 memory pressure, a point hangs, the disk fills mid-write, a cache file is
-corrupted by a killed process.  This module gives the supervision layer
-in :mod:`repro.experiments.scheduler` three things:
+corrupted by a killed process.  This module gives every supervisor — the
+grid scheduler in :mod:`repro.experiments.scheduler` and the experiment
+service in :mod:`repro.service.server` — four things:
 
 1. **A failure taxonomy.**  :func:`classify` sorts an exception raised by
    a grid point into *transient* (broken process pool, worker killed,
    OS-level cache/trace IO errors — worth retrying with backoff),
    *timeout* (the point exceeded its wall-clock deadline — also retried),
-   or *deterministic* (a simulation exception or invariant violation —
-   retrying in a pool reproduces the same failure, so the point is re-run
-   once inline in the parent for a clean traceback instead).
+   *divergence* (the lockstep guard caught the fast stack disagreeing
+   with the reference) or *deterministic* (a simulation exception or
+   invariant violation — retrying in a pool reproduces it).
 
-2. **Policy knobs**, all environment-driven so one setting covers every
+2. **One supervision policy**, :class:`Supervision`: a pure retry state
+   machine over an ordered route list (:class:`Route`,
+   :func:`pick_route`) that decides what each failure kind leads to.
+
+3. **Policy knobs**, all environment-driven so one setting covers every
    grid a script touches: ``REPRO_RETRIES`` (transient retry budget,
    default 2), ``REPRO_POINT_TIMEOUT`` (base wall-clock seconds per
    point at the reference cost of 100k simulated instructions, scaled by
@@ -23,7 +28,7 @@ in :mod:`repro.experiments.scheduler` three things:
    0.1s) and ``REPRO_KEEP_GOING`` (finish the grid and report all
    failures at the end instead of failing fast).
 
-3. **A deterministic fault-injection harness** for chaos testing, driven
+4. **A deterministic fault-injection harness** for chaos testing, driven
    by ``REPRO_FAULTS`` — a comma-separated spec like
    ``crash:0.1,hang:p3,corrupt-cache:p7``.  Each entry is
    ``action:when[:arg]`` where *action* is one of ``crash`` (the worker
@@ -50,8 +55,8 @@ import os
 import time
 import traceback as traceback_module
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.experiments import env, warnonce
 from repro.validate.errors import DivergenceError
@@ -65,31 +70,44 @@ TIMEOUT = "timeout"
 DETERMINISTIC = "deterministic"
 DIVERGENCE = "divergence"
 
+#: Every failure kind :func:`classify` can answer.
+KINDS = (TRANSIENT, TIMEOUT, DETERMINISTIC, DIVERGENCE)
 
-class PointTimeout(Exception):
+
+def retryable(kind: str) -> bool:
+    """Whether another attempt of a ``kind`` failure may succeed."""
+    return kind in (TRANSIENT, TIMEOUT)
+
+
+class Classified(Exception):
+    """An exception carrying its own taxonomy kind, which :func:`classify`
+    answers: a failure classified at its source or by construction."""
+
+    kind = DETERMINISTIC
+
+    def __init__(self, message: str = "", kind: Optional[str] = None):
+        super().__init__(message)
+        if kind is not None:
+            self.kind = kind
+
+
+class PointTimeout(Classified):
     """A grid point exceeded its wall-clock deadline and was cancelled."""
+
+    kind = TIMEOUT
 
 
 def classify(exc: BaseException) -> str:
-    """Sort a grid-point exception into the retry taxonomy.
-
-    * :class:`~repro.validate.errors.DivergenceError` ->
-      :data:`DIVERGENCE` (the lockstep guard caught the fast stack
-      disagreeing with the reference: retrying the same code reproduces
-      it, so the scheduler requeues the point pinned to the reference
-      engine instead);
-    * :class:`PointTimeout` -> :data:`TIMEOUT` (retried; the hung worker
-      was killed, a fresh attempt may succeed);
-    * broken pools / killed workers / OS-level IO errors on the cache or
-      trace files -> :data:`TRANSIENT` (retried with backoff);
-    * everything else -> :data:`DETERMINISTIC` (a simulation exception or
-      invariant violation: re-running it in a pool reproduces the same
-      failure, so it is re-run once inline for a clean traceback).
+    """Sort a grid-point exception into the retry taxonomy:
+    :class:`Classified` -> its own ``kind``; ``DivergenceError`` ->
+    :data:`DIVERGENCE`; broken pools, killed workers and OS-level IO
+    errors on the cache or trace files -> :data:`TRANSIENT`; anything
+    else -> :data:`DETERMINISTIC`.  :class:`Supervision` decides the rest.
     """
+    if isinstance(exc, Classified):
+        return exc.kind
     if isinstance(exc, DivergenceError):
         return DIVERGENCE
-    if isinstance(exc, PointTimeout):
-        return TIMEOUT
     if isinstance(exc, (BrokenExecutor, OSError, EOFError)):
         return TRANSIENT
     return DETERMINISTIC
@@ -193,6 +211,107 @@ def backoff_delay(base: float, attempt: int) -> float:
     if base <= 0 or attempt <= 0:
         return 0.0
     return base * (2 ** (min(attempt, 7) - 1))
+
+
+# ----------------------------------------------------- supervision policy
+
+#: Supervision actions.
+RETRY = "retry"
+RERUN_INLINE = "rerun-inline"
+PIN_REFERENCE = "pin-reference"
+GIVE_UP = "give-up"
+
+
+@dataclass(frozen=True)
+class PointState:
+    """One point's supervision state."""
+
+    runs: int = 0                 #: executions that ended in a failure
+    retries: int = 0              #: transient/timeout retries used
+    engine: Optional[str] = None  #: engine pin (``"reference"`` after a divergence)
+    inline: bool = False          #: pinned to the inline floor
+
+
+@dataclass(frozen=True)
+class Route:
+    """One execution route; ``breaker=None`` marks the inline floor, and
+    ``ready`` is an availability test asked before the breaker."""
+
+    name: str
+    breaker: Any = None
+    ready: Optional[Callable[[], bool]] = None
+
+
+#: The inline floor every route list ends with.
+INLINE = Route("inline")
+
+
+def pick_route(routes: Sequence[Route], state: PointState) -> Route:
+    """The first route allowed for a point; the last one is the floor.
+
+    A point pinned inline always gets the floor.  A breaker is only
+    asked once its route is otherwise ready, because asking may move an
+    open breaker to its half-open probe.
+    """
+    if not state.inline:
+        for route in routes[:-1]:
+            if (route.ready is None or route.ready()) \
+                    and route.breaker.allow_pool():
+                return route
+    return routes[-1]
+
+
+def retry_budget(routes: Sequence[Route], retries: int) -> int:
+    """``max(retries, threshold of every breaker on the route list)``:
+    each break of a route can charge a point one retry, and the point
+    must outlast the breaks that trip the route and send it onward."""
+    return max([retries] + [route.breaker.threshold for route in routes
+                            if route.breaker is not None])
+
+
+def give_up_kind(kind: str) -> str:
+    """The kind a point that gave up after a ``kind`` outcome reports:
+    a divergence on the pinned reference engine is a real failure."""
+    return DETERMINISTIC if kind == DIVERGENCE else kind
+
+
+@dataclass(frozen=True)
+class Supervision:
+    """The per-point retry state machine shared by every supervisor.
+
+    :meth:`step` is pure.  Divergence pins the reference engine without
+    using a retry, and a pinned point that diverges again gives up as
+    deterministic; a deterministic failure off the inline floor gets one
+    inline re-run, and on the floor gives up; a transient failure or
+    timeout uses one retry and gives up past ``budget``
+    (:func:`retry_budget`).  A failure reports ``attempts = runs``.  The
+    clock and sleep are injected (the service passes ``asyncio.sleep``
+    and awaits it), and :meth:`delay` goes through :func:`backoff_delay`.
+    """
+
+    budget: int
+    backoff: float = 0.0
+    clock: Callable[[], float] = time.monotonic
+    sleep: Callable[[float], Any] = time.sleep
+
+    def step(self, state: PointState, kind: str,
+             on_floor: bool) -> Tuple[str, PointState]:
+        """Map one failed run's outcome to ``(action, next state)``."""
+        state = replace(state, runs=state.runs + 1)
+        if kind == DIVERGENCE:
+            if state.engine == "reference":
+                return GIVE_UP, state
+            return PIN_REFERENCE, replace(state, engine="reference")
+        if retryable(kind):
+            state = replace(state, retries=state.retries + 1)
+            return (GIVE_UP if state.retries > self.budget else RETRY), state
+        if on_floor:
+            return GIVE_UP, state
+        return RERUN_INLINE, replace(state, inline=True)
+
+    def delay(self, retry: int) -> float:
+        """Backoff before retry number ``retry`` (1-based)."""
+        return backoff_delay(self.backoff, retry)
 
 
 # ---------------------------------------------------- injection harness

@@ -60,18 +60,6 @@ def fast_machine_enabled() -> bool:
     return env.get_flag("REPRO_FAST_MACHINE", True)
 
 
-def machine_multi_enabled() -> bool:
-    """``REPRO_MACHINE_MULTI``: one-pass multi-config machine batching.
-
-    When on (the default), the scheduler groups machine grid points that
-    share (benchmark, length, warmup) into one :func:`run_machine_multi`
-    batch so the oracle stream and program build are paid once per
-    benchmark instead of once per config.  ``REPRO_MACHINE_MULTI=0``
-    restores strictly per-point execution.
-    """
-    return env.get_flag("REPRO_MACHINE_MULTI", True)
-
-
 def quick_scale() -> float:
     """Run-length multiplier from the environment.
 

@@ -24,27 +24,26 @@ Scheduling decisions:
   a single-point grid runs inline in the parent — same results, no
   pickling, no process startup.
 
-Supervision (see :mod:`repro.experiments.faults` for the taxonomy and
-knobs): a worker that crashes or hits an OS-level IO error is a
-*transient* failure — the point is retried up to ``REPRO_RETRIES`` times
-with exponential backoff and the pool is respawned; a point that blows
-its cost-scaled ``REPRO_POINT_TIMEOUT`` deadline gets its hung worker
-killed and is requeued; a pool that breaks repeatedly degrades the rest
-of the grid to serial in-parent execution, which is always a safe floor
-because injected faults never fire outside workers.  A *deterministic*
-failure (simulation exception) is re-run once inline in the parent: if
-it fails again the clean parent traceback propagates (fail-fast) or is
-collected into the end-of-run :class:`~repro.experiments.faults.GridFailures`
-report (``REPRO_KEEP_GOING`` / ``--keep-going``).  Completed points are
-journaled as they finish, so an interrupted grid resumes from the
+Supervision is :class:`repro.experiments.faults.Supervision`, the one
+retry policy the experiment service also runs, over the route list
+``[pool, inline]``.  Failed runs are classified by
+:func:`~repro.experiments.faults.classify` and the policy answers:
+transient failures (a crashed worker, an OS-level IO error) and points
+that blow their cost-scaled ``REPRO_POINT_TIMEOUT`` deadline (their hung
+worker is killed) retry with exponential backoff; a deterministic
+failure in a worker is re-run once inline in the parent, and fails fast
+with the clean parent traceback or lands in the end-of-run
+:class:`~repro.experiments.faults.GridFailures` report
+(``REPRO_KEEP_GOING`` / ``--keep-going``); a divergence caught by the
+``REPRO_VALIDATE`` lockstep guard requeues the point **pinned to the
+reference engine**, so the grid still completes with trustworthy
+numbers and the divergence, with its report path, is surfaced through
+:func:`take_divergences` instead of killing the run.  The pool route
+sits behind a per-grid circuit breaker: after three pool breaks the rest
+of the grid runs serially in the parent, which is always a safe floor
+because injected faults never fire outside workers.  Completed points
+are journaled as they finish, so an interrupted grid resumes from the
 journal instead of recomputing.
-
-When ``REPRO_VALIDATE`` arms the lockstep guard and a point's fast
-stack diverges from the reference, the point is requeued **pinned to
-the reference engine** (:func:`_Supervisor._divert_to_reference`) so
-the grid still completes with trustworthy numbers; the divergence —
-with its on-disk report path — is surfaced through
-:func:`take_divergences` instead of killing the run.
 
 Worker count resolution: explicit ``jobs`` argument, else ``REPRO_JOBS``
 from the environment, else ``os.cpu_count()``.  An unparseable
@@ -57,17 +56,19 @@ so a parallel run leaves the same warm cache behind as a serial one.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
-import time
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.experiments import (checkpoint, diskcache, env, faults, runner,
                                tracefile, warnonce)
+from repro.experiments.breaker import CircuitBreaker
 from repro.experiments.serialize import (
     frontend_result_from_dict,
     frontend_result_to_dict,
@@ -82,10 +83,6 @@ MACHINE = "machine"
 #: Relative cost of one simulated machine instruction versus one
 #: front-end instruction (the cycle-level core is roughly 4x slower).
 _MACHINE_COST_FACTOR = 4
-
-#: After this many pool breaks (crashed workers, killed hangs) the rest
-#: of the grid runs serially in the parent instead of respawning again.
-_MAX_POOL_BREAKS = 3
 
 
 @dataclass(frozen=True)
@@ -239,6 +236,14 @@ def cost_scale(point: GridPoint) -> float:
     return max(1.0, _estimated_cost(point) / faults.COST_REFERENCE)
 
 
+def cost_budget(point, base: Optional[float]) -> Optional[float]:
+    """``base`` seconds scaled by the point's :func:`cost_scale`, or None
+    when ``base`` is unset or non-positive (no deadline)."""
+    if base is None or base <= 0:
+        return None
+    return base * cost_scale(point)
+
+
 def deadline_point_timeout(points: Sequence[GridPoint],
                            deadline: Optional[float]) -> Optional[float]:
     """Base per-point timeout so a grid's budgets sum to ``deadline``.
@@ -352,10 +357,8 @@ def _run_point_task(point: GridPoint, ordinal: int, attempt: int, key: str,
     return result
 
 
-#: Public aliases for the experiment service and fleet workers, which
-#: execute individual points (with the same fault-injection hooks the
-#: local pool gets) outside a grid supervisor.
-run_point = _run_point
+#: Public alias for fleet workers, which execute individual points (with
+#: the same fault-injection hooks the local pool gets) outside a grid.
 run_point_task = _run_point_task
 
 
@@ -364,6 +367,22 @@ def _admit(point: GridPoint, result) -> None:
         runner.admit_frontend_result(result, point.n)
     else:
         runner.admit_machine_result(result, point.n)
+
+
+def _cached(point: GridPoint):
+    """The point's result from the memo or disk cache, or None."""
+    if point.kind == FRONTEND:
+        return runner.cached_frontend_result(point.benchmark, point.config,
+                                             point.n)
+    return runner.cached_machine_result(point.benchmark, point.config,
+                                        point.n, warmup=point.warmup)
+
+
+def _spawn_pool(workers: int) -> ProcessPoolExecutor:
+    """A worker pool whose processes run :func:`_worker_init`."""
+    return ProcessPoolExecutor(max_workers=max(1, workers),
+                               initializer=_worker_init,
+                               initargs=(warnonce.snapshot(),))
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -395,7 +414,8 @@ class _Policy:
 
 
 class _Supervisor:
-    """Drives a grid's miss list to completion under the retry policy."""
+    """Drives a grid's miss list to completion under
+    :class:`faults.Supervision` over the routes ``[pool, inline]``."""
 
     def __init__(self, misses: Sequence[GridPoint],
                  keys: Dict[GridPoint, str], policy: _Policy,
@@ -407,17 +427,26 @@ class _Supervisor:
         self.keys = keys
         self.policy = policy
         self.journal = journal
-        self.attempts = {point: 0 for point in self.order}
+        self.routes: List[faults.Route] = [faults.INLINE]
+        if policy.jobs > 1 and len(self.order) > 1:
+            # Successes are never reported and the breaker never cools
+            # down: the third pool break of a grid finishes it serially.
+            self.routes.insert(0, faults.Route("pool", CircuitBreaker(
+                threshold=3, cooldown=math.inf)))
+        self.supervision = faults.Supervision(
+            budget=faults.retry_budget(self.routes, policy.max_retries),
+            backoff=policy.backoff)
+        self.states: Dict[Any, faults.PointState] = {}
         self.failures: List[faults.PointFailure] = []
         self.results: Dict[GridPoint, Any] = {}
-        self.pool_breaks = 0
-        #: Per-point engine pin after a detected divergence.
-        self.engine_overrides: Dict[GridPoint, str] = {}
         #: Divergences handled gracefully (the grid still completed);
         #: surfaced in the end-of-run table, not raised.
         self.divergences: List[faults.PointFailure] = []
 
     # ------------------------------------------------------------ outcomes
+
+    def _state(self, unit) -> faults.PointState:
+        return self.states.get(unit, faults.PointState())
 
     def _task_key(self, unit) -> str:
         """The cache key identifying a task (first member for batches)."""
@@ -439,166 +468,86 @@ class _Supervisor:
         self.journal.record(self.keys[point], point.kind,
                             _result_to_payload(point, result))
 
-    def _split_batch(self, batch: _MachineBatch,
-                     pending: Deque) -> None:
-        """A batch hit trouble: degrade to per-point supervision.
+    def _settle(self, point, exc: BaseException, on_floor: bool,
+                requeue: Callable[[Any], None]) -> str:
+        """Feed one failed run to the policy and carry out its action.
 
-        Members are requeued as ordinary points (no retry consumed — the
-        batch was an optimistic grouping, not an attempt of any single
-        point) and inherit the batch's engine pin, if any.
+        A batch is an optimistic grouping, not an attempt of any single
+        point: it splits back into its members, which requeue with fresh
+        states and the batch's ordinal.  Otherwise ``give-up`` reports
+        the point (or raises right now, without keep-going) and every
+        other action requeues it (its new state picks the route and
+        engine).  Returns the action taken.
         """
-        override = self.engine_overrides.get(batch)
-        ordinal = self.ordinals.get(batch, 0)
-        for member in batch.points:
-            self.attempts.setdefault(member, 0)
-            self.ordinals.setdefault(member, ordinal)
-            if override is not None:
-                self.engine_overrides.setdefault(member, override)
-            pending.append(member)
-
-    def _fail(self, point: GridPoint, kind: str, exc: BaseException,
-              traceback: str = "", attempts: Optional[int] = None) -> None:
-        """A point is out of options: report it, or raise right now.
-
-        ``attempts`` is the number of executions actually consumed; the
-        default covers the deterministic case (prior transient attempts
-        plus the failing run itself).
-        """
-        if attempts is None:
-            attempts = self.attempts[point] + 1
-        self.failures.append(faults.PointFailure(
-            point=point, kind=kind, attempts=attempts,
-            error=faults.format_error(exc), traceback=traceback))
-        if self.policy.keep_going:
-            return
-        if kind == faults.DETERMINISTIC and isinstance(exc, Exception):
-            raise exc  # the clean inline traceback, not a pool wrapper
-        raise faults.GridFailures(self.failures, self.results)
-
-    def _retry_inline(self, point: GridPoint, pool_exc: BaseException) -> None:
-        """Deterministic pool failure: re-run once in the parent.
-
-        A real simulation bug reproduces here with a clean traceback; a
-        failure that only existed in the worker (an injected fault, a
-        poisoned inherited state) simply succeeds and the result counts.
-        """
-        del pool_exc  # superseded by the inline outcome either way
-        try:
-            result = _run_point(point, engine=self.engine_overrides.get(point))
-        except Exception as exc:
-            # Consumed: prior transient attempts, the pool run, this one.
-            self._fail(point, faults.DETERMINISTIC, exc,
-                       traceback=faults.capture_traceback(exc),
-                       attempts=self.attempts[point] + 2)
-        else:
-            self._record(point, result)
-
-    def _divert_to_reference(self, point: GridPoint, exc: BaseException,
-                             pending: Deque[GridPoint]) -> None:
-        """Divergence: record it, pin the point to the reference engine,
-        and requeue so the grid still completes with trustworthy numbers.
-
-        The divergence is *not* a retryable failure — the same code
-        reproduces it — and it is not fatal either: the frozen reference
-        stack is the known-good contract, so the point reruns pinned to
-        it (no retry consumed; this is degradation, not flakiness).  The
-        report path, if one was written, rides along in the warning and
-        the end-of-run table.
-        """
-        if self.engine_overrides.get(point) == "reference":
-            # Already pinned and still failing — nothing left to degrade
-            # to; treat it as an ordinary deterministic failure.
-            self._fail(point, faults.DETERMINISTIC, exc,
-                       traceback=faults.capture_traceback(exc))
-            return
-        report = getattr(exc, "report_path", None)
-        warnonce.warn_once(
-            f"divergence:{self.keys[point]}",
-            f"{point.benchmark} {point.kind} point diverged from the "
-            "reference engine"
-            + (f" (report: {report})" if report else "")
-            + "; re-running pinned to the reference stack")
-        self.divergences.append(faults.PointFailure(
-            point=point, kind=faults.DIVERGENCE,
-            attempts=self.attempts[point] + 1,
-            error=faults.format_error(exc)))
-        self.engine_overrides[point] = "reference"
-        pending.append(point)
-
-    def _requeue_or_fail(self, point: GridPoint, kind: str,
-                         exc: BaseException,
-                         pending: Deque[GridPoint]) -> bool:
-        """Transient/timeout failure: consume one retry or give up.
-
-        Returns whether the point was requeued.
-        """
-        self.attempts[point] += 1
-        if self.attempts[point] > self.policy.max_retries:
-            self._fail(point, kind, exc, attempts=self.attempts[point])
-            return False
-        pending.append(point)
-        return True
+        if isinstance(point, _MachineBatch):
+            for member in point.points:
+                self.ordinals.setdefault(member, self.ordinals[point])
+                requeue(member)
+            return "split"
+        kind = faults.classify(exc)
+        action, state = self.supervision.step(self._state(point), kind,
+                                              on_floor)
+        self.states[point] = state
+        if action == faults.GIVE_UP:
+            kind = faults.give_up_kind(kind)
+            clean = not faults.retryable(kind)
+            self.failures.append(faults.PointFailure(
+                point=point, kind=kind, attempts=state.runs,
+                error=faults.format_error(exc),
+                traceback=faults.capture_traceback(exc) if clean else ""))
+            if self.policy.keep_going:
+                return action
+            if clean and isinstance(exc, Exception):
+                raise exc  # the clean inline traceback, not a pool wrapper
+            raise faults.GridFailures(self.failures, self.results)
+        if action == faults.PIN_REFERENCE:
+            report = getattr(exc, "report_path", None)
+            warnonce.warn_once(
+                f"divergence:{self.keys[point]}",
+                f"{point.benchmark} {point.kind} point diverged from the "
+                "reference engine"
+                + (f" (report: {report})" if report else "")
+                + "; re-running pinned to the reference stack")
+            self.divergences.append(faults.PointFailure(
+                point=point, kind=faults.DIVERGENCE, attempts=state.runs,
+                error=faults.format_error(exc)))
+        requeue(point)
+        return action
 
     # ----------------------------------------------------------- execution
 
     def run(self) -> Dict[GridPoint, Any]:
         """Run every miss; returns results or raises on failed points."""
-        pending: Deque[GridPoint] = deque(self.order)
-        if self.policy.jobs <= 1 or len(pending) <= 1:
-            self._run_serial(pending)
-        else:
+        pending: Deque = deque(self.order)
+        if len(self.routes) > 1:
             self._run_pooled(pending)
+        else:
+            self._run_serial(pending)
         if self.failures:
             raise faults.GridFailures(self.failures, self.results)
         return self.results
 
-    def _run_serial(self, pending: Deque[GridPoint]) -> None:
-        """Inline execution with the same retry policy (and no faults)."""
+    def _run_serial(self, pending: Deque) -> None:
+        """The inline floor: run each point in the parent until settled
+        (faults never fire here)."""
         while pending:
             point = pending.popleft()
-            while True:
-                try:
-                    result = _run_point(
-                        point, engine=self.engine_overrides.get(point))
-                except Exception as exc:
-                    if isinstance(point, _MachineBatch):
-                        self._split_batch(point, pending)
-                        break
-                    kind = faults.classify(exc)
-                    if kind == faults.DIVERGENCE:
-                        self._divert_to_reference(point, exc, pending)
-                        break
-                    if kind == faults.DETERMINISTIC:
-                        self._fail(point, kind, exc,
-                                   traceback=faults.capture_traceback(exc))
-                        break
-                    self.attempts[point] += 1
-                    if self.attempts[point] > self.policy.max_retries:
-                        self._fail(point, kind, exc,
-                                   attempts=self.attempts[point])
-                        break
-                    time.sleep(faults.backoff_delay(self.policy.backoff,
-                                                    self.attempts[point]))
-                else:
-                    self._record(point, result)
-                    break
+            try:
+                result = _run_point(point, engine=self._state(point).engine)
+            except Exception as exc:
+                if self._settle(point, exc, True,
+                                pending.appendleft) == faults.RETRY:
+                    self.supervision.sleep(self.supervision.delay(
+                        self.states[point].retries))
+            else:
+                self._record(point, result)
 
-    def _timeout_for(self, point: GridPoint) -> Optional[float]:
-        """This point's wall-clock budget: base scaled by estimated cost."""
-        base = self.policy.timeout
-        if base is None:
-            return None
-        scale = max(1.0, _estimated_cost(point) / faults.COST_REFERENCE)
-        return base * scale
+    def _run_pooled(self, pending: Deque) -> None:
+        """The supervision loop: window, wait, settle, respawn.
 
-    def _spawn_pool(self, remaining: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=max(1, min(self.policy.jobs, remaining)),
-            initializer=_worker_init,
-            initargs=(warnonce.snapshot(),))
-
-    def _run_pooled(self, pending: Deque[GridPoint]) -> None:
-        """The supervision loop: window, wait, classify, retry, respawn.
+        Each point goes to the first route :func:`faults.pick_route`
+        allows; floor-routed points (inline re-runs, and every point once
+        the pool breaker trips) run in the parent right away.
 
         ``KeyboardInterrupt`` (and any other control-flow exception)
         forcibly terminates the worker processes before propagating:
@@ -608,52 +557,46 @@ class _Supervisor:
         journal has already flushed every completed point line by line,
         so the interrupted grid resumes from the journal.
         """
+        breaker = self.routes[0].breaker
+        clock = self.supervision.clock
         pool: Optional[ProcessPoolExecutor] = None
-        inflight: Dict[Any, GridPoint] = {}
+        inflight: Dict[Any, Any] = {}
         deadlines: Dict[Any, float] = {}
         try:
             while pending or inflight:
-                if self.pool_breaks >= _MAX_POOL_BREAKS:
-                    warnonce.warn_once(
-                        "scheduler-serial-degrade",
-                        f"worker pool broke {self.pool_breaks} times; "
-                        "running the rest of the grid serially")
-                    for point in inflight.values():
-                        pending.append(point)  # abandoned with the pool
-                    inflight.clear()
-                    deadlines.clear()
-                    self._run_serial(pending)
-                    return
-                if pool is None:
-                    pool = self._spawn_pool(len(pending))
                 # Keep at most ``jobs`` tasks in flight so a submit
                 # timestamp approximates a start timestamp and deadlines
                 # measure simulation time, not queue time.
                 while pending and len(inflight) < self.policy.jobs:
                     point = pending.popleft()
+                    state = self._state(point)
+                    if faults.pick_route(self.routes, state) is faults.INLINE:
+                        self._run_serial(deque([point]))
+                        continue
+                    if pool is None:
+                        pool = _spawn_pool(
+                            min(self.policy.jobs, len(pending) + 1))
                     try:
                         future = pool.submit(
                             _run_point_task, point, self.ordinals[point],
-                            self.attempts[point], self._task_key(point),
-                            self.engine_overrides.get(point))
+                            state.retries, self._task_key(point), state.engine)
                     except (BrokenExecutor, RuntimeError):
                         # The pool died between iterations; respawn next
                         # time around without charging the point a retry.
                         pending.appendleft(point)
                         pool.shutdown(wait=False, cancel_futures=True)
                         pool = None
-                        self.pool_breaks += 1
+                        self._pool_broke(breaker)
                         break
                     inflight[future] = point
-                    budget = self._timeout_for(point)
+                    budget = cost_budget(point, self.policy.timeout)
                     if budget is not None:
-                        deadlines[future] = time.monotonic() + budget
-                if pool is None:
+                        deadlines[future] = clock() + budget
+                if not inflight:
                     continue
                 wait_timeout = None
                 if deadlines:
-                    wait_timeout = max(
-                        0.0, min(deadlines.values()) - time.monotonic())
+                    wait_timeout = max(0.0, min(deadlines.values()) - clock())
                 done, _ = wait(set(inflight), timeout=wait_timeout,
                                return_when=FIRST_COMPLETED)
                 broken = False
@@ -663,55 +606,38 @@ class _Supervisor:
                     try:
                         result = future.result()
                     except Exception as exc:
-                        if isinstance(exc, BrokenExecutor):
-                            broken = True
-                        if isinstance(point, _MachineBatch):
-                            self._split_batch(point, pending)
-                            continue
-                        kind = faults.classify(exc)
-                        if kind == faults.DIVERGENCE:
-                            self._divert_to_reference(point, exc, pending)
-                        elif kind == faults.DETERMINISTIC:
-                            self._retry_inline(point, exc)
-                        else:
-                            self._requeue_or_fail(point, kind, exc, pending)
+                        broken |= isinstance(exc, BrokenExecutor)
+                        self._settle(point, exc, False, pending.append)
                     else:
                         self._record(point, result)
                 # Hung points: deadline passed and the future still runs.
-                now = time.monotonic()
+                now = clock()
                 overdue = [future for future, deadline in deadlines.items()
                            if now >= deadline and future in inflight]
+                for future in overdue:
+                    point = inflight.pop(future)
+                    deadlines.pop(future, None)
+                    self._settle(point, faults.PointTimeout(
+                        f"{point.benchmark} point exceeded its "
+                        f"{cost_budget(point, self.policy.timeout):.1f}s "
+                        "deadline"), False, pending.append)
                 if overdue:
-                    for future in overdue:
-                        point = inflight.pop(future)
-                        deadlines.pop(future, None)
-                        if isinstance(point, _MachineBatch):
-                            self._split_batch(point, pending)
-                            continue
-                        self._requeue_or_fail(
-                            point, faults.TIMEOUT,
-                            faults.PointTimeout(
-                                f"{point.benchmark} point exceeded its "
-                                f"{self._timeout_for(point):.1f}s deadline"),
-                            pending)
-                    _kill_pool(pool)
+                    _kill_pool(pool)  # the hung worker must die
+                if overdue or broken:
+                    pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
-                    broken = True
-                if broken:
-                    if pool is not None:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = None
                     # Collateral in-flight points died with the pool
                     # through no fault of their own: requeue them without
                     # consuming a retry (the culprit's own future already
                     # did, when it raised above).
-                    for point in inflight.values():
-                        pending.append(point)
+                    pending.extend(inflight.values())
                     inflight.clear()
                     deadlines.clear()
-                    self.pool_breaks += 1
-                    time.sleep(faults.backoff_delay(self.policy.backoff,
-                                                    self.pool_breaks))
+                    self._pool_broke(breaker)
+                    # One backoff per break, not per point: a per-point
+                    # sleep would stall the whole window.
+                    self.supervision.sleep(
+                        self.supervision.delay(breaker.strikes))
         except BaseException:
             if pool is not None:
                 _kill_pool(pool)  # terminate workers; do not wait on them
@@ -720,6 +646,16 @@ class _Supervisor:
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
+
+    @staticmethod
+    def _pool_broke(breaker: CircuitBreaker) -> None:
+        """Strike the grid's pool breaker; warn once when it trips."""
+        breaker.record_break()
+        if not breaker.allow_pool():
+            warnonce.warn_once(
+                "scheduler-serial-degrade",
+                f"worker pool broke {breaker.strikes} times; "
+                "running the rest of the grid serially")
 
 
 #: Divergences handled gracefully by grids in this process, in order.
@@ -754,7 +690,9 @@ def run_grid(points: Sequence[GridPoint], jobs: Optional[int] = None, *,
     Keyword arguments override their environment knobs (see
     :mod:`repro.experiments.faults`): ``resume`` replays this grid's
     checkpoint journal (default ``REPRO_RESUME``, on), ``max_retries``
-    bounds transient retries (``REPRO_RETRIES``), ``timeout`` is the
+    bounds transient retries (``REPRO_RETRIES``; a parallel grid raises
+    it to its pool breaker's threshold, see
+    :func:`~repro.experiments.faults.retry_budget`), ``timeout`` is the
     base per-point deadline in seconds (``REPRO_POINT_TIMEOUT``), and
     ``keep_going`` finishes the grid before raising
     :class:`~repro.experiments.faults.GridFailures` with the full
@@ -779,12 +717,7 @@ def run_grid(points: Sequence[GridPoint], jobs: Optional[int] = None, *,
     results: Dict[GridPoint, Any] = {}
     misses: List[GridPoint] = []
     for point in resolved:
-        if point.kind == FRONTEND:
-            cached = runner.cached_frontend_result(
-                point.benchmark, point.config, point.n)
-        else:
-            cached = runner.cached_machine_result(
-                point.benchmark, point.config, point.n, warmup=point.warmup)
+        cached = _cached(point)
         if cached is not None:
             results[point] = cached
         else:
@@ -822,9 +755,7 @@ def run_grid(points: Sequence[GridPoint], jobs: Optional[int] = None, *,
                      timeout=resolved_timeout,
                      backoff=faults.resolve_backoff(),
                      keep_going=faults.resolve_keep_going(keep_going))
-    units: List[Any] = list(misses)
-    if runner.machine_multi_enabled():
-        units = _batch_machine_points(misses, policy.jobs)
+    units = _batch_machine_points(misses, policy.jobs)
     if tracefile.enabled() and policy.jobs > 1 and len(units) > 1:
         _prewrite_traces(units)
     supervisor = _Supervisor(units, keys, policy, journal)

@@ -7,8 +7,6 @@ sessions — can share without stepping on each other:
 
 * :mod:`repro.service.protocol` — the line-delimited JSON wire format
   and the (de)serialization of grid points and results;
-* :mod:`repro.service.breaker` — the circuit breaker that degrades the
-  service from pooled to inline execution after repeated pool breaks;
 * :mod:`repro.service.coalesce` — machine-wide request coalescing:
   concurrent submissions of the same content-hashed point attach to one
   in-flight computation;
@@ -27,10 +25,11 @@ sessions — can share without stepping on each other:
 
 Everything is standard library only — ``asyncio.start_server`` over
 TCP, JSON on the wire — so the service (and its workers) run wherever
-the simulator does.
+the simulator does.  :class:`CircuitBreaker` is re-exported from
+:mod:`repro.experiments.breaker`, where the grid scheduler shares it.
 """
 
-from repro.service.breaker import CircuitBreaker
+from repro.experiments.breaker import CircuitBreaker
 from repro.service.client import (ServiceClient, ServiceError,
                                   ServiceOverloaded, ServicePointError,
                                   submit_with_retry)

@@ -64,37 +64,24 @@ DEFAULT_FLEET_MIN = 1
 MAX_POLL_WINDOW = 30.0
 
 
-class LeaseRevoked(Exception):
+class LeaseRevoked(faults.Classified):
     """A leased point lost its worker; the point must be requeued.
 
-    Always retryable: the fault is in the fleet, not the point.  The
-    ``kind`` attribute keeps :func:`failure_kind` trivial.
+    Always transient: the fault is in the fleet, not the point.
     """
 
     kind = faults.TRANSIENT
 
 
-class RemotePointError(Exception):
+class RemotePointError(faults.Classified):
     """A worker reported a point failure, pre-classified at the source.
 
     The worker runs :func:`repro.experiments.faults.classify` on its own
     exception (the exception object itself cannot cross the wire) and
-    ships the taxonomy kind; the dispatcher routes on that kind exactly
-    as it would for a local failure.
+    ships the taxonomy kind; :func:`~repro.experiments.faults.classify`
+    honours it, so the supervision policy treats a remote failure
+    exactly like a local one.
     """
-
-    def __init__(self, message: str, kind: str = faults.DETERMINISTIC):
-        super().__init__(message)
-        self.kind = kind
-
-
-def failure_kind(exc: BaseException) -> str:
-    """Taxonomy kind of a dispatch failure, honoring pre-classified ones."""
-    kind = getattr(exc, "kind", None)
-    if isinstance(exc, (LeaseRevoked, RemotePointError)) \
-            and isinstance(kind, str):
-        return kind
-    return faults.classify(exc)
 
 
 class Offer:

@@ -24,14 +24,13 @@ better, because the service adds four things the library cannot:
   submissions costs one computation per distinct point, and a client
   that disconnects mid-wait only detaches itself — the computation
   finishes and warms the shared cache.
-* **Graceful degradation.**  Per-point supervision mirrors the
-  scheduler's taxonomy (transient -> retry with backoff, timeout ->
-  kill the hung worker, deterministic -> one clean inline re-run,
-  divergence -> requeue pinned to the reference engine), and a
-  :class:`~repro.service.breaker.CircuitBreaker` trips the service from
-  pooled to inline in-parent execution after repeated pool breaks —
-  the safe floor, since injected faults never fire outside marked
-  workers.
+* **Graceful degradation.**  Each point runs under
+  :class:`repro.experiments.faults.Supervision`, the one retry policy
+  the grid scheduler also runs, over the route list ``[fleet, pool,
+  inline]``; a :class:`~repro.experiments.breaker.CircuitBreaker` on
+  each non-floor route degrades the service to the next route after
+  repeated breaks.  Inline in-parent execution is the safe floor, since
+  injected faults never fire outside marked workers.
 * **Crash-safe drain.**  SIGTERM (or the ``drain`` op) stops admitting,
   gives in-flight points a grace window, then answers every waiting
   client with explicit retryable errors and leaves each submission's
@@ -39,10 +38,9 @@ better, because the service adds four things the library cannot:
   unjournaled remainder, byte-identical to a clean run.
 * **A worker fleet** (:mod:`repro.service.fleet`): remote ``repro
   worker`` processes pull points under heartbeat-renewed leases over
-  the same protocol.  The dispatcher prefers the fleet when it has at
-  least ``REPRO_FLEET_MIN`` live workers and its own circuit breaker is
-  closed, then degrades to the local pool and finally inline — a lost
-  worker revokes its leases and the points are requeued transparently.
+  the same protocol.  The fleet route is ready when it has at least
+  ``REPRO_FLEET_MIN`` live workers — a lost worker revokes its leases
+  and the points are requeued transparently.
   Per-point lifecycle events stream to ``subscribe``-d clients through
   :mod:`repro.service.events`.
 
@@ -64,12 +62,11 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments import (checkpoint, diskcache, env, faults, runner,
-                               scheduler, warnonce)
+from repro.experiments import checkpoint, diskcache, env, faults, scheduler
+from repro.experiments.breaker import CircuitBreaker
 from repro.service import events as events_mod
 from repro.service import fleet as fleet_mod
 from repro.service import protocol
-from repro.service.breaker import CircuitBreaker
 from repro.service.coalesce import CoalesceTable, Entry
 from repro.service.events import EventHub
 from repro.service.fleet import Fleet
@@ -82,13 +79,8 @@ class ServiceDraining(Exception):
     """The service is shutting down; the work is retryable elsewhere."""
 
 
-class PointComputationError(Exception):
+class PointComputationError(faults.Classified):
     """A point's terminal failure, tagged with the fault taxonomy kind."""
-
-    def __init__(self, message: str, kind: str, retryable: bool):
-        super().__init__(message)
-        self.kind = kind
-        self.retryable = retryable
 
 
 class _Connection:
@@ -149,6 +141,11 @@ class ExperimentService:
         self.hub = EventHub()
         self.fleet = Fleet(lease_ttl=lease_ttl, heartbeat=heartbeat,
                            min_workers=fleet_min, hub=self.hub)
+        self._routes = [
+            faults.Route("fleet", self.fleet_breaker, self.fleet.available),
+            faults.Route("pool", self.breaker, lambda: self._jobs > 1),
+            faults.INLINE,
+        ]
         self.table = CoalesceTable()
         #: Admitted-but-not-yet-attached new keys, counted against the
         #: admission window so concurrent submissions (whose preparation
@@ -286,16 +283,11 @@ class ExperimentService:
 
     # ------------------------------------------------------------ the pool
 
-    def _spawn_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self._jobs,
-            initializer=scheduler._worker_init,
-            initargs=(warnonce.snapshot(),))
-
     async def _ensure_pool(self) -> Tuple[ProcessPoolExecutor, int]:
         async with self._pool_lock:
             if self._pool is None:
-                self._pool = await asyncio.to_thread(self._spawn_pool)
+                self._pool = await asyncio.to_thread(scheduler._spawn_pool,
+                                                     self._jobs)
                 self._pool_generation += 1
             return self._pool, self._pool_generation
 
@@ -316,6 +308,8 @@ class ExperimentService:
 
     async def _run_pooled(self, entry: Entry, attempt: int,
                           timeout: Optional[float]):
+        """Run one point in the local pool; a hung or broken pool is
+        killed and strikes the pool breaker."""
         point = entry.point
         pool, generation = await self._ensure_pool()
         ordinal = self._ordinal
@@ -324,48 +318,57 @@ class ExperimentService:
             future = pool.submit(scheduler._run_point_task, point, ordinal,
                                  attempt, entry.key, entry.engine)
         except RuntimeError as exc:  # pool shut down under us
+            self.breaker.record_break()
             raise BrokenExecutor(str(exc)) from None
-        scaled = None
-        if timeout is not None and timeout > 0:
-            scaled = timeout * scheduler.cost_scale(point)
+        scaled = scheduler.cost_budget(point, timeout)
         try:
-            return await asyncio.wait_for(asyncio.wrap_future(future), scaled)
+            result = await asyncio.wait_for(asyncio.wrap_future(future),
+                                            scaled)
         except asyncio.TimeoutError:
+            self.breaker.record_break()
             await self._break_pool(generation)  # the worker is hung: kill it
             raise faults.PointTimeout(
                 f"point exceeded its {scaled:.1f}s cost-scaled deadline"
             ) from None
         except BrokenExecutor:
+            self.breaker.record_break()
             await self._break_pool(generation)
             raise
+        self.breaker.record_success()
+        return result
 
     async def _run_fleet(self, entry: Entry, attempt: int,
                          timeout: Optional[float]):
         """Dispatch one point to a fleet worker and await its result.
 
-        The offer's cost-scaled wait deadline mirrors the pooled path's;
+        The offer gets the same cost-scaled deadline as a pooled run;
         blowing it (a worker that heartbeats but never finishes) cancels
         the offer — any late completion is counted stale — and raises
-        :class:`~repro.service.fleet.LeaseRevoked` so the dispatcher
-        retries the point elsewhere.
+        :class:`~repro.service.fleet.LeaseRevoked`.  A transient failure
+        or timeout strikes the fleet breaker, so a flapping fleet
+        degrades to the pool the way a crashing pool degrades to inline.
         """
         ordinal = self._ordinal
         self._ordinal += 1
         offer = self.fleet.offer(entry, attempt=attempt, ordinal=ordinal)
-        scaled = None
-        if timeout is not None and timeout > 0:
-            scaled = timeout * scheduler.cost_scale(entry.point)
+        scaled = scheduler.cost_budget(entry.point, timeout)
         try:
             payload, worker_id, _elapsed = await asyncio.wait_for(
                 offer.future, scaled)
         except asyncio.TimeoutError:
             self.fleet.cancel(offer, reason="cost-scaled deadline")
+            self.fleet_breaker.record_break()
             raise fleet_mod.LeaseRevoked(
                 f"leased point exceeded its {scaled:.1f}s cost-scaled "
                 "deadline") from None
         except asyncio.CancelledError:
             self.fleet.cancel(offer, reason="cancelled")
             raise
+        except Exception as exc:
+            if faults.retryable(faults.classify(exc)):
+                self.fleet_breaker.record_break()
+            raise
+        self.fleet_breaker.record_success()
         entry.worker = worker_id
         # The worker serialized its result for the wire; rebuilding it
         # here hands _drive a normal result object so admission stores
@@ -374,90 +377,52 @@ class ExperimentService:
         return protocol.result_from_payload(entry.point.kind, payload)
 
     async def _compute(self, entry: Entry, timeout: Optional[float]):
-        """Run one point to a result under the supervision policy.
+        """Run one point to a result under :class:`faults.Supervision`.
 
-        Mirrors ``_Supervisor``'s taxonomy, restated for one point:
-        divergence diverts to the reference engine without consuming an
-        attempt; a deterministic failure gets exactly one inline re-run
-        (the safe floor — injected faults never fire in the parent);
-        transient failures and timeouts retry with exponential backoff
-        up to ``max(REPRO_RETRIES, breaker thresholds)`` so a breaker
-        that is about to trip still has attempts left to finish the
-        point inline.
-
-        Route preference per attempt: the worker fleet (when it has
-        ``REPRO_FLEET_MIN`` live members and its breaker is closed),
-        then the local pool, then inline.  A revoked lease or a
-        worker-reported transient/timeout strikes the *fleet* breaker —
-        a flapping fleet degrades to the pool the same way a crashing
-        pool degrades to inline — while pool failures keep striking the
-        pool breaker as before.
+        Each run goes to the first route :func:`faults.pick_route`
+        allows; the routes' runners strike and reset their own breakers.
+        A point that gives up raises :class:`PointComputationError`
+        carrying the policy's failure kind.
         """
-        max_retries = max(faults.resolve_retries(None),
-                          self.breaker.threshold,
-                          self.fleet_breaker.threshold)
-        backoff = faults.resolve_backoff()
-        attempt = 0
-        inline_pinned = False
+        supervision = faults.Supervision(
+            budget=faults.retry_budget(self._routes,
+                                       faults.resolve_retries(None)),
+            backoff=faults.resolve_backoff(), sleep=asyncio.sleep)
+        runners = {
+            "fleet": self._run_fleet, "pool": self._run_pooled,
+            # The floor: a thread of the server process, never faulted.
+            "inline": lambda entry, _attempt, _timeout: asyncio.to_thread(
+                scheduler._run_point, entry.point, entry.engine)}
+        state = faults.PointState(engine=entry.engine)
         while True:
-            inline = (inline_pinned or self._jobs <= 1
-                      or not self.breaker.allow_pool())
-            if (not inline_pinned and self.fleet.available()
-                    and self.fleet_breaker.allow_pool()):
-                route = "fleet"
-            elif inline:
-                route = "inline"
-            else:
-                route = "pool"
-            try:
-                if route == "fleet":
-                    result = await self._run_fleet(entry, attempt, timeout)
-                    self.fleet_breaker.record_success()
-                    return result
-                entry.worker = route
+            route = faults.pick_route(self._routes, state)
+            if route.name != "fleet":
+                entry.worker = route.name
                 self.hub.emit(events_mod.STARTED, key=entry.key,
-                              worker=route, attempt=attempt)
-                if route == "inline":
-                    return await asyncio.to_thread(
-                        scheduler._run_point, entry.point, entry.engine)
-                result = await self._run_pooled(entry, attempt, timeout)
-                self.breaker.record_success()
-                return result
+                              worker=route.name, attempt=state.retries)
+            try:
+                return await runners[route.name](entry, state.retries,
+                                                 timeout)
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:
-                kind = fleet_mod.failure_kind(exc)
-                if kind == faults.DIVERGENCE:
-                    if entry.engine is None:
-                        entry.engine = "reference"
-                        self.hub.emit(events_mod.DIVERGED, key=entry.key,
-                                      worker=entry.worker, attempt=attempt)
-                        continue  # no attempt consumed: degrade, don't retry
-                    raise
-                if kind == faults.DETERMINISTIC:
-                    if route == "inline":
-                        raise  # already at the floor: the failure is real
-                    inline_pinned = True  # one clean in-parent re-run
-                    self.hub.emit(events_mod.RETRIED, key=entry.key,
-                                  worker=entry.worker, attempt=attempt,
-                                  reason=kind)
+                kind = faults.classify(exc)
+                action, state = supervision.step(
+                    state, kind, route is faults.INLINE)
+                entry.engine = state.engine
+                if action == faults.GIVE_UP:
+                    raise PointComputationError(
+                        faults.format_error(exc),
+                        faults.give_up_kind(kind)) from exc
+                if action == faults.PIN_REFERENCE:
+                    self.hub.emit(events_mod.DIVERGED, key=entry.key,
+                                  worker=entry.worker, attempt=state.retries)
                     continue
-                if route == "fleet":
-                    # The point never reached the local pool; the fault
-                    # is in the fleet (lost worker, remote transient).
-                    self.fleet_breaker.record_break()
-                elif kind == faults.TIMEOUT or isinstance(exc,
-                                                          BrokenExecutor):
-                    self.breaker.record_break()
-                attempt += 1
-                if attempt > max_retries:
-                    raise
                 self.hub.emit(events_mod.RETRIED, key=entry.key,
-                              worker=entry.worker, attempt=attempt,
+                              worker=entry.worker, attempt=state.retries,
                               reason=kind, error=faults.format_error(exc))
-                delay = faults.backoff_delay(backoff, attempt)
-                if delay > 0:
-                    await asyncio.sleep(delay)
+                if action == faults.RETRY:
+                    await supervision.sleep(supervision.delay(state.retries))
 
     async def _drive(self, entry: Entry, timeout: Optional[float]) -> None:
         """Own one in-flight computation: resolve its shared future."""
@@ -480,15 +445,15 @@ class ExperimentService:
                     "computation cancelled by service drain"))
             raise
         except BaseException as exc:
-            kind = fleet_mod.failure_kind(exc)
+            if not isinstance(exc, PointComputationError):
+                exc = PointComputationError(faults.format_error(exc),
+                                            faults.classify(exc))
             self.counters["computed_failed"] += 1
             self.hub.emit(events_mod.FAILED, key=entry.key,
-                          worker=entry.worker, failure=kind,
-                          error=faults.format_error(exc))
+                          worker=entry.worker, failure=exc.kind,
+                          error=str(exc))
             if not entry.future.done():
-                entry.future.set_exception(PointComputationError(
-                    faults.format_error(exc), kind,
-                    retryable=kind in (faults.TRANSIENT, faults.TIMEOUT)))
+                entry.future.set_exception(exc)
         finally:
             self.table.finish(entry.key)
 
@@ -547,12 +512,7 @@ class ExperimentService:
     # ------------------------------------------------------- submissions
 
     def _cached_payload(self, point) -> Optional[Dict[str, Any]]:
-        if point.kind == scheduler.FRONTEND:
-            result = runner.cached_frontend_result(
-                point.benchmark, point.config, point.n)
-        else:
-            result = runner.cached_machine_result(
-                point.benchmark, point.config, point.n, warmup=point.warmup)
+        result = scheduler._cached(point)
         if result is None:
             return None
         return protocol.result_to_payload(point.kind, result)
@@ -648,7 +608,7 @@ class ExperimentService:
                     if not entry.future.done():
                         entry.future.set_exception(PointComputationError(
                             "submission aborted before its computation "
-                            "started", faults.TRANSIENT, retryable=True))
+                            "started", faults.TRANSIENT))
                     self.table.finish(entry.key)
                 raise
             finally:
@@ -703,7 +663,8 @@ class ExperimentService:
             return {**base, "status": "error", "retryable": True,
                     "error": str(exc)}
         except PointComputationError as exc:
-            return {**base, "status": "error", "retryable": exc.retryable,
+            return {**base, "status": "error",
+                    "retryable": faults.retryable(exc.kind),
                     "failure": exc.kind, "error": str(exc)}
         except asyncio.CancelledError:
             raise
@@ -772,8 +733,7 @@ class ExperimentService:
         accepted = False
         if handle is not None:
             kind = message.get("failure")
-            if kind not in (faults.TRANSIENT, faults.TIMEOUT,
-                            faults.DETERMINISTIC, faults.DIVERGENCE):
+            if kind not in faults.KINDS:
                 kind = faults.DETERMINISTIC
             accepted = self.fleet.fail(
                 handle, message.get("lease"),

@@ -15,10 +15,10 @@ whether it arrived in time or the lease had already been revoked and
 requeued elsewhere (a stale completion is not an error — the worker
 just polls again).
 
-Failure handling mirrors the dispatcher's taxonomy: the worker
-classifies its own exception with :func:`repro.experiments.faults.classify`
-and ships the kind in ``worker-fail``, so the server can route a
-remote divergence or deterministic failure exactly like a local one.
+A failed point is not retried here: the worker ships the kind
+:func:`repro.experiments.faults.classify` gives its exception in
+``worker-fail``, and the server's supervision policy treats it exactly
+like a local failure.
 
 Workers outlive servers: any connection error tears the socket down
 and reconnects with capped full-jitter exponential backoff, so a

@@ -32,7 +32,8 @@ PACKAGES = [
     "repro.experiments.diskcache", "repro.experiments.tracefile",
     "repro.experiments.warnonce", "repro.experiments.cachekey",
     "repro.experiments.serialize", "repro.experiments.env",
-    "repro.service", "repro.service.protocol", "repro.service.breaker",
+    "repro.experiments.breaker",
+    "repro.service", "repro.service.protocol",
     "repro.service.coalesce", "repro.service.server", "repro.service.client",
     "repro.service.fleet", "repro.service.worker", "repro.service.events",
     "repro.validate", "repro.validate.errors", "repro.validate.digests",

@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import BASELINE, PROMOTION_PACKING
 from repro.experiments import checkpoint, diskcache, faults, runner, tracefile, warnonce
+from repro.experiments.breaker import CircuitBreaker
 from repro.experiments.faults import GridFailures, PointFailure, PointTimeout
 from repro.experiments.scheduler import GridPoint, run_grid
 from repro.experiments.serialize import frontend_result_to_dict
@@ -82,6 +83,88 @@ def test_failure_report_helpers():
     exc = GridFailures([failure], {"a": 1})
     assert "1 grid point(s) failed" in str(exc)
     assert exc.failures == [failure] and exc.results == {"a": 1}
+
+
+# --- supervision policy ------------------------------------------------------
+
+_T, _TO, _D, _V = (faults.TRANSIENT, faults.TIMEOUT, faults.DETERMINISTIC,
+                   faults.DIVERGENCE)
+
+#: id -> (REPRO_RETRIES, breaker thresholds on the route list,
+#:        [(outcome kind, ran on the floor)], expected actions,
+#:        expected attempts, retries used, reported give-up kind or None)
+_POLICY_TABLE = {
+    "divergence-pins-reference-no-retry-used": (
+        2, (), [(_V, False)], ["pin-reference"], 1, 0, None),
+    "divergence-when-pinned-gives-up-deterministic": (
+        2, (), [(_V, False), (_V, False)], ["pin-reference", "give-up"],
+        2, 0, _D),
+    "deterministic-off-floor-reruns-inline-no-retry-used": (
+        2, (), [(_D, False), (_D, True)], ["rerun-inline", "give-up"],
+        2, 0, _D),
+    "deterministic-on-floor-gives-up": (
+        2, (), [(_D, True)], ["give-up"], 1, 0, _D),
+    "deterministic-then-inline-divergence-pins-reference": (
+        2, (), [(_D, False), (_V, True)], ["rerun-inline", "pin-reference"],
+        2, 0, None),
+    "transient-retries-then-gives-up-past-budget": (
+        2, (), [(_T, True)] * 3, ["retry", "retry", "give-up"], 3, 3, _T),
+    "timeout-retries-then-gives-up-past-budget": (
+        1, (), [(_TO, False), (_TO, False)], ["retry", "give-up"], 2, 2,
+        _TO),
+    "zero-budget-gives-up-at-once": (
+        0, (), [(_T, False)], ["give-up"], 1, 1, _T),
+    "divergence-leaves-the-retry-budget-whole": (
+        1, (), [(_V, False), (_T, False), (_T, False)],
+        ["pin-reference", "retry", "give-up"], 3, 2, _T),
+    "budget-raised-to-breaker-threshold": (
+        2, (3,), [(_T, False)] * 4, ["retry", "retry", "retry", "give-up"],
+        4, 4, _T),
+    "budget-is-the-largest-threshold": (
+        1, (2, 3), [(_T, False)] * 4, ["retry", "retry", "retry", "give-up"],
+        4, 4, _T),
+    "budget-keeps-larger-retries": (
+        4, (3,), [(_TO, False)] * 5, ["retry"] * 4 + ["give-up"], 5, 5, _TO),
+}
+
+
+@pytest.mark.parametrize("case", list(_POLICY_TABLE), ids=list(_POLICY_TABLE))
+def test_supervision_policy_table(case):
+    retries, thresholds, outcomes, actions, attempts, used, gave_up_as = \
+        _POLICY_TABLE[case]
+    routes = [faults.Route(f"r{i}", CircuitBreaker(threshold=t))
+              for i, t in enumerate(thresholds)] + [faults.INLINE]
+    policy = faults.Supervision(budget=faults.retry_budget(routes, retries))
+    state = faults.PointState()
+    seen = []
+    for kind, on_floor in outcomes:
+        action, state = policy.step(state, kind, on_floor)
+        seen.append(action)
+    assert seen == actions
+    assert state.runs == attempts and state.retries == used
+    assert (state.engine == "reference") == (_V in dict(outcomes))
+    assert state.inline == ("rerun-inline" in actions)
+    if gave_up_as is not None:
+        assert faults.give_up_kind(outcomes[-1][0]) == gave_up_as
+
+
+def test_pick_route_takes_first_allowed_and_floor_when_pinned():
+    fleet = CircuitBreaker(threshold=1, cooldown=60.0, name="fleet")
+    pool = CircuitBreaker(threshold=1, cooldown=60.0)
+    ready = [False]
+    routes = [faults.Route("fleet", fleet, lambda: ready[0]),
+              faults.Route("pool", pool), faults.INLINE]
+    free = faults.PointState()
+    assert faults.pick_route(routes, free).name == "pool"
+    ready[0] = True
+    assert faults.pick_route(routes, free).name == "fleet"
+    fleet.record_break()
+    assert faults.pick_route(routes, free).name == "pool"
+    pool.record_break()
+    assert faults.pick_route(routes, free) is faults.INLINE
+    fleet.record_success()
+    assert faults.pick_route(routes, faults.PointState(inline=True)) \
+        is faults.INLINE
 
 
 # --- policy knobs ------------------------------------------------------------
@@ -196,18 +279,63 @@ def test_chaos_hang_is_killed_and_retried(monkeypatch):
     assert time.monotonic() - start < 25
 
 
-def test_persistent_crashes_degrade_to_serial(monkeypatch):
-    """crash:1.0 fires on every pooled attempt; the serial floor finishes."""
+@pytest.mark.parametrize("retries", [None, "10"],
+                         ids=["default-retries", "retries-10"])
+def test_persistent_crashes_degrade_to_serial(monkeypatch, retries):
+    """crash:1.0 fires on every pooled attempt; the serial floor finishes.
+
+    Every pool break charges each in-flight point a retry, so the retry
+    budget must outlast the pool breaker's threshold even at the
+    default ``REPRO_RETRIES``.
+    """
     grid = _grid()[:2]
     serial = _dicts(run_grid(grid, jobs=1))
     runner.clear_caches(disk=True)
     warnonce.reset()
 
     monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
-    monkeypatch.setenv("REPRO_RETRIES", "10")
+    if retries is not None:
+        monkeypatch.setenv("REPRO_RETRIES", retries)
     with pytest.warns(RuntimeWarning, match="serially"):
         faulted = _dicts(run_grid(grid, jobs=2))
     assert faulted == serial
+
+
+def test_worker_failure_whose_inline_rerun_diverges_pins_reference(
+        monkeypatch):
+    """Pool failure -> inline re-run -> divergence -> reference engine.
+
+    The point fails deterministically in a worker; its inline re-run in
+    the parent diverges; the policy pins it to the reference engine and
+    the grid completes byte-identical to a clean serial run.
+    """
+    import repro.experiments.scheduler as scheduler
+    from repro.validate.errors import DivergenceError
+
+    grid = _grid()[:2]
+    serial = _dicts(run_grid(grid, jobs=1))
+    runner.clear_caches(disk=True)
+    warnonce.reset()
+    scheduler.take_divergences()
+    real = scheduler._run_point
+
+    def staged(point, engine=None):
+        if faults.in_worker():
+            raise ValueError("worker-only failure")
+        if engine is None:
+            raise DivergenceError("injected divergence in the parent")
+        assert engine == "reference"
+        return real(point, engine=engine)
+
+    monkeypatch.setattr(scheduler, "_run_point", staged)
+    with pytest.warns(RuntimeWarning, match="diverged from the reference"):
+        faulted = _dicts(run_grid(grid, jobs=2))
+    assert faulted == serial
+    divergences = scheduler.take_divergences()
+    assert len(divergences) == len(faulted)
+    assert {f.point for f in divergences} == set(faulted)
+    assert all(f.kind == faults.DIVERGENCE and f.attempts == 2
+               for f in divergences)
 
 
 # --- deterministic failures --------------------------------------------------

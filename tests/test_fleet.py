@@ -17,11 +17,10 @@ import time
 import pytest
 
 from repro.config import BASELINE, PROMOTION
-from repro.experiments import env, runner, scheduler
+from repro.experiments import env, faults, runner, scheduler
 from repro.experiments.scheduler import GridPoint
 from repro.experiments.serialize import frontend_result_to_dict
 from repro.service import events as events_mod
-from repro.service import fleet as fleet_mod
 from repro.service.client import (ServiceClient, ServiceOverloaded,
                                   submit_with_retry)
 from repro.service.fleet import Fleet, LeaseRevoked, RemotePointError
@@ -254,7 +253,7 @@ def test_disconnect_revokes_leases_and_empties_fleet():
     _run(body())
 
 
-def test_worker_reported_failure_kinds_route_through():
+def test_worker_reported_kinds_route_through():
     async def body():
         fleet = Fleet(lease_ttl=30.0, heartbeat=1.0)
         conn = _FakeConn()
@@ -266,8 +265,8 @@ def test_worker_reported_failure_kinds_route_through():
                           "deterministic") is True
         exc = offer.future.exception()
         assert isinstance(exc, RemotePointError)
-        assert fleet_mod.failure_kind(exc) == "deterministic"
-        assert fleet_mod.failure_kind(LeaseRevoked("gone")) == "transient"
+        assert faults.classify(exc) == "deterministic"
+        assert faults.classify(LeaseRevoked("gone")) == "transient"
 
     _run(body())
 

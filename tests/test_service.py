@@ -24,10 +24,10 @@ import pytest
 from repro.config import BASELINE, PROMOTION, PROMOTION_PACKING
 from repro.experiments import checkpoint, diskcache, env, runner, scheduler
 from repro.experiments.serialize import frontend_result_to_dict
+from repro.experiments import breaker as breaker_module
+from repro.experiments.breaker import CircuitBreaker
 from repro.experiments.scheduler import GridPoint
-from repro.service import breaker as breaker_module
 from repro.service import protocol
-from repro.service.breaker import CircuitBreaker
 from repro.service.client import (ServiceClient, ServiceError,
                                   ServiceOverloaded, ServicePointError,
                                   submit_with_retry)
