@@ -285,13 +285,12 @@ class Supervision:
     inline re-run, and on the floor gives up; a transient failure or
     timeout uses one retry and gives up past ``budget``
     (:func:`retry_budget`).  A failure reports ``attempts = runs``.  The
-    clock and sleep are injected (the service passes ``asyncio.sleep``
-    and awaits it), and :meth:`delay` goes through :func:`backoff_delay`.
+    sleep is injected (the service passes ``asyncio.sleep`` and awaits
+    it), and :meth:`delay` goes through :func:`backoff_delay`.
     """
 
     budget: int
     backoff: float = 0.0
-    clock: Callable[[], float] = time.monotonic
     sleep: Callable[[float], Any] = time.sleep
 
     def step(self, state: PointState, kind: str,

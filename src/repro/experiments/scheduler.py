@@ -59,6 +59,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import time
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
@@ -558,12 +559,12 @@ class _Supervisor:
         so the interrupted grid resumes from the journal.
         """
         breaker = self.routes[0].breaker
-        clock = self.supervision.clock
         pool: Optional[ProcessPoolExecutor] = None
         inflight: Dict[Any, Any] = {}
         deadlines: Dict[Any, float] = {}
         try:
             while pending or inflight:
+                broken = False
                 # Keep at most ``jobs`` tasks in flight so a submit
                 # timestamp approximates a start timestamp and deadlines
                 # measure simulation time, not queue time.
@@ -581,25 +582,26 @@ class _Supervisor:
                             _run_point_task, point, self.ordinals[point],
                             state.retries, self._task_key(point), state.engine)
                     except (BrokenExecutor, RuntimeError):
-                        # The pool died between iterations; respawn next
-                        # time around without charging the point a retry.
+                        # The pool died between iterations: requeue the
+                        # point without charging it a retry and handle
+                        # the break below, with the in-flight futures.
                         pending.appendleft(point)
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = None
-                        self._pool_broke(breaker)
+                        broken = True
                         break
                     inflight[future] = point
                     budget = cost_budget(point, self.policy.timeout)
                     if budget is not None:
-                        deadlines[future] = clock() + budget
-                if not inflight:
-                    continue
-                wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(0.0, min(deadlines.values()) - clock())
-                done, _ = wait(set(inflight), timeout=wait_timeout,
-                               return_when=FIRST_COMPLETED)
-                broken = False
+                        deadlines[future] = time.monotonic() + budget
+                # A pool exists whenever a point is in flight or the pool
+                # broke; only an all-inline window reaches here without one.
+                done = set()
+                if inflight:
+                    wait_timeout = None
+                    if deadlines:
+                        wait_timeout = max(
+                            0.0, min(deadlines.values()) - time.monotonic())
+                    done, _ = wait(set(inflight), timeout=wait_timeout,
+                                   return_when=FIRST_COMPLETED)
                 for future in done:
                     point = inflight.pop(future)
                     deadlines.pop(future, None)
@@ -611,7 +613,7 @@ class _Supervisor:
                     else:
                         self._record(point, result)
                 # Hung points: deadline passed and the future still runs.
-                now = clock()
+                now = time.monotonic()
                 overdue = [future for future, deadline in deadlines.items()
                            if now >= deadline and future in inflight]
                 for future in overdue:

@@ -301,6 +301,53 @@ def test_persistent_crashes_degrade_to_serial(monkeypatch, retries):
     assert faulted == serial
 
 
+def test_pool_breaking_at_submit_with_a_point_in_flight_recovers(
+        monkeypatch):
+    """A break seen by ``submit`` while another point is in flight.
+
+    The in-flight point's worker died, so its future fails and the next
+    submit raises.  That is one pool break: the supervisor settles the
+    in-flight point, respawns the pool and completes the grid.
+    """
+    from concurrent.futures import Future
+
+    import repro.experiments.scheduler as scheduler
+
+    grid = _grid()[:2]
+    serial = _dicts(run_grid(grid, jobs=2))
+    runner.clear_caches(disk=True)
+    warnonce.reset()
+
+    class InParentPool:
+        """Runs tasks in the parent; the first pool spawned is broken:
+        its first task fails and its second submit raises."""
+
+        spawned = 0
+
+        def __init__(self, workers):
+            InParentPool.spawned += 1
+            self.broken = InParentPool.spawned == 1
+            self.submits = 0
+
+        def submit(self, fn, *args):
+            self.submits += 1
+            future = Future()
+            if not self.broken:
+                future.set_result(fn(*args))
+            elif self.submits == 1:
+                future.set_exception(BrokenProcessPool("worker died"))
+            else:
+                raise BrokenProcessPool("worker died")
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(scheduler, "_spawn_pool", InParentPool)
+    assert _dicts(run_grid(grid, jobs=2)) == serial
+    assert InParentPool.spawned == 2
+
+
 def test_worker_failure_whose_inline_rerun_diverges_pins_reference(
         monkeypatch):
     """Pool failure -> inline re-run -> divergence -> reference engine.
