@@ -19,8 +19,6 @@ import time
 from conftest import OUTPUT_DIR, run_once
 
 from repro.config import BASELINE, PROMOTION, PROMOTION_PACKING, MachineConfig
-from repro.experiments import columns
-from repro.trace.bias_table import BranchBiasTable
 from repro.core.machine import Machine
 from repro.core.machine_reference import Machine as ReferenceMachine
 from repro.experiments import diskcache
@@ -49,128 +47,8 @@ MACHINE_CONFIGS = (
 MACHINE_REPEATS = 2
 
 
-def _scalar_census(oracle, program) -> dict:
-    """The row-by-row replay census :func:`columns.oracle_census` replaces."""
-    class_counts = [0] * 10
-    cond = taken_count = blocks = 0
-    touched = set()
-    for inst, taken, _next_pc in oracle:
-        op = inst.op
-        touched.add(inst.addr)
-        class_counts[op.commit_code] += 1
-        if taken is not None:
-            cond += 1
-            if taken:
-                taken_count += 1
-        if op.ends_fetch_block:
-            blocks += 1
-    return {
-        "dynamic_instructions": len(oracle),
-        "cond_branches": cond,
-        "taken_branches": taken_count,
-        "fetch_blocks": blocks,
-        "static_touched": len(touched),
-        "class_counts": class_counts,
-    }
-
-
-def _best_of(fn, repeats=3):
-    best_s, value = None, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best_s is None or elapsed < best_s:
-            best_s = elapsed
-    return best_s, value
-
-
-def _time_vector() -> dict:
-    """Scalar-vs-columnar throughput rows (the ``REPRO_VECTOR`` ledger).
-
-    Each row times the reference per-record walk against its columnar
-    replacement on the same stream and records the speedup — after
-    asserting both produce identical results, so a row can never get
-    fast by getting wrong.
-    """
-    section = {"enabled": columns.enabled(), "rows": []}
-    if not section["enabled"]:
-        return section
-    from repro.workloads.stats import (_characterize_columns,
-                                       _characterize_scalar)
-
-    def add_row(kind, benchmark, items, scalar_fn, vector_fn):
-        scalar_s, scalar_value = _best_of(scalar_fn)
-        vector_s, vector_value = _best_of(vector_fn)
-        assert scalar_value == vector_value, f"{kind}/{benchmark} diverged"
-        section["rows"].append({
-            "kind": kind,
-            "benchmark": benchmark,
-            "items": items,
-            "scalar_seconds": scalar_s,
-            "vector_seconds": vector_s,
-            "speedup": scalar_s / vector_s if vector_s else 0.0,
-        })
-
-    for name in BENCHMARKS:
-        program = runner.get_program(name)
-        n = runner.default_length(name)
-        rows = run_oracle(program, n)
-        oracle = tracefile.as_columns(rows)
-        addrs = columns.as_u32(oracle.addrs)
-        dirs = columns.as_u8(oracle.dirs)
-        columns.program_flags(program)  # build outside the timed region
-
-        add_row("oracle_replay", name, len(rows),
-                lambda: _scalar_census(rows, program),
-                lambda: columns.oracle_census(addrs, dirs, program))
-        add_row("workload_stats", name, n,
-                lambda: _characterize_scalar(program, n),
-                lambda: _characterize_columns(program, n))
-        add_row("segmentation", name, len(rows),
-                lambda: _scalar_block_histogram(rows),
-                lambda: columns.block_size_counter(addrs, program))
-
-        mask = columns.branch_mask(dirs)
-        pcs = addrs[mask]
-        takens = dirs[mask]
-        pcs_list = pcs.tolist()
-        takens_list = [bool(t) for t in takens.tolist()]
-
-        def scalar_bias():
-            table = BranchBiasTable(entries=1024, threshold=16)
-            update = table.update_fast
-            flags = bytes(update(pc, taken)
-                          for pc, taken in zip(pcs_list, takens_list))
-            return flags, table.promotions, table.demotions
-
-        def vector_bias():
-            table = BranchBiasTable(entries=1024, threshold=16)
-            flags = table.retire_bulk(pcs, takens)
-            return flags, table.promotions, table.demotions
-
-        add_row("bias_counting", name, len(pcs_list),
-                scalar_bias, vector_bias)
-    return section
-
-
-def _scalar_block_histogram(oracle):
-    """Per-record fetch-block segmentation (the stats.py reference loop)."""
-    from collections import Counter
-
-    histogram = Counter()
-    block_len = 0
-    for inst, _taken, _next_pc in oracle:
-        block_len += 1
-        if inst.op.ends_fetch_block:
-            histogram[min(block_len, 16)] += 1
-            block_len = 0
-    return histogram
-
-
 def _time_engine() -> dict:
-    report = {"schema": 2, "runs": [], "oracle": [], "result_cache": {},
-              "vector": {}}
+    report = {"schema": 3, "runs": [], "oracle": [], "result_cache": {}}
 
     # Raw simulation throughput: compute in-process, disk cache bypassed
     # so a warm cache cannot fake engine speed.
@@ -222,15 +100,6 @@ def _time_engine() -> dict:
     report["result_cache"]["warm_seconds"] = warm
     report["result_cache"]["disk_enabled"] = diskcache.enabled()
     report["result_cache"].update(diskcache.stats())
-
-    # Scalar-vs-columnar rows (oracle replay census, workload statistics,
-    # fetch-block segmentation, bias-table retirement counting).
-    os.environ["REPRO_DISK_CACHE"] = "0"
-    try:
-        runner.clear_caches()
-        report["vector"] = _time_vector()
-    finally:
-        os.environ.pop("REPRO_DISK_CACHE", None)
     return report
 
 
@@ -253,17 +122,6 @@ def bench_engine_throughput(benchmark, emit):
     lines.append(f"  result cache: cold {cache['cold_seconds']:.2f}s -> "
                  f"warm {cache['warm_seconds']:.3f}s "
                  f"({cache['entries']} entries on disk)")
-    vector = report["vector"]
-    if vector["enabled"]:
-        lines.append("Vectorized columns vs scalar reference (REPRO_VECTOR)")
-        for row in vector["rows"]:
-            lines.append(
-                f"  {row['kind']:<16} {row['benchmark']:<10}"
-                f" scalar {row['scalar_seconds']*1e3:8.1f}ms ->"
-                f" vector {row['vector_seconds']*1e3:8.1f}ms "
-                f" {row['speedup']:6.1f}x")
-    else:
-        lines.append("Vectorized columns: disabled (no numpy / REPRO_VECTOR=0)")
     emit("BENCH_engine", "\n".join(lines))
 
     # Structural assertions only — no machine-dependent throughput floors.
@@ -275,14 +133,6 @@ def bench_engine_throughput(benchmark, emit):
         # A warm fetch deserializes JSON instead of simulating: it must be
         # far cheaper than the cold run it replaces.
         assert cache["warm_seconds"] < cache["cold_seconds"] / 2
-    if vector["enabled"]:
-        # The vectorization contract: replacing a per-record Python walk
-        # with array passes must be a decisive win, not a wash.  2x is a
-        # deliberately loose floor (measured speedups are far higher);
-        # equality of results is asserted inside _time_vector itself.
-        for row in vector["rows"]:
-            if row["kind"] in ("oracle_replay", "workload_stats"):
-                assert row["speedup"] >= 2.0, row
 
 
 def _time_machine() -> dict:

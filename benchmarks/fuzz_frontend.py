@@ -27,19 +27,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import pathlib
 import sys
 
 if __name__ == "__main__":  # allow running without PYTHONPATH=src
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-try:  # the case samplers need numpy's Generator; ``--mode vector``
-    # degrades per-case (columns.available() is false without numpy),
-    # so the script itself must import cleanly on a numpy-free wheel.
-    import numpy as np
-except ImportError:  # pragma: no cover - no-numpy environments
-    np = None
+import numpy as np
 
 #: Profiles whose randomized variants the fuzzer samples — tight loops,
 #: interpreter-like call density, big-footprint code, and phase flips.
@@ -173,101 +167,6 @@ def run_one_machine(seed: int, length: int = DEFAULT_LENGTH) -> str:
     return f"{profile.name}/{config.describe()}/{warm}"
 
 
-def run_one_vector(seed: int, length: int = DEFAULT_LENGTH) -> str:
-    """One scalar-vs-columnar differential case; raises on divergence.
-
-    Drives every ``REPRO_VECTOR`` consumer both ways over the same
-    randomized program and configuration — workload statistics, the
-    branch-population profile, static-promotion profiling, bias-table
-    retirement counting, and the front-end simulator's batched predictor
-    training — and requires byte-identical outputs *including* dict
-    iteration order (site dicts feed ordered downstream consumers).
-    """
-    from repro.experiments import columns
-    from repro.frontend.simulator import FrontEndSimulator, compute_oracle
-    from repro.trace.bias_table import BranchBiasTable
-    from repro.validate.errors import DivergenceError
-    from repro.workloads.generator import generate_program
-
-    if not columns.available():
-        return "vector-skip (numpy unavailable)"
-
-    rng = np.random.default_rng(seed)
-    profile = random_profile(rng)
-    config = random_config(rng)
-    program = generate_program(profile, seed=seed)
-    oracle = compute_oracle(program, length)
-
-    def in_mode(flag, fn):
-        previous = os.environ.get("REPRO_VECTOR")
-        os.environ["REPRO_VECTOR"] = flag
-        try:
-            return fn()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_VECTOR", None)
-            else:
-                os.environ["REPRO_VECTOR"] = previous
-
-    def ordered(value):
-        """Structural repr that is sensitive to dict iteration order."""
-        if isinstance(value, dict):
-            return [(k, ordered(v)) for k, v in value.items()]
-        if isinstance(value, (list, tuple)):
-            return [ordered(v) for v in value]
-        return value
-
-    def check(label, fn):
-        vector = in_mode("1", fn)
-        scalar = in_mode("0", fn)
-        if ordered(vector) != ordered(scalar):
-            raise DivergenceError(
-                f"vector path diverged from scalar reference in {label}")
-
-    def stats_case():
-        from repro.workloads.stats import characterize
-        stats = characterize(program, length)
-        data = dataclasses.asdict(stats)
-        data["block_size_histogram"] = dict(stats.block_size_histogram)
-        return data
-
-    def profile_case():
-        from repro.analysis.branches import profile_branches
-        population = profile_branches(program, length)
-        return {addr: dataclasses.asdict(site)
-                for addr, site in population.sites.items()}
-
-    def promotion_case():
-        from repro.trace.static_promotion import profile_biased_branches
-        return {addr: dataclasses.asdict(promo) for addr, promo in
-                profile_biased_branches(program, length,
-                                        min_executions=8).items()}
-
-    def bias_case():
-        table = BranchBiasTable(entries=bias_entries,
-                                threshold=bias_threshold)
-        flags = table.retire_bulk(branch_pcs, branch_takens)
-        return (flags, table.promotions, table.demotions,
-                list(table._tags), list(table._counts), list(table._dirs),
-                list(table._promoted), list(table._promoted_dirs))
-
-    def simulator_case():
-        result = FrontEndSimulator(program, config, oracle=oracle).run()
-        return dataclasses.asdict(result.stats)
-
-    check("workloads.stats.characterize", stats_case)
-    check("analysis.branches.profile_branches", profile_case)
-    check("trace.static_promotion.profile_biased_branches", promotion_case)
-    branch_pcs = [inst.addr for inst, taken, _ in oracle if taken is not None]
-    branch_takens = [bool(taken) for _, taken, _ in oracle
-                     if taken is not None]
-    bias_entries = int(rng.choice([64, 1024, 8192]))
-    bias_threshold = int(rng.choice([4, 16, 64]))
-    check("trace.bias_table.retire_bulk", bias_case)
-    check("frontend.simulator batched training", simulator_case)
-    return f"{profile.name}/{config.describe()}/vector"
-
-
 def main(argv=None) -> int:
     from repro.validate.errors import DivergenceError
 
@@ -279,30 +178,18 @@ def main(argv=None) -> int:
     parser.add_argument("--length", type=int, default=DEFAULT_LENGTH,
                         help=f"instructions per case (default {DEFAULT_LENGTH})")
     parser.add_argument("--mode",
-                        choices=("frontend", "machine", "vector", "both"),
+                        choices=("frontend", "machine", "both"),
                         default="frontend",
                         help="which differential harness to drive: the "
                              "front-end lockstep, the machine-core parity "
-                             "check, the scalar-vs-columnar REPRO_VECTOR "
                              "check, or alternating frontend/machine "
                              "(default frontend)")
     args = parser.parse_args(argv)
 
-    if np is None and args.mode != "vector":
-        # Program generation itself requires numpy (an explicit
-        # RuntimeError in the generator), so the differential modes
-        # cannot run on a numpy-free wheel; say so instead of crashing.
-        print("fuzz_frontend: numpy unavailable; only --mode vector "
-              "(which degrades per-case) runs on a numpy-free install")
-        return 2
-
-    mode_names = {run_one: "frontend", run_one_machine: "machine",
-                  run_one_vector: "vector"}
+    mode_names = {run_one: "frontend", run_one_machine: "machine"}
     for i in range(args.runs):
         seed = args.seed_base + i
-        if args.mode == "vector":
-            case = run_one_vector
-        elif args.mode == "machine" or (args.mode == "both" and i % 2):
+        if args.mode == "machine" or (args.mode == "both" and i % 2):
             case = run_one_machine
         else:
             case = run_one

@@ -36,7 +36,8 @@ from repro import config as cfg
 from repro.config import CoreConfig, MachineConfig
 from repro.core.machine import Machine
 from repro.frontend.simulator import FrontEndSimulator
-from repro.report import format_bar_chart, format_table
+from repro.frontend.stats import FetchReason
+from repro.report import format_bar_chart, format_histogram, format_table
 from repro.trace.fill_unit import PackingPolicy
 from repro.workloads import generate_program
 from repro.workloads.profiles import BENCHMARK_NAMES, get_profile
@@ -261,10 +262,16 @@ def _render_experiment(name: str) -> int:
     elif name in ("fig4", "fig6"):
         config = cfg.BASELINE if name == "fig4" else cfg.PROMOTION
         data = paper.fetch_breakdown("gcc", config)
-        print(format_bar_chart({f"size {s}": f for (s, _r), f
-                                in sorted(data["histogram"].items())},
-                               title=f"{name}: gcc fetch sizes "
-                                     f"(avg {data['avg']:.2f})", fmt="{:6.3f}"))
+        sizes: dict = {}
+        for (size, _reason), fraction in data["histogram"].items():
+            sizes[size] = sizes.get(size, 0.0) + fraction
+        print(format_histogram(sizes, title=f"{name}: gcc fetch sizes "
+                                            f"(avg {data['avg']:.2f})"))
+        print()
+        reasons = data["reasons"]
+        print(format_bar_chart({r.value: reasons.get(r, 0.0) for r in FetchReason},
+                               title="termination reasons (fraction of fetches)",
+                               fmt="{:6.3f}"))
         return 0
     elif name == "fig7":
         rows = paper.figure7_rows()

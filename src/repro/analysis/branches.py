@@ -119,24 +119,7 @@ class BranchPopulation:
 
 def profile_branches(program: Program,
                      max_instructions: Optional[int] = 60_000) -> BranchPopulation:
-    """Run ``program`` functionally and profile every conditional branch.
-
-    Under ``REPRO_VECTOR`` (with numpy present) the profile is computed
-    from the oracle's direction column in a handful of array passes;
-    ``REPRO_VECTOR=0`` keeps the per-record executor walk.  Both produce
-    identical populations — site order, counts, and run structure.
-    """
-    from repro.experiments import columns
-
-    if columns.enabled():
-        return _profile_branches_columns(program, max_instructions)
-    return _profile_branches_scalar(program, max_instructions)
-
-
-def _profile_branches_scalar(
-        program: Program,
-        max_instructions: Optional[int]) -> BranchPopulation:
-    """The reference per-record walk (``REPRO_VECTOR=0``)."""
+    """Run ``program`` functionally and profile every conditional branch."""
     sites: Dict[int, BranchSiteProfile] = {}
     dynamic = 0
     executor = FunctionalExecutor(program, max_instructions=max_instructions)
@@ -148,63 +131,4 @@ def _profile_branches_scalar(
                 site = BranchSiteProfile(addr=dyn.inst.addr)
                 sites[dyn.inst.addr] = site
             site.record(bool(dyn.result.taken))
-    return BranchPopulation(sites=sites, dynamic_branches=dynamic)
-
-
-def _profile_branches_columns(
-        program: Program,
-        max_instructions: Optional[int]) -> BranchPopulation:
-    """Columnar profile: one sort + run-length pass over the branch column.
-
-    A site's outcome sequence is the oracle's branch stream filtered to
-    its address, so a stable sort by address followed by run-length
-    encoding yields every site's consecutive-run structure at once.  The
-    scalar ``record`` loop tracks the *first* maximal run (it only
-    replaces the champion on a strictly longer run), which ``argmax``
-    reproduces exactly.
-    """
-    from repro.experiments import columns, tracefile
-    from repro.frontend.simulator import compute_oracle
-
-    np = columns.np
-    oracle = tracefile.as_columns(compute_oracle(program, max_instructions))
-    addrs = columns.as_u32(oracle.addrs)
-    dirs = columns.as_u8(oracle.dirs)
-    mask = columns.branch_mask(dirs)
-    b_addrs = addrs[mask]
-    b_taken = dirs[mask]
-    dynamic = int(b_addrs.size)
-    sites: Dict[int, BranchSiteProfile] = {}
-    if not dynamic:
-        return BranchPopulation(sites=sites, dynamic_branches=0)
-    order = np.argsort(b_addrs, kind="stable")
-    s_addrs = b_addrs[order]
-    s_taken = b_taken[order]
-    # Runs break on site change or direction change; within one site the
-    # sorted order is retire order (stable sort), so these are exactly
-    # the consecutive same-direction runs the scalar walk counts.
-    run_starts, run_lengths, _ = columns.run_length_encode(
-        s_addrs.astype(np.int64) << 1 | s_taken)
-    run_addrs = s_addrs[run_starts]
-    run_taken = s_taken[run_starts]
-    site_breaks = np.flatnonzero(
-        np.concatenate(([True], run_addrs[1:] != run_addrs[:-1])))
-    site_ends = np.append(site_breaks[1:], run_starts.size)
-    by_addr: Dict[int, BranchSiteProfile] = {}
-    for lo, hi in zip(site_breaks.tolist(), site_ends.tolist()):
-        lens = run_lengths[lo:hi]
-        vals = run_taken[lo:hi]
-        champion = lo + int(np.argmax(lens))
-        addr = int(run_addrs[lo])
-        by_addr[addr] = BranchSiteProfile(
-            addr=addr,
-            executions=int(lens.sum()),
-            taken=int(lens[vals == 1].sum()),
-            longest_run=int(run_lengths[champion]),
-            longest_run_direction=bool(run_taken[champion]),
-            _current_run=int(run_lengths[hi - 1]),
-            _previous=bool(run_taken[hi - 1]),
-        )
-    for addr in columns.first_seen(b_addrs).tolist():
-        sites[int(addr)] = by_addr[int(addr)]
     return BranchPopulation(sites=sites, dynamic_branches=dynamic)

@@ -46,49 +46,6 @@ class SaturatingCounters:
         elif value > 0:
             self._table[index] = value - 1
 
-    def update_bulk(self, indices, takens) -> None:
-        """Apply a whole column of ``(index, taken)`` updates at once.
-
-        Exact-equivalent to calling :meth:`update` element by element:
-        different counters never interact, and one counter's updates are
-        order-dependent only through saturation — so a stable sort by
-        index followed by run-length collapse applies each maximal
-        same-direction run as a single clamped move.  (A bincount of
-        net direction would *not* be exact: ``+1,-1`` at the floor is
-        not ``0``.)  Falls back to the scalar loop without numpy or
-        under ``REPRO_VECTOR=0``.
-        """
-        from repro.experiments import columns
-
-        n = len(indices)
-        if n < 16 or not columns.enabled():
-            update = self.update
-            for index, taken in zip(indices, takens):
-                update(int(index), bool(taken))
-            return
-        np = columns.np
-        idx = np.asarray(indices, dtype=np.int64) % self.size
-        t = np.asarray(takens, dtype=np.uint8)
-        order = np.argsort(idx, kind="stable")
-        s_idx = idx[order]
-        s_t = t[order]
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(s_idx[1:], s_idx[:-1], out=change[1:])
-        change[1:] |= s_t[1:] != s_t[:-1]
-        starts = np.flatnonzero(change)
-        lengths = np.diff(np.append(starts, n))
-        table = self._table
-        cap = self.max_value
-        for start, length in zip(starts.tolist(), lengths.tolist()):
-            index = int(s_idx[start])
-            if s_t[start]:
-                value = table[index] + length
-                table[index] = value if value < cap else cap
-            else:
-                value = table[index] - length
-                table[index] = value if value > 0 else 0
-
     def storage_bits(self) -> int:
         """Hardware cost of this table in bits."""
         return self.size * self.bits

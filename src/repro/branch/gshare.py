@@ -33,10 +33,5 @@ class GsharePredictor:
         """Update using the index captured at prediction time."""
         self.counters.update(index, taken)
 
-    def update_bulk(self, indices, takens) -> None:
-        """Train a whole column of prediction-time indices at once
-        (run-collapsed; see :meth:`SaturatingCounters.update_bulk`)."""
-        self.counters.update_bulk(indices, takens)
-
     def storage_bits(self) -> int:
         return self.counters.storage_bits()

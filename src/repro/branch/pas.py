@@ -43,44 +43,5 @@ class PAsPredictor:
         slot = pc % self.bht_entries
         self._bht[slot] = ((self._bht[slot] << 1) | int(taken)) & self.history_mask
 
-    def update_bulk(self, pcs, indices, takens) -> None:
-        """Apply a whole column of retire updates at once.
-
-        The PHT side run-collapses like any counter table; the local
-        history registers collapse per BHT slot — only the last
-        ``history_bits`` outcomes of a slot survive ``L`` shift-ORs, so
-        each slot folds its outcome tail once instead of shifting per
-        retire.  Exact-equivalent to the scalar loop (which remains the
-        fallback without numpy / under ``REPRO_VECTOR=0``).
-        """
-        from repro.experiments import columns
-
-        n = len(pcs)
-        if n < 16 or not columns.enabled():
-            update = self.update
-            for pc, index, taken in zip(pcs, indices, takens):
-                update(int(pc), int(index), bool(taken))
-            return
-        self.counters.update_bulk(indices, takens)
-        np = columns.np
-        slots = np.asarray(pcs, dtype=np.int64) % self.bht_entries
-        t = np.asarray(takens, dtype=np.uint8)
-        order = np.argsort(slots, kind="stable")
-        s_slots = slots[order]
-        s_t = t[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], s_slots[1:] != s_slots[:-1])))
-        ends = np.append(starts[1:], n)
-        bht = self._bht
-        bits = self.history_bits
-        mask = self.history_mask
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            slot = int(s_slots[start])
-            length = end - start
-            value = bht[slot] if length < bits else 0
-            for bit in s_t[max(start, end - bits):end].tolist():
-                value = (value << 1) | bit
-            bht[slot] = value & mask
-
     def storage_bits(self) -> int:
         return self.counters.storage_bits() + self.bht_entries * self.history_bits

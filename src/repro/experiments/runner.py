@@ -155,9 +155,8 @@ def get_oracle(benchmark: str, n: Optional[int] = None) -> list:
         program = get_program(benchmark)
         oracle = tracefile.load_oracle(benchmark, n, program)
         if oracle is None:
-            # Memoize the column-carrying view: every bulk consumer of
-            # this stream (stores, vector scans, the machine batcher's
-            # shared resolution) then reuses one column build.
+            # Memoize the column-carrying view so the trace-file store
+            # reuses one column build.
             oracle = tracefile.as_columns(compute_oracle(program, n))
             tracefile.store_oracle(benchmark, n, oracle)
         _oracles[key] = oracle

@@ -57,7 +57,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments import columns, diskcache, env, warnonce
+from repro.experiments import diskcache, env, warnonce
 from repro.experiments.cachekey import canonical_json, code_fingerprint, profile_to_dict
 from repro.isa.program import Program
 
@@ -99,102 +99,13 @@ class OracleTrace(list):
     re-packing record by record.
     """
 
-    #: The lazy subclass below adds no slots of its own — every field
-    #: lives here so ``__class__`` reassignment (the materialize-once
-    #: trick) sees layout-compatible types.
-    __slots__ = ("addrs", "dirs", "next_pcs", "_count", "_program", "_buffer")
+    __slots__ = ("addrs", "dirs", "next_pcs")
 
     def __init__(self, rows, addrs, dirs, next_pcs):
         super().__init__(rows)
         self.addrs = addrs
         self.dirs = dirs
         self.next_pcs = next_pcs
-        self._count = None
-        self._program = None
-        self._buffer = None
-
-
-class LazyOracleTrace(OracleTrace):
-    """Mapped columns first, row tuples only on demand.
-
-    The vectorized load path (:func:`load_oracle` under ``REPRO_VECTOR``)
-    returns the three payload columns as zero-copy numpy views over the
-    trace file's mmap — nothing per-record happens at load time.  Bulk
-    consumers (column scans, re-stores, the machine batcher's shared
-    resolution) never touch rows at all; the first *row* access
-    materializes the whole tuple list in one C-level pass and then
-    reassigns ``__class__`` to the plain :class:`OracleTrace`, so every
-    subsequent ``oracle[i]`` is ordinary list indexing with zero
-    per-access overhead.  ``len()`` works without materializing.
-
-    Rows are built from ``.tolist()``/``bytes`` copies so they hold
-    plain ``int``/``bool``/``None`` values — numpy scalars must never
-    leak into the stream (consumers compare, hash and serialize row
-    fields).  The mmap stays referenced (``_buffer`` and the views'
-    ``base``) for the lifetime of the columns; it is opened
-    ``ACCESS_READ``, so the views are read-only and the file cannot be
-    mutated through them.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, count, addrs, dirs, next_pcs, program, buffer):
-        list.__init__(self, ())
-        self.addrs = addrs
-        self.dirs = dirs
-        self.next_pcs = next_pcs
-        self._count = count
-        self._program = program
-        self._buffer = buffer
-
-    def _materialize(self) -> None:
-        instructions = self._program.instructions
-        addrs = self.addrs
-        next_pcs = self.next_pcs
-        list.extend(self, zip(map(instructions.__getitem__, addrs.tolist()),
-                              map(_TAKEN.__getitem__, bytes(self.dirs)),
-                              next_pcs.tolist()))
-        self.__class__ = OracleTrace
-
-    def __len__(self):
-        return self._count
-
-    def __bool__(self):
-        return self._count > 0
-
-    def __getitem__(self, index):
-        self._materialize()
-        return list.__getitem__(self, index)
-
-    def __iter__(self):
-        self._materialize()
-        return list.__iter__(self)
-
-    def __reversed__(self):
-        self._materialize()
-        return list.__reversed__(self)
-
-    def __contains__(self, item):
-        self._materialize()
-        return list.__contains__(self, item)
-
-    def __eq__(self, other):
-        self._materialize()
-        return list.__eq__(self, other)
-
-    def __ne__(self, other):
-        self._materialize()
-        return list.__ne__(self, other)
-
-    __hash__ = None
-
-    def index(self, *args):
-        self._materialize()
-        return list.index(self, *args)
-
-    def count(self, *args):
-        self._materialize()
-        return list.count(self, *args)
 
 
 #: Bounded identity memo for :func:`as_columns` over *plain* row lists:
@@ -358,11 +269,7 @@ def load_oracle(benchmark: str, n: int,
                 program: Program) -> Optional[OracleTrace]:
     """Rebuild an oracle stream from its trace file, or None on miss.
 
-    The file is memory-mapped read-only.  Under ``REPRO_VECTOR`` (with
-    numpy present) the three payload columns are **zero-copy**
-    ``numpy.frombuffer`` views over the mapping and the returned
-    :class:`LazyOracleTrace` materializes row tuples only when a scalar
-    consumer first indexes one; otherwise the arrays are materialized
+    The file is memory-mapped read-only, the arrays are materialized
     with C-level ``array.frombytes`` copies and the stream's
     ``(instruction, taken, next_pc)`` tuples are rebuilt eagerly by
     indexing the shared code image (``instructions[a].addr == a``).
@@ -378,7 +285,6 @@ def load_oracle(benchmark: str, n: int,
             mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):
         return None
-    keep_mapped = False
     try:
         try:
             header = mm[:_HEADER.size]
@@ -396,26 +302,6 @@ def load_oracle(benchmark: str, n: int,
             if zlib.crc32(mm[a_off:end]) != crc:
                 raise ValueError("checksum mismatch")
             instructions = program.instructions
-            if columns.enabled():
-                # Zero-copy path: the three payload columns become
-                # read-only numpy views straight over the mapping (the
-                # mmap stays open for their lifetime — the views and the
-                # trace keep it referenced) and row tuples materialize
-                # only if a scalar consumer ever asks for one.
-                np = columns.np
-                u32 = np.dtype("<u4")
-                addrs_v = np.frombuffer(mm, dtype=u32, count=count,
-                                        offset=a_off)
-                dirs_v = np.frombuffer(mm, dtype=np.uint8, count=count,
-                                       offset=d_off)
-                next_v = np.frombuffer(mm, dtype=u32, count=count,
-                                       offset=p_off)
-                if count and (int(addrs_v.max()) >= len(instructions)
-                              or int(dirs_v.max()) > _NOT_BRANCH):
-                    raise ValueError("address or direction off the image")
-                keep_mapped = True
-                return LazyOracleTrace(count, addrs_v, dirs_v, next_v,
-                                       program, mm)
             addrs = array(_U32)
             next_pcs = array(_U32)
             addrs.frombytes(mm[a_off:d_off])
@@ -435,8 +321,7 @@ def load_oracle(benchmark: str, n: int,
                                    next_pcs),
                                addrs, dirs, next_pcs)
         finally:
-            if not keep_mapped:
-                mm.close()
+            mm.close()
     except (ValueError, struct.error) as problem:
         # One warning machine-wide (shared latch): in a worker pool every
         # process can trip over the same bad file at once, and N copies

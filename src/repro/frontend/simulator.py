@@ -137,20 +137,13 @@ class FrontEndSimulator:
         note_recovery = getattr(fill_unit, "note_recovery", None)
         engine_restore = engine.restore
         inactive_issue = getattr(engine, "inactive_issue", False)
-        # The fast paths bypass PredRecord and feed the predictor the raw
-        # (token, position) pair train_branch would have unpacked.
-        predictor = getattr(engine, "predictor", None)
-        predictor_update = predictor.update if predictor is not None else None
-        # Batched per-fetch training (REPRO_VECTOR): one update_batch call
-        # flushes a compiled plan's whole training record instead of one
-        # Python call per branch.  Counter movements are identical, so
-        # REPRO_VECTOR=0 (which keeps the per-branch loop) is a pure
-        # parity surface for the differential fuzzer.  Local import: the
-        # experiments package initializes through this module.
-        from repro.experiments import columns
-        predictor_train = None
-        if predictor is not None and columns.enabled():
-            predictor_train = getattr(predictor, "update_batch", None)
+        # The fast paths bypass PredRecord: one update_batch call flushes
+        # a compiled plan's whole training record (the raw (token,
+        # position) pairs train_branch would have unpacked) instead of
+        # one Python call per branch.  Only the multiple-branch
+        # predictors serve variants, and both define update_batch.
+        predictor_train = getattr(getattr(engine, "predictor", None),
+                                  "update_batch", None)
         indirect_update = engine.indirect.update
         ghr_mask = engine.ghr.mask
         arch_ras = self._arch_ras
@@ -209,12 +202,7 @@ class FrontEndSimulator:
                                                 oracle[i_end - 1][2])
                             train_meta = variant.train_meta
                             if train_meta:
-                                tokens = result.pred_tokens
-                                if predictor_train is not None:
-                                    predictor_train(tokens, train_meta)
-                                else:
-                                    for k, (path, taken) in enumerate(train_meta):
-                                        predictor_update(tokens[k], k, path, taken)
+                                predictor_train(result.pred_tokens, train_meta)
                             var_counts[variant] = var_counts.get(variant, 0) + 1
                             useful_fetches += 1
                             i = i_end
@@ -247,12 +235,7 @@ class FrontEndSimulator:
                             indirect_update(variant.last_addr, oracle[i_end - 1][2])
                         train_meta = variant.train_meta
                         if train_meta:
-                            tokens = result.pred_tokens
-                            if predictor_train is not None:
-                                predictor_train(tokens, train_meta)
-                            else:
-                                for k, (path, taken) in enumerate(train_meta):
-                                    predictor_update(tokens[k], k, path, taken)
+                            predictor_train(result.pred_tokens, train_meta)
                         var_counts[variant] = var_counts.get(variant, 0) + 1
                         useful_fetches += 1
                         i = i_end
@@ -286,13 +269,8 @@ class FrontEndSimulator:
                                             | prefix.ghr_bits) & ghr_mask
                             if prefix.ras_pushes:
                                 arch_ras.extend(prefix.ras_pushes)
-                            tokens = result.pred_tokens
-                            if predictor_train is not None:
-                                predictor_train(tokens, prefix.train_meta)
-                            else:
-                                for k, (path, taken) in enumerate(
-                                        prefix.train_meta):
-                                    predictor_update(tokens[k], k, path, taken)
+                            predictor_train(result.pred_tokens,
+                                            prefix.train_meta)
                             mis_key = (prefix, result.predictions_used)
                             mis_counts[mis_key] = mis_counts.get(mis_key, 0) + 1
                             useful_fetches += 1
@@ -347,16 +325,9 @@ class FrontEndSimulator:
                                 # Only the branches the fetch actually
                                 # predicted train (the inactive remainder
                                 # carries no prediction records).
-                                tokens = result.pred_tokens
-                                train_meta = vstar.train_meta
-                                if predictor_train is not None:
-                                    predictor_train(
-                                        tokens, train_meta[:variant.n_dyn])
-                                else:
-                                    for k in range(variant.n_dyn):
-                                        path, taken = train_meta[k]
-                                        predictor_update(
-                                            tokens[k], k, path, taken)
+                                predictor_train(
+                                    result.pred_tokens,
+                                    vstar.train_meta[:variant.n_dyn])
                                 mis_key = (vstar, result.predictions_used)
                                 mis_counts[mis_key] = (
                                     mis_counts.get(mis_key, 0) + 1)

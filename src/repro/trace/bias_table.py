@@ -149,119 +149,6 @@ class BranchBiasTable:
             return False
         return True
 
-    def retire_bulk(self, pcs, takens) -> bytes:
-        """Retire a whole column of conditional-branch outcomes at once.
-
-        ``pcs``/``takens`` are parallel sequences (lists or numpy
-        arrays) in retire order; the return value is one byte per
-        element — exactly what :meth:`update_fast` would have returned
-        for it — and the table state and promotion/demotion counters
-        finish byte-identical to the sequential loop.
-
-        Vectorized strategy: slots are independent, so a stable sort by
-        slot groups each slot's outcome sequence contiguously *in retire
-        order*; within a group, maximal same-``(pc, taken)`` runs
-        collapse to O(1) state-machine advances (:meth:`_advance_run`) —
-        the promotion counter semantics are run-structured, so a biased
-        stream costs a handful of run steps per site instead of one
-        Python call per dynamic branch.  Falls back to the sequential
-        loop without numpy/``REPRO_VECTOR`` or for tiny inputs.
-        """
-        from repro.experiments import columns
-
-        n = len(pcs)
-        if n < 16 or not columns.enabled():
-            out = bytearray(n)
-            update = self.update_fast
-            for i, (pc, taken) in enumerate(zip(pcs, takens)):
-                if update(int(pc), bool(taken)):
-                    out[i] = 1
-            return bytes(out)
-        np = columns.np
-        pcs_a = np.asarray(pcs, dtype=np.int64)
-        t_a = np.asarray(takens, dtype=np.uint8)
-        # Same pc -> same slot, so runs only break where pc or direction
-        # changes; the stable slot sort keeps each slot's retire order.
-        order = np.argsort(pcs_a % self.entries, kind="stable")
-        s_pcs = pcs_a[order]
-        s_t = t_a[order]
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(s_pcs[1:], s_pcs[:-1], out=change[1:])
-        change[1:] |= s_t[1:] != s_t[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        flags_sorted = np.zeros(n, dtype=np.uint8)
-        advance = self._advance_run
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            not_promoted = advance(int(s_pcs[start]), int(s_t[start]),
-                                   end - start)
-            if start + not_promoted < end:
-                flags_sorted[start + not_promoted:end] = 1
-        out = np.zeros(n, dtype=np.uint8)
-        out[order] = flags_sorted
-        return out.tobytes()
-
-    def _advance_run(self, pc: int, t: int, length: int) -> int:
-        """Advance one slot through ``length`` retires of ``(pc, t)``.
-
-        Returns how many of the run's retires came back *not* promoted;
-        within a constant-``(pc, t)`` run the :meth:`update_fast` return
-        values are always a (possibly empty) False prefix followed by
-        Trues — promotion in direction ``t`` can only latch, never
-        unlatch, while ``t`` keeps retiring.  Transition events (alloc,
-        direction flip, demotion) take exact scalar steps; the two
-        steady states (counting up not-promoted, or promoted in
-        direction ``t``) collapse closed-form, using the state-machine
-        invariant that a not-promoted resident entry counting in its own
-        direction promotes at the first retire that reaches the
-        threshold.
-        """
-        slot = pc % self.entries
-        tags = self._tags
-        counts = self._counts
-        dirs = self._dirs
-        promoted = self._promoted
-        pdirs = self._promoted_dirs
-        taken = bool(t)
-        update = self.update_fast  # honors the checked wrapper when armed
-        done = 0
-        not_promoted = 0
-        while done < length:
-            if tags[slot] == pc and dirs[slot] == t:
-                remaining = length - done
-                if not promoted[slot]:
-                    # Counting up toward promotion.  need = index (1-based
-                    # within the remainder) of the first promoting retire;
-                    # the max(1, ...) covers threshold=1 right after an
-                    # allocation, where the count already sits at the
-                    # threshold but the allocating retire returned False.
-                    need = self.threshold - counts[slot]
-                    if need < 1:
-                        need = 1
-                    if remaining < need:
-                        counts[slot] += remaining
-                        return not_promoted + remaining
-                    count = counts[slot] + remaining
-                    counts[slot] = count if count < self.count_cap \
-                        else self.count_cap
-                    promoted[slot] = 1
-                    pdirs[slot] = t
-                    self.promotions += 1
-                    return not_promoted + need - 1
-                if pdirs[slot] == t:
-                    # Steady promoted state: every retire comes back True.
-                    count = counts[slot] + remaining
-                    counts[slot] = count if count < self.count_cap \
-                        else self.count_cap
-                    return not_promoted
-            # Transition event (allocation, flip, demotion bookkeeping):
-            # one exact scalar step; a steady state follows within <= 2.
-            if not update(pc, taken):
-                not_promoted += 1
-            done += 1
-        return not_promoted
-
     def _update_fast_checked(self, pc: int, taken: bool) -> bool:
         """:meth:`update_fast` plus the promoted-consistency invariant."""
         promoted = BranchBiasTable.update_fast(self, pc, taken)

@@ -47,33 +47,15 @@ def profile_biased_branches(
     """
     if not 0.5 < bias_threshold <= 1.0:
         raise ValueError("bias_threshold must be in (0.5, 1.0]")
-    from repro.experiments import columns
-
-    if columns.enabled():
-        # Columnar profile: count per-site executions and taken outcomes
-        # with two first-seen-ordered bincount passes over the oracle's
-        # branch column instead of a per-record executor walk.
-        from repro.experiments import tracefile
-        from repro.frontend.simulator import compute_oracle
-
-        oracle = tracefile.as_columns(compute_oracle(program, max_instructions))
-        addrs = columns.as_u32(oracle.addrs)
-        dirs = columns.as_u8(oracle.dirs)
-        sites, counts = columns.site_counts(addrs[columns.branch_mask(dirs)])
-        executions = dict(zip(sites.tolist(), counts.tolist()))
-        sites, counts = columns.site_counts(addrs[dirs == 1])
-        taken = dict(zip(sites.tolist(), counts.tolist()))
-    else:
-        executions = {}
-        taken = {}
-        executor = FunctionalExecutor(program,
-                                      max_instructions=max_instructions)
-        for dyn in executor.run():
-            if dyn.inst.op.is_cond_branch:
-                addr = dyn.inst.addr
-                executions[addr] = executions.get(addr, 0) + 1
-                if dyn.result.taken:
-                    taken[addr] = taken.get(addr, 0) + 1
+    executions: Dict[int, int] = {}
+    taken: Dict[int, int] = {}
+    executor = FunctionalExecutor(program, max_instructions=max_instructions)
+    for dyn in executor.run():
+        if dyn.inst.op.is_cond_branch:
+            addr = dyn.inst.addr
+            executions[addr] = executions.get(addr, 0) + 1
+            if dyn.result.taken:
+                taken[addr] = taken.get(addr, 0) + 1
 
     promotions: Dict[int, StaticPromotion] = {}
     for addr, count in executions.items():

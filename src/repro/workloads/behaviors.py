@@ -27,10 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import List
 
-try:  # only annotations and the caller-provided rng touch numpy here
-    import numpy as np
-except ImportError:  # pragma: no cover - no-numpy environments
-    np = None
+import numpy as np
 
 
 class BranchKind(enum.Enum):

@@ -36,11 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-try:  # numpy backs the generator's RNG; the import error is deferred to
-    # WorkloadGenerator so the package stays importable without numpy.
-    import numpy as np
-except ImportError:  # pragma: no cover - no-numpy environments
-    np = None
+import numpy as np
 
 from repro.isa.executor import STACK_BASE
 from repro.isa.opcodes import Opcode
@@ -73,10 +69,6 @@ class WorkloadGenerator:
     """Generates one program from a profile; retains site metadata."""
 
     def __init__(self, profile: BenchmarkProfile, seed: Optional[int] = None):
-        if np is None:
-            raise RuntimeError(
-                "workload generation requires numpy (install the [vector] "
-                "extra or numpy itself)")
         self.profile = profile
         self.rng = np.random.default_rng(profile.seed if seed is None else seed)
         self.code = CodeBuilder()

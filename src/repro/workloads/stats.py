@@ -11,8 +11,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.experiments import columns
-from repro.isa.executor import FunctionalExecutor, run_oracle
+from repro.isa.executor import FunctionalExecutor
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 
@@ -82,62 +81,7 @@ class WorkloadStats:
 
 
 def characterize(program: Program, max_instructions: Optional[int] = 50_000) -> WorkloadStats:
-    """Run ``program`` functionally and collect :class:`WorkloadStats`.
-
-    Under ``REPRO_VECTOR`` (the default, numpy present) the statistics
-    come from column scans over the inlined oracle interpreter's stream;
-    otherwise the original per-record walk runs.  Both paths produce
-    identical stats — the differential fuzzer's vector mode checks them
-    against each other.
-    """
-    if columns.enabled():
-        return _characterize_columns(program, max_instructions)
-    return _characterize_scalar(program, max_instructions)
-
-
-def _characterize_columns(program: Program,
-                          max_instructions: Optional[int]) -> WorkloadStats:
-    """Vectorized :func:`characterize`: one flag gather + bincounts.
-
-    The dynamic stream still comes from the (Python) oracle interpreter,
-    but every per-record statistic — class counts, per-site execution
-    and taken tallies, fetch-block segmentation, the block-size
-    histogram — is a single array pass over the stream's columns.
-    """
-    from repro.experiments.tracefile import as_columns
-
-    np = columns.np
-    oracle = as_columns(run_oracle(program, max_instructions))
-    addrs = columns.as_u32(oracle.addrs)
-    dirs = columns.as_u8(oracle.dirs)
-    stats = WorkloadStats(name=program.name, static_total=len(program))
-    stats.dynamic_instructions = int(addrs.size)
-    stats.static_touched = int(np.unique(addrs).size)
-    commit = columns.program_flags(program).commit_codes[addrs]
-    class_counts = np.bincount(commit, minlength=10).tolist()
-    # Commit-code order: STORE=1, LOAD=2, COND_BRANCH=3, CALL=4,
-    # RETURN=5, INDIRECT=6, TRAP=7 (see repro.isa.opcodes._COMMIT_CODE).
-    stats.stores = int(class_counts[1])
-    stats.loads = int(class_counts[2])
-    stats.cond_branches = int(class_counts[3])
-    stats.calls = int(class_counts[4])
-    stats.returns = int(class_counts[5])
-    stats.indirect_jumps = int(class_counts[6])
-    stats.traps = int(class_counts[7])
-    stats.taken_branches = int(np.count_nonzero(dirs == 1))
-    sites, counts = columns.site_counts(addrs[columns.branch_mask(dirs)])
-    stats.site_executions = dict(zip(sites.tolist(), counts.tolist()))
-    sites, counts = columns.site_counts(addrs[dirs == 1])
-    stats.site_taken = dict(zip(sites.tolist(), counts.tolist()))
-    sizes = columns.fetch_block_sizes(addrs, program)
-    stats.fetch_blocks = int(sizes.size)
-    stats.block_size_histogram = columns.block_size_counter(addrs, program)
-    return stats
-
-
-def _characterize_scalar(program: Program,
-                         max_instructions: Optional[int]) -> WorkloadStats:
-    """The reference per-record statistics walk (``REPRO_VECTOR=0``)."""
+    """Run ``program`` functionally and collect :class:`WorkloadStats`."""
     stats = WorkloadStats(name=program.name, static_total=len(program))
     executor = FunctionalExecutor(program, max_instructions=max_instructions)
     touched = set()

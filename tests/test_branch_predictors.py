@@ -1,5 +1,7 @@
 """Branch prediction structures: counters, gshare, PAs, hybrid, multiple."""
 
+import random
+
 import pytest
 
 from repro.branch import (
@@ -234,6 +236,32 @@ def test_split_predictor_uses_separate_tables():
 def test_split_predictor_paper_sizing():
     predictor = SplitMultiplePredictor()  # 64K/16K/8K counters
     assert predictor.storage_bits() == ((1 << 16) + (1 << 14) + (1 << 13)) * 2
+
+
+@pytest.mark.parametrize("which", ["tree", "split"])
+def test_multiple_update_batch_parity(which):
+    """update_batch moves the same counters as per-branch update."""
+    def build():
+        if which == "tree":
+            return MultipleBranchPredictor(rows_bits=8)
+        return SplitMultiplePredictor(table_bits=(8, 7, 6), history_bits=7)
+
+    def state(predictor):
+        if which == "tree":
+            return bytes(predictor._table)
+        return tuple(bytes(t.counters._table) for t in predictor.tables)
+
+    rng = random.Random(13)
+    sequential, batched = build(), build()
+    for _ in range(2_000):
+        count = rng.randrange(1, 4)
+        path = tuple(rng.random() < 0.5 for _ in range(2))
+        metas = [(path[:k], rng.random() < 0.6) for k in range(count)]
+        tokens = tuple(rng.randrange(1 << 6) for _ in range(3))
+        for k, (p, taken) in enumerate(metas):
+            sequential.update(tokens[k], k, p, taken)
+        batched.update_batch(tokens, metas)
+        assert state(batched) == state(sequential)
 
 
 # --- RAS -----------------------------------------------------------------------

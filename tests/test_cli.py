@@ -74,6 +74,25 @@ def test_experiment_command_runs(capsys, monkeypatch):
         runner.clear_caches()
 
 
+@pytest.mark.parametrize("name", ["fig4", "fig6"])
+def test_fetch_breakdown_figures_render(capsys, monkeypatch, name):
+    """Figures 4 and 6: the per-size histogram plus every termination reason."""
+    import repro.experiments.runner as runner
+    from repro.frontend.stats import FetchReason
+
+    monkeypatch.setattr(runner, "default_length", lambda b: 5000)
+    monkeypatch.setattr(runner, "machine_length", lambda b: 2000)
+    runner.clear_caches()
+    try:
+        assert main(["experiment", name]) == 0
+        out = capsys.readouterr().out
+        assert "gcc fetch sizes" in out
+        for reason in FetchReason:
+            assert reason.value in out
+    finally:
+        runner.clear_caches()
+
+
 def test_config_names_resolve():
     for name, config in CONFIGS.items():
         assert config.kind in ("tc", "icache"), name

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -74,6 +75,19 @@ def test_lengths_do_not_collide():
     assert len(tracefile.load_oracle("compress", N // 2, program)) == N // 2
 
 
+def test_as_columns_memoizes_plain_lists(loop_program):
+    rows = list(compute_oracle(loop_program, 500))
+    assert type(rows) is list
+    first = tracefile.as_columns(rows)
+    assert tracefile.as_columns(rows) is first  # cached build
+    tracefile.clear_column_memo()
+    rebuilt = tracefile.as_columns(rows)
+    assert rebuilt is not first
+    assert bytes(rebuilt.dirs) == bytes(first.dirs)
+    # An OracleTrace passes through untouched.
+    assert tracefile.as_columns(first) is first
+
+
 # --- corruption and version recovery (mirrors the result cache's rules) ------
 
 
@@ -120,6 +134,23 @@ def test_bit_flip_fails_checksum_and_recovers():
 def test_garbage_file_is_discarded():
     path = _stored_path()
     path.write_bytes(b"definitely not a trace file")
+    assert tracefile.load_oracle("compress", N, runner.get_program("compress")) is None
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("column", ["address", "direction"])
+def test_checksummed_payload_off_the_image_is_discarded(column):
+    """A payload that passes the CRC but names an address past the code
+    image, or a direction byte other than 0/1/2, is still a miss."""
+    path = _stored_path()
+    raw = bytearray(path.read_bytes())
+    header = struct.calcsize("<4sIQII")
+    if column == "address":
+        raw[header:header + 4] = struct.pack("<I", 0xFFFFFFFF)
+    else:
+        raw[header + 4 * N] = 7
+    raw[header - 4:header] = struct.pack("<I", zlib.crc32(raw[header:]))
+    path.write_bytes(bytes(raw))
     assert tracefile.load_oracle("compress", N, runner.get_program("compress")) is None
     assert not path.exists()
 
