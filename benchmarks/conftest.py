@@ -5,7 +5,9 @@ figures, prints it, saves it under ``benchmarks/output/``, and asserts the
 qualitative shape the paper reports.  Timings come from pytest-benchmark
 (one round: these are simulations, not microbenchmarks).
 
-Set ``REPRO_QUICK=1`` for a fast pass at quarter-length runs.
+Set ``REPRO_QUICK=1`` for a fast pass at quarter-length runs.  To time
+the simulations themselves rather than cache loads, point
+``REPRO_CACHE_DIR`` at a fresh empty directory.
 """
 
 import os
@@ -45,20 +47,4 @@ def emit():
 def _announce_scale():
     if os.environ.get("REPRO_QUICK"):
         print("\n[repro] REPRO_QUICK=1: quarter-length simulation runs\n")
-    yield
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _cold_cache_if_requested():
-    """``REPRO_COLD=1``: purge the persistent result cache up front.
-
-    By default the harness benefits from the on-disk cache (re-running a
-    figure after an unrelated edit is instant); set ``REPRO_COLD=1`` when
-    the point is to *time* the simulations themselves.
-    """
-    if os.environ.get("REPRO_COLD"):
-        from repro.experiments import clear_caches
-
-        clear_caches(disk=True)
-        print("\n[repro] REPRO_COLD=1: purged the on-disk result cache\n")
     yield

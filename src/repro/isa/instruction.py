@@ -23,6 +23,40 @@ REG_LINK = 31
 INST_BYTES = 4
 
 
+#: Dataflow shape markers for :data:`_SHAPES`.
+_RS1 = "rs1"
+_RS1_RS2 = "rs1, rs2"
+_RD = "rd"
+
+
+def _shape(op: Opcode) -> tuple:
+    """``(sources, destination, needs target)`` for one opcode.
+
+    ``sources`` is :data:`_RS1`, :data:`_RS1_RS2` (r0 dropped when the
+    instruction is built) or a fixed register tuple; ``destination`` is
+    :data:`_RD` (None when rd is r0), a fixed register or None.
+    """
+    if op in REG3_OPS or op in BRANCH_OPS or op is Opcode.ST:
+        sources = _RS1_RS2  # ST reads its address base and its data
+    elif op in REG_IMM_OPS or op is Opcode.LD or op is Opcode.JR:
+        sources = _RS1
+    elif op is Opcode.RET:
+        sources = (REG_LINK,)
+    else:
+        sources = ()
+    if op in REG3_OPS or op in REG_IMM_OPS or op in (Opcode.LD, Opcode.LUI):
+        dest = _RD
+    elif op is Opcode.CALL:
+        dest = REG_LINK
+    else:
+        dest = None
+    return sources, dest, op.is_direct_control
+
+
+#: Per-opcode dataflow shape, read once per instruction built.
+_SHAPES = {op: _shape(op) for op in Opcode}
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One static instruction.
@@ -50,15 +84,28 @@ class Instruction:
     target: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("rd", "rs1", "rs2"):
-            value = getattr(self, name)
-            if not 0 <= value < NUM_REGS:
-                raise ValueError(f"{name}={value} out of range for {self.op.mnemonic}")
-        if self.op.is_direct_control and self.target is None:
+        rd, rs1, rs2 = self.rd, self.rs1, self.rs2
+        if not (0 <= rd < NUM_REGS and 0 <= rs1 < NUM_REGS and 0 <= rs2 < NUM_REGS):
+            for name, value in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
+                if not 0 <= value < NUM_REGS:
+                    raise ValueError(f"{name}={value} out of range for {self.op.mnemonic}")
+        sources, dest, direct = _SHAPES[self.op]
+        if direct and self.target is None:
             raise ValueError(f"{self.op.mnemonic} at {self.addr} requires a target")
         # Cache the dataflow queries; they run in the dispatch hot path.
-        object.__setattr__(self, "_srcs", self._compute_src_regs())
-        object.__setattr__(self, "_dest", self._compute_dest_reg())
+        if sources is _RS1_RS2:
+            if rs1 != REG_ZERO:
+                srcs = (rs1, rs2) if rs2 != REG_ZERO else (rs1,)
+            else:
+                srcs = (rs2,) if rs2 != REG_ZERO else ()
+        elif sources is _RS1:
+            srcs = (rs1,) if rs1 != REG_ZERO else ()
+        else:
+            srcs = sources
+        if dest is _RD:
+            dest = rd if rd != REG_ZERO else None
+        object.__setattr__(self, "_srcs", srcs)
+        object.__setattr__(self, "_dest", dest)
 
     # --- dataflow helpers ------------------------------------------------
 
@@ -74,28 +121,6 @@ class Instruction:
     def dest_reg(self) -> Optional[int]:
         """Architectural register this instruction writes, or None."""
         return self._dest
-
-    def _compute_src_regs(self) -> tuple:
-        op = self.op
-        if op in REG3_OPS or op in BRANCH_OPS:
-            srcs = (self.rs1, self.rs2)
-        elif op in REG_IMM_OPS or op is Opcode.LD or op is Opcode.JR:
-            srcs = (self.rs1,)
-        elif op is Opcode.ST:
-            srcs = (self.rs1, self.rs2)  # address base, data
-        elif op is Opcode.RET:
-            srcs = (REG_LINK,)
-        else:
-            srcs = ()
-        return tuple(r for r in srcs if r != REG_ZERO)
-
-    def _compute_dest_reg(self) -> Optional[int]:
-        op = self.op
-        if op in REG3_OPS or op in REG_IMM_OPS or op in (Opcode.LD, Opcode.LUI):
-            return self.rd if self.rd != REG_ZERO else None
-        if op is Opcode.CALL:
-            return REG_LINK
-        return None
 
     # --- presentation -----------------------------------------------------
 

@@ -9,7 +9,8 @@ labels in one pass at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.instruction import Instruction
@@ -20,14 +21,14 @@ from repro.isa.program import Program
 Target = Union[int, str]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     op: Opcode
-    rd: int = 0
-    rs1: int = 0
-    rs2: int = 0
-    imm: Union[int, str] = 0  # str = data label, resolved to a word address
-    target: Optional[Target] = None
+    rd: int
+    rs1: int
+    rs2: int
+    imm: Union[int, str]  # str = data label, resolved to a word address
+    target: Optional[Target]
 
 
 class CodeBuilder:
@@ -65,9 +66,9 @@ class CodeBuilder:
     def emit(self, op: Opcode, rd: int = 0, rs1: int = 0, rs2: int = 0,
              imm: Union[int, str] = 0, target: Optional[Target] = None) -> int:
         """Append one instruction; returns its address."""
-        addr = self.here
-        self._pending.append(_Pending(op=op, rd=rd, rs1=rs1, rs2=rs2, imm=imm, target=target))
-        return addr
+        pending = self._pending
+        pending.append(_Pending(op, rd, rs1, rs2, imm, target))
+        return len(pending) - 1
 
     def addi(self, rd: int, rs1: int, imm: Union[int, str]) -> int:
         return self.emit(Opcode.ADDI, rd=rd, rs1=rs1, imm=imm)
@@ -100,22 +101,21 @@ class CodeBuilder:
     def resolve(self) -> Tuple[List[Instruction], Dict[str, int]]:
         """Resolve all labels; returns (instructions, symbols)."""
         instructions: List[Instruction] = []
+        append = instructions.append
+        symbols = self._symbols
         for addr, pend in enumerate(self._pending):
             target = pend.target
             if isinstance(target, str):
-                if target not in self._symbols:
+                if target not in symbols:
                     raise ValueError(f"undefined code label {target!r} at {addr}")
-                target = self._symbols[target]
+                target = symbols[target]
             imm = pend.imm
             if isinstance(imm, str):
                 raise ValueError(
                     f"unresolved data label {imm!r} at {addr}; bind data labels before resolve()"
                 )
-            instructions.append(
-                Instruction(addr=addr, op=pend.op, rd=pend.rd, rs1=pend.rs1,
-                            rs2=pend.rs2, imm=imm, target=target)
-            )
-        return instructions, dict(self._symbols)
+            append(Instruction(addr, pend.op, pend.rd, pend.rs1, pend.rs2, imm, target))
+        return instructions, dict(symbols)
 
     def bind_data_labels(self, data_symbols: Dict[str, int]) -> None:
         """Replace string immediates with data word addresses."""
@@ -143,21 +143,26 @@ class DataBuilder:
     def cursor(self) -> int:
         return self._cursor
 
-    def array(self, name: str, values: Sequence[int]) -> int:
-        """Place a labelled word array; returns its word address."""
+    def array(self, name: str, values: Sequence[int], size: Optional[int] = None) -> int:
+        """Place a labelled word array; returns its word address.
+
+        ``size`` pads the array with zero words past ``values`` up to that
+        length.  Zero words stay out of the data image.
+        """
         if name in self._symbols:
             raise ValueError(f"data label {name!r} already placed")
+        length = len(values) if size is None else size
+        if length < len(values):
+            raise ValueError(f"data array {name!r}: size {size} < {len(values)} values")
         base = self._cursor
         self._symbols[name] = base
-        for offset, value in enumerate(values):
-            if value:
-                self._data[base + offset] = int(value)
-        self._cursor += len(values)
+        self._data.update(filter(itemgetter(1), enumerate(map(int, values), base)))
+        self._cursor += length
         return base
 
     def space(self, name: str, count: int) -> int:
         """Reserve ``count`` zeroed words under ``name``."""
-        return self.array(name, [0] * count)
+        return self.array(name, (), size=count)
 
     def jump_table(self, name: str, case_labels: Sequence[str]) -> int:
         """Place a table of code addresses, patched after code layout."""

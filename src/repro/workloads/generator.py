@@ -33,8 +33,9 @@ r30    stack pointer, r31 link register
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +53,25 @@ from repro.workloads.profiles import BenchmarkProfile, get_profile
 
 _SCRATCH = list(range(1, 9))
 _ACCUMULATORS = list(range(20, 28))
+_INDEX_REGS = _SCRATCH[:4]
+_VALUE_REGS = _SCRATCH[4:]
+_SOURCE_REGS = _SCRATCH + _ACCUMULATORS
 _ALU_OPS = [Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR]
 _BIASED_BRANCH_OPS = [Opcode.BNE, Opcode.BEQ]
+
+
+def _cdf(weights) -> List[float]:
+    """Normalised cumulative weights, computed as ``Generator.choice`` does."""
+    cdf = np.asarray(weights, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+# Skew correlated-branch thresholds toward the extremes: most correlated
+# branches are biased (crossed rarely by the value walk), a minority are
+# mid-range.
+_THRESHOLDS = [1, 2, 3, 4, 5, 6, 7]
+_THRESHOLD_CDF = _cdf([0.28, 0.17, 0.05, 0.0, 0.05, 0.17, 0.28])
 
 
 @dataclass
@@ -79,8 +97,8 @@ class WorkloadGenerator:
         self._ctx_counter = 0
         self._current_ctx = None  # (label, period) of the active context array
         self._kinds = list(profile.bias_mix.keys())
-        self._kind_weights = np.array([profile.bias_mix[k] for k in self._kinds])
-        self._kind_weights = self._kind_weights / self._kind_weights.sum()
+        kind_weights = np.array([profile.bias_mix[k] for k in self._kinds])
+        self._kind_cdf = _cdf(kind_weights / kind_weights.sum())
         self._ws_mask = profile.working_set_words - 1
         if profile.working_set_words & self._ws_mask:
             raise ValueError("working_set_words must be a power of two")
@@ -90,11 +108,9 @@ class WorkloadGenerator:
     def generate(self) -> Program:
         """Build and return the complete program."""
         profile = self.profile
-        self.data.array(
-            "work",
-            [int(v) for v in self.rng.integers(0, 256, size=min(profile.working_set_words, 1 << 16))]
-            + [0] * max(0, profile.working_set_words - (1 << 16)),
-        )
+        words = profile.working_set_words
+        self.data.array("work", self.rng.integers(0, 256, size=min(words, 1 << 16)).tolist(),
+                        size=words)
 
         utility_labels = self._build_utilities()
         phase_labels = [
@@ -103,6 +119,20 @@ class WorkloadGenerator:
         mutate_label = self._build_mutator() if self._needs_mutator() else None
         self._build_main(phase_labels, mutate_label)
         return finish_program(self.code, self.data, name=profile.name)
+
+    # ------------------------------------------------------------ RNG draws
+    #
+    # ``Generator.choice`` converts its argument to an array and validates
+    # ``p`` on every call.  These draw the identical values from the
+    # identical RNG stream without that overhead.
+
+    def _pick(self, seq: Sequence):
+        """``rng.choice(seq)``: one uniform draw from ``seq``."""
+        return seq[int(self.rng.integers(0, len(seq)))]
+
+    def _pick_weighted(self, seq: Sequence, cdf: List[float]):
+        """``rng.choice(seq, p=w)`` for ``cdf == _cdf(w)``."""
+        return seq[bisect_right(cdf, self.rng.random())]
 
     # --------------------------------------------------------------- pieces
 
@@ -140,7 +170,7 @@ class WorkloadGenerator:
                                  stmt_range=profile.utility_stmts, loop=False)
         mid_labels = [f"util_{i}" for i in range(n - n_leaf)]
         for label in mid_labels:
-            callees = list(rng.choice(leaf_labels, size=min(2, n_leaf), replace=False))
+            callees = [str(c) for c in rng.choice(leaf_labels, size=min(2, n_leaf), replace=False)]
             self._build_function(label, is_leaf=False, callees=callees,
                                  stmt_range=profile.utility_stmts, loop=False)
         return mid_labels + leaf_labels
@@ -148,7 +178,8 @@ class WorkloadGenerator:
     def _build_phase(self, index: int, utilities: Sequence[str]) -> str:
         rng = self.rng
         n_callees = int(rng.integers(2, min(6, len(utilities) + 1))) if utilities else 0
-        callees = list(rng.choice(utilities, size=n_callees, replace=False)) if n_callees else []
+        callees = ([str(c) for c in rng.choice(utilities, size=n_callees, replace=False)]
+                   if n_callees else [])
         label = f"phase_{index}"
         self._current_ctx = self._new_context_array()
         self._build_function(label, is_leaf=False, callees=callees,
@@ -245,7 +276,7 @@ class WorkloadGenerator:
                 continue
             threshold += profile.p_call
             if roll < threshold and callees:
-                self.code.call(str(rng.choice(callees)))
+                self.code.call(self._pick(callees))
                 continue
             threshold += profile.p_switch
             if roll < threshold:
@@ -289,21 +320,21 @@ class WorkloadGenerator:
         emitted = 0
         while emitted < length:
             if rng.random() < profile.mem_in_block and emitted + 2 <= length:
-                index_reg = int(rng.choice(_SCRATCH[:4]))
-                value_reg = int(rng.choice(_SCRATCH[4:]))
+                index_reg = self._pick(_INDEX_REGS)
+                value_reg = self._pick(_VALUE_REGS)
                 self._emit_work_index(index_reg)
                 code.load(value_reg, index_reg, "work")
                 emitted += 2
             else:
-                op = Opcode.MUL if rng.random() < 0.06 else _ALU_OPS[int(rng.integers(0, len(_ALU_OPS)))]
-                rd = int(rng.choice(_SCRATCH))
-                rs1 = int(rng.choice(_SCRATCH + _ACCUMULATORS))
-                rs2 = int(rng.choice(_SCRATCH))
+                op = Opcode.MUL if rng.random() < 0.06 else self._pick(_ALU_OPS)
+                rd = self._pick(_SCRATCH)
+                rs1 = self._pick(_SOURCE_REGS)
+                rs2 = self._pick(_SCRATCH)
                 code.emit(op, rd=rd, rs1=rs1, rs2=rs2)
                 emitted += 1
         if rng.random() < 0.3:
-            acc = int(rng.choice(_ACCUMULATORS))
-            src = int(rng.choice(_SCRATCH))
+            acc = self._pick(_ACCUMULATORS)
+            src = self._pick(_SCRATCH)
             code.emit(Opcode.ADD, rd=acc, rs1=acc, rs2=src)
 
     def _new_context_array(self) -> tuple:
@@ -333,14 +364,11 @@ class WorkloadGenerator:
         code = self.code
         rng = self.rng
         label, period = self._current_ctx
-        # Skew thresholds toward the extremes: most correlated branches are
-        # biased (crossed rarely by the value walk), a minority are mid-range.
-        threshold = int(rng.choice([1, 2, 3, 4, 5, 6, 7],
-                                   p=[0.28, 0.17, 0.05, 0.0, 0.05, 0.17, 0.28]))
+        threshold = self._pick_weighted(_THRESHOLDS, _THRESHOLD_CDF)
         code.emit(Opcode.ANDI, rd=1, rs1=17, imm=period - 1)
         code.load(2, 1, label)
         code.emit(Opcode.SLTI, rd=3, rs1=2, imm=threshold)
-        op = _BIASED_BRANCH_OPS[int(rng.integers(0, 2))]  # BNE: taken iff v < k
+        op = self._pick(_BIASED_BRANCH_OPS)  # BNE: taken iff v < k
         skip = code.new_label("endif")
         code.branch(op, 3, 0, skip)
         self._stmt_block()
@@ -354,9 +382,9 @@ class WorkloadGenerator:
         behaviour's ``p_taken``.
         """
         rng = self.rng
-        kind = self._kinds[int(rng.choice(len(self._kinds), p=self._kind_weights))]
+        kind = self._pick_weighted(self._kinds, self._kind_cdf)
         behavior = sample_behavior(kind, rng)
-        op = _BIASED_BRANCH_OPS[int(rng.integers(0, 2))]
+        op = self._pick(_BIASED_BRANCH_OPS)
         ones_fraction = behavior.p_taken if op is Opcode.BNE else 1.0 - behavior.p_taken
         array = realize_array(
             BranchBehavior(kind=kind, p_taken=ones_fraction, period=behavior.period,
@@ -434,7 +462,7 @@ class WorkloadGenerator:
         site_id = self._site_counter
         self._site_counter += 1
         case_label_names = [f".case_{site_id}_{c}" for c in range(n_cases)]
-        self.data.array(f"cases_{site_id}", [int(v) for v in values])
+        self.data.array(f"cases_{site_id}", values.tolist())
         self.data.jump_table(f"jt_{site_id}", case_label_names)
         offset = int(rng.integers(0, 1 << 12))
         code.addi(1, 17, offset)
@@ -452,7 +480,7 @@ class WorkloadGenerator:
     def _stmt_store(self) -> None:
         code = self.code
         rng = self.rng
-        value_reg = int(rng.choice(_ACCUMULATORS))
+        value_reg = self._pick(_ACCUMULATORS)
         if rng.random() < self.profile.late_store_frac:
             # Store whose address depends on a load: the conservative memory
             # scheduler must block younger loads until this address resolves.

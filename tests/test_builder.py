@@ -93,6 +93,16 @@ def test_data_builder_layout():
     assert 1 not in image  # zeros are sparse
 
 
+def test_data_array_pads_to_size():
+    data = DataBuilder()
+    a = data.array("a", [5, 0, 7], size=6)
+    b = data.array("b", [1])
+    assert (a, b) == (0, 6)
+    assert data.image == {0: 5, 2: 7, 6: 1}
+    with pytest.raises(ValueError, match="size 1 < 2 values"):
+        data.array("c", [1, 2], size=1)
+
+
 def test_jump_table_patching():
     code = CodeBuilder()
     data = DataBuilder()

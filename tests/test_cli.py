@@ -146,3 +146,30 @@ def test_experiment_failure_report(monkeypatch, capsys):
     assert "Failed grid points" in out
     assert "compress" in out and "ValueError: injected" in out
     assert "resumes from the journal" in out
+
+
+@pytest.fixture(scope="module")
+def shrunken_runs():
+    """Shrink run lengths; the tests that use this share one result memo."""
+    import repro.experiments.runner as runner
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "default_length", lambda b: 5000)
+        mp.setattr(runner, "machine_length", lambda b: 2000)
+        runner.clear_caches()
+        try:
+            yield
+        finally:
+            runner.clear_caches()
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_artifact_renders(capsys, shrunken_runs, name):
+    """Every table and figure the CLI offers exits 0 and prints a table."""
+    assert main(["experiment", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == name or lines[0].startswith(f"{name}:")
+    # Past the title: a header (or section title) plus at least one data
+    # row; separator lines of dashes do not count.
+    rows = [line for line in lines[1:] if set(line) - {"-", " "}]
+    assert len(rows) >= 2, lines

@@ -119,3 +119,75 @@ def test_disassembly(op, kwargs, text):
 
 def test_str_includes_address():
     assert str(inst(Opcode.NOP, addr=12)).startswith("    12:")
+
+
+# --- opcode-wide dataflow table --------------------------------------------
+
+#: Opcode -> (registers read, register written), by operand name: "rd",
+#: "rs1", "rs2", "link" (r31).  r0 never appears in ``src_regs()`` and a
+#: write to r0 gives ``dest_reg() is None``.
+DATAFLOW = {
+    **{op: (("rs1", "rs2"), "rd") for op in (
+        Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+        Opcode.SHL, Opcode.SHR, Opcode.SLT, Opcode.MUL)},
+    **{op: (("rs1",), "rd") for op in (
+        Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SLTI)},
+    Opcode.LUI: ((), "rd"),
+    Opcode.LD: (("rs1",), "rd"),
+    Opcode.ST: (("rs1", "rs2"), None),
+    **{op: (("rs1", "rs2"), None) for op in (
+        Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE)},
+    Opcode.JMP: ((), None),
+    Opcode.CALL: ((), "link"),
+    Opcode.RET: (("link",), None),
+    Opcode.JR: (("rs1",), None),
+    Opcode.TRAP: ((), None),
+    Opcode.NOP: ((), None),
+    Opcode.HALT: ((), None),
+}
+
+#: Opcodes that must carry a static target.
+DIRECT = {Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.JMP, Opcode.CALL}
+
+OPERAND_SETS = [
+    dict(rd=5, rs1=6, rs2=7),
+    dict(rd=0, rs1=6, rs2=7),
+    dict(rd=5, rs1=0, rs2=7),
+    dict(rd=5, rs1=6, rs2=0),
+    dict(rd=0, rs1=0, rs2=0),
+    dict(rd=REG_LINK, rs1=REG_LINK, rs2=1),
+]
+
+
+def test_dataflow_table_covers_every_opcode():
+    assert set(DATAFLOW) == set(Opcode)
+
+
+@pytest.mark.parametrize("operands", OPERAND_SETS, ids=lambda o: "-".join(map(str, o.values())))
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.mnemonic)
+def test_dataflow_matches_table(op, operands):
+    i = inst(op, target=3 if op in DIRECT else None, **operands)
+    regs = dict(operands, link=REG_LINK)
+    sources, dest = DATAFLOW[op]
+    assert i.src_regs() == tuple(regs[s] for s in sources if regs[s] != 0)
+    written = regs[dest] if dest is not None else 0
+    assert i.dest_reg() == (written if written != 0 else None)
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.mnemonic)
+def test_register_range_error_for_every_opcode(op):
+    target = 3 if op in DIRECT else None
+    for name in ("rd", "rs1", "rs2"):
+        for value in (NUM_REGS, -1):
+            with pytest.raises(ValueError,
+                               match=rf"^{name}={value} out of range for {op.mnemonic}$"):
+                inst(op, target=target, **{name: value})
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.mnemonic)
+def test_missing_target_error_for_every_opcode(op):
+    if op in DIRECT:
+        with pytest.raises(ValueError, match=rf"^{op.mnemonic} at 9 requires a target$"):
+            inst(op, addr=9)
+    else:
+        assert inst(op, addr=9).target is None
