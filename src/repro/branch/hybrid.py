@@ -79,6 +79,43 @@ class HybridPredictor:
         if gshare_right != pas_right:
             self.selector.update(prediction.selector_index, gshare_right)
 
+    def update_batch(self, tokens, metas) -> None:
+        """Train one fetch's branches in a single call.
+
+        ``tokens[k]`` is the :class:`HybridPrediction` captured at fetch
+        time and ``metas[k]`` the compiled fetch block's ``(pc, taken)``
+        training record.  Identical counter and local-history movements
+        to calling :meth:`update` per branch, with the saturating updates
+        inlined (every captured index is already masked to its table).
+        """
+        gshare_table = self._gshare_table
+        pas_table = self._pas_table
+        selector_table = self._selector_table
+        bht = self._bht
+        bht_entries = self._bht_entries
+        history_mask = self.pas.history_mask
+        for k, (pc, taken) in enumerate(metas):
+            prediction = tokens[k]
+            for table, index in ((gshare_table, prediction.gshare_index),
+                                 (pas_table, prediction.pas_index)):
+                value = table[index]
+                if taken:
+                    if value < 3:
+                        table[index] = value + 1
+                elif value > 0:
+                    table[index] = value - 1
+            slot = pc % bht_entries
+            bht[slot] = ((bht[slot] << 1) | taken) & history_mask
+            gshare_right = prediction.gshare_taken == taken
+            if gshare_right != (prediction.pas_taken == taken):
+                index = prediction.selector_index
+                value = selector_table[index]
+                if gshare_right:
+                    if value < 3:
+                        selector_table[index] = value + 1
+                elif value > 0:
+                    selector_table[index] = value - 1
+
     def storage_bits(self) -> int:
         return (
             self.gshare.storage_bits()

@@ -51,10 +51,10 @@ def fast_frontend_enabled() -> bool:
 def reset_compiled_state() -> None:
     """Drop derived/compiled caches inside every live engine.
 
-    The fast stack memoizes aggressively: per-engine block and candidate
-    caches keyed by pc, the fill unit's segment memo and interned state
-    machine, and per-segment lazy artifacts (fetch slots, compiled fetch
-    plans, pattern-specialized variants).  All of these are keyed by
+    The fast stack memoizes aggressively: per-engine block, compiled-block
+    and candidate caches keyed by pc, the fill unit's segment memo and
+    interned state machine, and per-segment lazy artifacts (fetch slots,
+    compiled fetch plans, pattern-specialized variants).  All of these are keyed by
     object identity or pc against the program the engine was built for —
     a long-lived process that regenerates programs (the differential
     fuzzer, notebook sessions) must be able to invalidate them without
@@ -62,7 +62,7 @@ def reset_compiled_state() -> None:
     trace-cache contents, bias table) is deliberately untouched.
     """
     for engine in list(_live_engines):
-        for attr in ("_block_cache", "_cand_cache"):
+        for attr in ("_block_cache", "_compiled_blocks", "_cand_cache"):
             cache = getattr(engine, attr, None)
             if cache is not None:
                 cache.clear()

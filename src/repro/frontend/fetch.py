@@ -113,7 +113,7 @@ _EMPTY_SNAPSHOTS: dict = {}
 
 
 class CompiledVariant:
-    """One fully precomputed fetch outcome of a trace segment.
+    """One fully precomputed fetch outcome of a trace segment or icache block.
 
     A segment fetch is determined by the predicted directions of its
     dynamic branches: with at most three of them there are at most eight
@@ -124,6 +124,11 @@ class CompiledVariant:
     predictor-training metadata, and the fill unit's event list.  The only
     per-fetch residue is predictor-token capture (``pred_meta``) and the
     tail target when the segment ends in a return or indirect jump.
+
+    An icache fetch block is the one-branch case (:func:`compile_block`):
+    static per (pc, delivered length), with one variant per predicted
+    direction of its final conditional branch.  ``source`` is the fetch
+    source the variant is accounted under.
     """
 
     __slots__ = (
@@ -133,6 +138,7 @@ class CompiledVariant:
         "ras_pushes", "ghr_count", "ghr_bits", "branch_checks", "n_active",
         "n_dyn", "n_promoted", "n_indirect", "train_meta", "ret_pop",
         "trap_last", "fill_events", "fill_branches", "key", "dyn_pos",
+        "source",
     )
 
 
@@ -237,11 +243,20 @@ def compile_variant(segment: TraceSegment, key: int,
     v.ret_pop = not v.divergence and tail == 1
     v.trap_last = (not v.divergence
                    and instructions[-1].op.opclass is OpClass.TRAP)
-    # Single pass over the active slots building the oracle branch checks,
-    # the promoted-branch count, and the fill-unit event list (plain runs
-    # extend the pending block wholesale, conditional branches re-consult
-    # the bias table live at retire time — promotion state evolves between
-    # fetches of the same variant — and segment enders cut the block).
+    v.source = "tc"
+    _compile_retire(v)
+    return v
+
+
+def _compile_retire(v: CompiledVariant) -> None:
+    """Fill in what retiring ``v``'s active slots wholesale needs.
+
+    Single pass over the active slots building the oracle branch checks,
+    the promoted-branch count, and the fill-unit event list (plain runs
+    extend the pending block wholesale, conditional branches re-consult
+    the bias table live at retire time — promotion state evolves between
+    fetches of the same variant — and segment enders cut the block).
+    """
     branch_checks = []
     fill_events = []
     fill_branches = []
@@ -273,11 +288,82 @@ def compile_variant(segment: TraceSegment, key: int,
     v.n_promoted = n_promoted
     v.fill_events = tuple(fill_events)
     v.fill_branches = tuple(fill_branches)
-    return v
+
+
+def compile_block(block: List[Instruction],
+                  train_by_addr: bool) -> Tuple[CompiledVariant, CompiledVariant]:
+    """Compile the icache fetch of ``block`` (non-empty, as delivered).
+
+    Returns the variants for a not-taken and a taken prediction of the
+    block's final conditional branch, in that order; a block that does
+    not end in one has a single outcome, returned twice.  The variants
+    mirror the generic walks (``ICacheFetchEngine._fetch_generic``,
+    ``TraceFetchEngine._fetch_from_icache_generic``) exactly: the only
+    per-fetch residue is the prediction itself and the tail target of a
+    return or indirect jump.  ``train_by_addr`` selects the training
+    record: ``(branch pc, taken)`` for the hybrid predictor, ``(path,
+    taken)`` for the multiple-branch predictors.
+    """
+    last = block[-1]
+    op = last.op
+    n = len(block)
+    variants = []
+    for predicted in ((False, True) if op.is_cond_branch else (None,)):
+        v = CompiledVariant()
+        v.source = "icache"
+        v.active = block
+        v.dirs = [None] * (n - 1) + [predicted]
+        v.promoted = [False] * n
+        v.inactive = v.inactive_dirs = v.inactive_promoted = ()
+        v.divergence = False
+        v.last_addr = last.addr
+        v.n_active = n
+        v.ends_with_trap = v.trap_last = op.opclass is OpClass.TRAP
+        v.ret_pop = op is Opcode.RET
+        v.n_indirect = 1 if op is Opcode.JR else 0
+        v.tail = 1 if v.ret_pop else 2 if v.n_indirect else 0
+        v.ras_pushes = (last.fall_through,) if op is Opcode.CALL else ()
+        if n >= FETCH_WIDTH and not op.ends_fetch_block:
+            v.raw_reason = FetchReason.MAX_SIZE
+        else:
+            v.raw_reason = FetchReason.ICACHE
+        if predicted is None:
+            v.key = 0
+            v.predictions_used = v.n_dyn = v.ghr_count = v.ghr_bits = 0
+            v.pred_meta = v.train_meta = ()
+            v.dyn_pos = {}
+            if op.is_direct_control:  # JMP, CALL
+                v.next_pc = last.target
+            elif v.tail:
+                v.next_pc = None  # RAS pop / indirect prediction, per fetch
+            else:
+                v.next_pc = last.fall_through
+        else:
+            v.key = int(predicted)
+            v.predictions_used = v.n_dyn = v.ghr_count = 1
+            v.ghr_bits = v.key
+            v.pred_meta = ((last.addr, 0, predicted),)
+            v.train_meta = (((last.addr if train_by_addr else ()), predicted),)
+            v.dyn_pos = {n - 1: 0}
+            v.next_pc = last.target if predicted else last.fall_through
+        _compile_retire(v)
+        variants.append(v)
+    return variants[0], variants[-1]
+
+
+def _off_image(pc: int, stall: int) -> FetchResult:
+    """An empty fetch off the code image (wrong path only): retry ``pc``."""
+    result = FetchResult(pc=pc, source="icache", stall_cycles=stall)
+    result.next_pc = pc
+    return result
 
 
 class _FrontEndBase:
     """Shared speculative state: global history, RAS, indirect predictor."""
+
+    #: Compiled block training records: ``(pc, taken)`` (hybrid predictor)
+    #: rather than ``(path, taken)`` (multiple-branch predictors).
+    _train_by_addr = False
 
     def __init__(self, program: Program, memory: MemoryHierarchy, ghr_bits: int):
         self.program = program
@@ -299,6 +385,11 @@ class _FrontEndBase:
         #: pure function of the static program, so it is walked once; only
         #: the cache-line hit checks are replayed per fetch.
         self._block_cache: dict = {}
+        #: pc -> (variants, cut_variants) for the compiled icache path:
+        #: the :func:`compile_block` pair of the block at pc (None off the
+        #: code image) and, per split-line cut position, the pair of the
+        #: shortened block.
+        self._compiled_blocks: dict = {}
 
     def snapshot(self) -> tuple:
         return (self.ghr.snapshot(), self.ras.snapshot())
@@ -322,21 +413,112 @@ class _FrontEndBase:
         dynamic part — the line hit checks, in address order — replays
         against the memory hierarchy on every fetch.
         """
+        cached = self._block_cache.get(pc)
+        if cached is None:
+            cached = self._block_cache[pc] = self._build_icache_block(pc)
+        block, breaks = cached
+        stall, cut = self._replay_lines(pc, breaks)
+        if cut:
+            return block[:cut], stall, True
+        return block, stall, False
+
+    def _replay_lines(self, pc: int, breaks: tuple) -> Tuple[int, int]:
+        """Replay one block fetch's icache accesses, in address order.
+
+        Returns ``(stall_cycles, cut)``: the miss cycles of the first line,
+        and the position of the first instruction on a missing second line
+        (the split-line rule ends the fetch there), or 0 when the whole
+        block is delivered.
+        """
         memory = self.memory
         latency = memory.inst_line_latency(pc)
         stall = max(0, latency - memory.config.l1i_hit_latency)
-        cached = self._block_cache.get(pc)
-        if cached is None:
-            cached = self._build_icache_block(pc)
-            self._block_cache[pc] = cached
-        block, breaks = cached
         for pos, addr, byte_addr in breaks:
             if not memory.inst_line_hit(addr):
                 # Second-line miss terminates the fetch; start the fill.
                 memory.inst_line_latency(addr)
-                return block[:pos], stall, True
+                return stall, pos
             memory.l1i.access(byte_addr)
-        return block, stall, False
+        return stall, 0
+
+    def _fetch_compiled_block(self, pc: int) -> tuple:
+        """The compiled icache fetch at ``pc``: ``(variants, stall_cycles)``.
+
+        The same static block and memory traffic as
+        :meth:`_fetch_icache_block`; ``variants`` is the
+        :func:`compile_block` pair of the delivered block (compiled on
+        first delivery), or None when ``pc`` is off the code image.
+        """
+        cached = self._block_cache.get(pc)
+        if cached is None:
+            cached = self._block_cache[pc] = self._build_icache_block(pc)
+        block, breaks = cached
+        stall, cut = self._replay_lines(pc, breaks)
+        entry = self._compiled_blocks.get(pc)
+        if entry is None:
+            variants = compile_block(block, self._train_by_addr) if block else None
+            entry = self._compiled_blocks[pc] = (variants, {})
+        variants, cuts = entry
+        if cut:
+            variants = cuts.get(cut)
+            if variants is None:
+                variants = cuts[cut] = compile_block(block[:cut], self._train_by_addr)
+        return variants, stall
+
+    def block_sibling(self, pc: int, variant: CompiledVariant) -> CompiledVariant:
+        """The opposite-direction twin of block ``variant`` fetched at ``pc``.
+
+        Looked up rather than linked from the variant, so compiled blocks
+        hold no reference cycles and die with their engine.
+        """
+        variants, cuts = self._compiled_blocks[pc]
+        return cuts.get(variant.n_active, variants)[variant.key ^ 1]
+
+    def _serve(self, pc: int, variant: CompiledVariant, stall: int,
+               tokens: Optional[tuple],
+               segment: Optional[TraceSegment] = None) -> FetchResult:
+        """Deliver a compiled variant: field copies plus the speculative
+        state it moves (batched GHR shift, RAS pushes, tail target).
+
+        ``tokens`` are the predictor handles captured for the variant's
+        predicted branches (None when it predicts none).
+        """
+        result = FetchResult.__new__(FetchResult)
+        result.pc = pc
+        result.source = variant.source
+        result.active = variant.active
+        result.active_dirs = variant.dirs
+        result.active_promoted = variant.promoted
+        result.inactive = variant.inactive
+        result.inactive_dirs = variant.inactive_dirs
+        result.inactive_promoted = variant.inactive_promoted
+        result.divergence = variant.divergence
+        result.stall_cycles = stall
+        result.raw_reason = variant.raw_reason
+        result.predictions_used = variant.predictions_used
+        result.ends_with_trap = variant.ends_with_trap
+        result.segment = segment
+        result.control_snapshots = _EMPTY_SNAPSHOTS
+        result.variant = variant
+        if tokens is not None:
+            result.pred_records = None  # built lazily from pred_tokens
+            result.pred_tokens = tokens
+        else:
+            result.pred_records = ()
+            result.pred_tokens = None
+        if variant.ghr_count:
+            self.ghr.push_bits(variant.ghr_bits, variant.ghr_count)
+        ras = self.ras
+        for fall_through in variant.ras_pushes:
+            ras.push(fall_through)
+        tail = variant.tail
+        if tail == 1:
+            result.next_pc = ras.pop()
+        elif tail == 2:
+            result.next_pc = self.indirect.predict(variant.last_addr)
+        else:
+            result.next_pc = variant.next_pc
+        return result
 
     def _build_icache_block(self, pc: int) -> tuple:
         """Walk the static block starting at ``pc`` once (no memory access).
@@ -499,8 +681,7 @@ class TraceFetchEngine(_FrontEndBase):
 
         The predictor is consulted once (iff the segment contains a
         dynamic branch, like the plan walk) and its pattern selects the
-        precompiled outcome; everything else is field copies plus the
-        batched GHR shift and RAS pushes.
+        precompiled outcome, which :meth:`_serve` delivers.
         """
         mask = segment._pattern_mask
         if mask < 0:
@@ -520,49 +701,16 @@ class TraceFetchEngine(_FrontEndBase):
         if mask:
             pattern, t0, t1, t2 = self.predictor.predict_pattern(pc, self.ghr.value)
             key = pattern & mask
+            tokens = (t0, t1, t2)
         else:
             key = 0
+            tokens = None
         variants = segment._variants
         variant = variants.get(key)
         if variant is None:
             variant = compile_variant(segment, key, self.inactive_issue)
             variants[key] = variant
-        result = FetchResult.__new__(FetchResult)
-        result.pc = pc
-        result.source = "tc"
-        result.active = variant.active
-        result.active_dirs = variant.dirs
-        result.active_promoted = variant.promoted
-        result.inactive = variant.inactive
-        result.inactive_dirs = variant.inactive_dirs
-        result.inactive_promoted = variant.inactive_promoted
-        result.divergence = variant.divergence
-        result.stall_cycles = 0
-        result.raw_reason = variant.raw_reason
-        result.predictions_used = variant.predictions_used
-        result.ends_with_trap = variant.ends_with_trap
-        result.segment = segment
-        result.control_snapshots = _EMPTY_SNAPSHOTS
-        result.variant = variant
-        if variant.pred_meta:
-            result.pred_records = None  # built lazily from pred_tokens
-            result.pred_tokens = (t0, t1, t2)
-        else:
-            result.pred_records = ()
-            result.pred_tokens = None
-        if variant.ghr_count:
-            self.ghr.push_bits(variant.ghr_bits, variant.ghr_count)
-        ras = self.ras
-        for fall_through in variant.ras_pushes:
-            ras.push(fall_through)
-        tail = variant.tail
-        if tail == 1:
-            result.next_pc = ras.pop()
-        elif tail == 2:
-            result.next_pc = self.indirect.predict(variant.last_addr)
-        else:
-            result.next_pc = variant.next_pc
-        return result
+        return self._serve(pc, variant, 0, tokens, segment)
 
     def _fetch_from_plan(self, pc: int, segment: TraceSegment, events: list,
                          dirs_tmpl: list, promoted_tmpl: list, tail: int) -> FetchResult:
@@ -742,12 +890,24 @@ class TraceFetchEngine(_FrontEndBase):
         return result
 
     def _fetch_from_icache(self, pc: int) -> FetchResult:
-        block, stall, boundary_cut = self._fetch_icache_block(pc)
-        result = FetchResult(pc=pc, source="icache", stall_cycles=stall)
+        """Trace-cache miss: one icache block, from its compiled variant
+        unless snapshot capture needs the generic walk."""
+        if self.capture_snapshots:
+            return self._fetch_from_icache_generic(pc)
+        variants, stall = self._fetch_compiled_block(pc)
+        if variants is None:
+            return _off_image(pc, stall)
+        not_taken, taken = variants
+        if not_taken is taken:
+            return self._serve(pc, not_taken, stall, None)
+        pattern, t0, _t1, _t2 = self.predictor.predict_pattern(pc, self.ghr.value)
+        return self._serve(pc, taken if pattern & 1 else not_taken, stall, (t0,))
+
+    def _fetch_from_icache_generic(self, pc: int) -> FetchResult:
+        block, stall, _boundary_cut = self._fetch_icache_block(pc)
         if not block:
-            result.next_pc = pc  # off the code image (wrong path); retry
-            result.raw_reason = FetchReason.ICACHE
-            return result
+            return _off_image(pc, stall)
+        result = FetchResult(pc=pc, source="icache", stall_cycles=stall)
         last = block[-1]
         predicted: Optional[bool] = None
         if last.op.is_cond_branch:
@@ -781,6 +941,8 @@ class TraceFetchEngine(_FrontEndBase):
 class ICacheFetchEngine(_FrontEndBase):
     """The reference front end: one fetch block per cycle, hybrid predictor."""
 
+    _train_by_addr = True
+
     def __init__(
         self,
         program: Program,
@@ -792,11 +954,24 @@ class ICacheFetchEngine(_FrontEndBase):
         self.predictor = predictor or HybridPredictor(history_bits=history_bits)
 
     def fetch(self, pc: int) -> FetchResult:
+        if self.capture_snapshots:
+            return self._fetch_generic(pc)
+        variants, stall = self._fetch_compiled_block(pc)
+        if variants is None:
+            return _off_image(pc, stall)
+        not_taken, taken = variants
+        if not_taken is taken:
+            return self._serve(pc, not_taken, stall, None)
+        prediction = self.predictor.predict(not_taken.last_addr, self.ghr.value)
+        return self._serve(pc, taken if prediction.taken else not_taken, stall,
+                           (prediction,))
+
+    def _fetch_generic(self, pc: int) -> FetchResult:
+        """Per-instruction block walk, for snapshot capture (the core)."""
         block, stall, _boundary_cut = self._fetch_icache_block(pc)
-        result = FetchResult(pc=pc, source="icache", stall_cycles=stall)
         if not block:
-            result.next_pc = pc
-            return result
+            return _off_image(pc, stall)
+        result = FetchResult(pc=pc, source="icache", stall_cycles=stall)
         last = block[-1]
         predicted: Optional[bool] = None
         if last.op.is_cond_branch:

@@ -14,6 +14,7 @@ computed once per benchmark and shared across every configuration.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -68,6 +69,11 @@ class FrontEndResult:
         return self.instructions_retired / self.cycles if self.cycles else 0.0
 
 
+def _no_fill_unit(_plan=None) -> None:
+    """The compiled retire and recovery feeds of an engine without a fill
+    unit (the icache front end)."""
+
+
 #: One correct-path instruction consumed from a fetch:
 #: ``(inst, taken, promoted, record)`` where ``record`` is the PredRecord
 #: for dynamically predicted branches.  A plain tuple — one is built per
@@ -111,6 +117,19 @@ class FrontEndSimulator:
     # ----------------------------------------------------------------- run
 
     def run(self) -> FrontEndResult:
+        # The loop creates no reference cycles, but the compiled variants
+        # and fill-unit states it caches are long-lived: every cyclic
+        # collection mid-run would re-walk them together with the oracle
+        # for nothing.  Same policy as ``Machine.run``.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _run(self) -> FrontEndResult:
         oracle = self.oracle
         n = len(oracle)
         i = 0
@@ -131,17 +150,22 @@ class FrontEndSimulator:
         # and its successor, and retiring it reduces to the fill unit's
         # compiled event feed plus batched architectural-state updates.
         fill_unit = self.fill_unit
-        # getattr: the frozen reference fill unit has no compiled feed, but
-        # reference engines never emit variant results either.
-        retire_compiled = getattr(fill_unit, "retire_compiled", None)
-        note_recovery = getattr(fill_unit, "note_recovery", None)
+        if fill_unit is None:
+            # The icache front end has no fill unit: nothing to feed.
+            retire_compiled = note_recovery = _no_fill_unit
+        else:
+            # getattr: the frozen reference fill unit has no compiled
+            # feed, but reference engines never emit variant results.
+            retire_compiled = getattr(fill_unit, "retire_compiled", None)
+            note_recovery = fill_unit.note_recovery
         engine_restore = engine.restore
+        block_sibling = getattr(engine, "block_sibling", None)
         inactive_issue = getattr(engine, "inactive_issue", False)
         # The fast paths bypass PredRecord: one update_batch call flushes
-        # a compiled plan's whole training record (the raw (token,
-        # position) pairs train_branch would have unpacked) instead of
-        # one Python call per branch.  Only the multiple-branch
-        # predictors serve variants, and both define update_batch.
+        # a compiled plan's whole training record (the raw tokens plus
+        # the variant's train_meta) instead of one Python call per
+        # branch.  Every fast predictor — the multiple-branch ones and
+        # the icache engine's hybrid — defines update_batch.
         predictor_train = getattr(getattr(engine, "predictor", None),
                                   "update_batch", None)
         indirect_update = engine.indirect.update
@@ -171,6 +195,13 @@ class FrontEndSimulator:
         while i < n:
             result = fetch(pc)
             cycles += 1
+            # Icache miss cycles before delivery, charged here once for
+            # the compiled and the generic path alike (the result keeps
+            # the field: the lockstep observer signs it).
+            stall = result.stall_cycles
+            if stall:
+                cycles += stall
+                miss_cycles += stall
             variant = getattr(result, "variant", None)
             if variant is not None:
                 i_end = i + variant.n_active
@@ -253,15 +284,19 @@ class FrontEndSimulator:
                             # non-diverging slot: the correct-path prefix of
                             # this fetch is exactly the compiled variant
                             # with that prediction bit flipped (it diverges
-                            # there), so the prefix retires compiled too.
+                            # there, or, for an icache block, ends there),
+                            # so the prefix retires compiled too.
                             segment = result.segment
-                            variants = segment._variants
-                            key2 = variant.key ^ (1 << dyn_k)
-                            prefix = variants.get(key2)
-                            if prefix is None:
-                                prefix = compile_variant(segment, key2,
-                                                         inactive_issue)
-                                variants[key2] = prefix
+                            if segment is None:
+                                prefix = block_sibling(result.pc, variant)
+                            else:
+                                variants = segment._variants
+                                key2 = variant.key ^ (1 << dyn_k)
+                                prefix = variants.get(key2)
+                                if prefix is None:
+                                    prefix = compile_variant(segment, key2,
+                                                             inactive_issue)
+                                    variants[key2] = prefix
                             stats.cond_mispredicts += 1
                             retire_compiled(prefix)
                             if prefix.ghr_count:
@@ -345,10 +380,6 @@ class FrontEndSimulator:
                                     trap_cycles += trap_penalty
                                 pc = oracle[i][0].addr
                                 continue
-            stall = result.stall_cycles
-            if stall:
-                cycles += stall
-                miss_cycles += stall
             if not result.active:
                 # Off-image fetch cannot happen on the correct path.
                 raise RuntimeError(f"empty fetch at pc={pc}")
@@ -392,7 +423,10 @@ class FrontEndSimulator:
             predictions = stats.predictions_histogram
             for (prefix, preds), count in mis_counts.items():
                 stats.fetches += count
-                stats.tc_fetches += count
+                if prefix.source == "tc":
+                    stats.tc_fetches += count
+                else:
+                    stats.icache_fetches += count
                 stats.useful_instructions += prefix.n_active * count
                 size_reason[(prefix.n_active, FetchReason.MISPRED_BR)] += count
                 predictions[preds] += count
@@ -404,7 +438,10 @@ class FrontEndSimulator:
             predictions = stats.predictions_histogram
             for variant, count in var_counts.items():
                 stats.fetches += count
-                stats.tc_fetches += count
+                if variant.source == "tc":
+                    stats.tc_fetches += count
+                else:
+                    stats.icache_fetches += count
                 stats.useful_instructions += variant.n_active * count
                 size_reason[(variant.n_active, variant.raw_reason)] += count
                 predictions[variant.predictions_used] += count

@@ -1,8 +1,9 @@
 """Byte-level parity between the fast front end and the frozen reference.
 
 The fast stack (array-backed predictors in :mod:`repro.branch`, compiled
-segment fetch plans in :mod:`repro.frontend.fetch`, the state-machine
-fill unit in :mod:`repro.trace.fill_unit`) is a pure performance change.
+segment and icache-block fetch variants in :mod:`repro.frontend.fetch`,
+the state-machine fill unit in :mod:`repro.trace.fill_unit`) is a pure
+performance change.
 These tests pin the contract that makes it trustworthy: on identical
 inputs its serialized :class:`FrontEndResult` — every counter in
 ``FetchStats``, every histogram bucket, every derived rate — must be
@@ -10,7 +11,9 @@ inputs its serialized :class:`FrontEndResult` — every counter in
 (:mod:`repro.branch.reference`, :mod:`repro.frontend.fetch_reference`,
 :mod:`repro.trace.fill_unit_reference`), and the two stacks must stay in
 lockstep fetch-by-fetch through randomized probe streams and mid-stream
-snapshot/restore round trips.
+snapshot/restore round trips.  Within the fast stack, compiled block
+fetches must match the generic per-instruction walk the machine core
+uses, fetch by fetch.
 """
 
 import random
@@ -23,7 +26,10 @@ from repro.experiments import runner
 from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import frontend_result_to_dict
 from repro.frontend.build import build_engine, build_predictor
+from repro.frontend.fetch import FETCH_WIDTH
 from repro.frontend.simulator import FrontEndSimulator
+from repro.frontend.stats import FetchReason
+from repro.validate.digests import engine_digest, fetch_signature
 
 N = 12_000
 
@@ -145,3 +151,61 @@ def test_snapshot_restore_roundtrip_midstream():
             ref.restore(snap_ref)
             assert fast.snapshot() == snap_fast
             assert ref.snapshot() == snap_ref
+
+
+def _block_kinds(result) -> set:
+    """What a compiled icache-block fetch exercised (for coverage)."""
+    if not result.active:
+        return {"empty"}
+    if result.variant is None or result.source != "icache":
+        return set()
+    last = result.active[-1].op
+    kinds = {last.mnemonic if last.ends_fetch_block else "plain"}
+    if last.is_cond_branch:
+        kinds.add("taken" if result.active_dirs[-1] else "not-taken")
+    if not last.ends_fetch_block and len(result.active) < FETCH_WIDTH:
+        kinds.add("split-line")
+    if result.raw_reason is FetchReason.MAX_SIZE:
+        kinds.add("max-size")
+    if result.stall_cycles:
+        kinds.add("stall")
+    return kinds
+
+
+@pytest.mark.parametrize("config", [cfg.ICACHE, cfg.BASELINE],
+                         ids=["icache-engine", "tc-miss"])
+def test_compiled_blocks_match_generic_walk(config):
+    """Compiled icache blocks deliver exactly what the generic walk does.
+
+    Two fast engines take the same probe stream: one serves icache blocks
+    from compiled variants (snapshot capture off, as in the front-end
+    simulator), the other walks them instruction by instruction (capture
+    on, as under the machine core).  Both are first trained by the same
+    run, so both predicted directions occur.  The probes visit every pc
+    of gcc in random order plus pcs off the code image, so the mostly
+    cold icache yields stalls and split-line cuts, and every block tail
+    kind shows up.  Fetch signatures and speculative state must agree
+    fetch by fetch.
+    """
+    program = runner.get_program("gcc")
+    oracle = runner.get_oracle("gcc", N)
+    compiled = build_engine(program, config, fast=True)
+    generic = build_engine(program, config, fast=True)
+    for engine in (compiled, generic):
+        FrontEndSimulator(program, config, oracle=oracle, engine=engine).run()
+    generic.capture_snapshots = True
+    probes = list(range(len(program))) + [len(program) + 7, len(program) + 99]
+    random.Random(18).shuffle(probes)
+    seen = set()
+    for pc in probes:
+        got = compiled.fetch(pc)
+        want = generic.fetch(pc)
+        assert want.variant is None
+        assert fetch_signature(pc, got) == fetch_signature(pc, want)
+        assert got.ends_with_trap == want.ends_with_trap
+        assert compiled.snapshot() == generic.snapshot()
+        seen |= _block_kinds(got)
+    assert engine_digest(compiled) == engine_digest(generic)
+    assert seen >= {"empty", "plain", "split-line", "max-size", "stall",
+                    "taken", "not-taken", "CALL", "RET", "JR", "TRAP",
+                    "HALT", "JMP"}

@@ -62,6 +62,21 @@ def test_build_memory_sizes():
     assert icache_memory.config.l1i_bytes == 128 * 1024
 
 
+def test_clear_caches_empties_compiled_blocks(program):
+    """``runner.clear_caches`` drops every live engine's compiled blocks."""
+    import repro.experiments.runner as runner
+    from repro.frontend import build
+    from repro.frontend.simulator import FrontEndSimulator
+    engines = [build_engine(program, config) for config in (ICACHE, BASELINE)]
+    for engine, config in zip(engines, (ICACHE, BASELINE)):
+        FrontEndSimulator(program, config, max_instructions=3_000,
+                          engine=engine).run()
+        assert engine._compiled_blocks
+    runner.clear_caches()
+    for engine in list(build._live_engines):
+        assert not getattr(engine, "_compiled_blocks", None)
+
+
 # --- runner caching -----------------------------------------------------------
 
 def test_runner_caches_and_scales(monkeypatch):
