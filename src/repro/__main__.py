@@ -5,7 +5,8 @@ Commands:
 * ``list`` — show the benchmark suite and the named configurations;
 * ``run`` — simulate one benchmark under one configuration (front end by
   default, ``--machine`` for the full cycle-level core);
-* ``experiment`` — regenerate one of the paper's tables or figures;
+* ``experiment`` — regenerate one of the paper's tables or figures, or
+  ``all`` of them in paper order;
 * ``validate-replay`` — re-run the lockstep comparison a divergence
   report describes; exits nonzero iff it still reproduces;
 * ``serve`` — run the shared experiment service (async grid front door
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 
 from repro import config as cfg
@@ -201,10 +203,21 @@ def _print_divergence_report() -> None:
           "python -m repro validate-replay <report.json>")
 
 
+def _render_reported(name: str) -> int:
+    """Render one artifact, then report failed and diverged grid points."""
+    from repro.experiments.faults import GridFailures
+
+    try:
+        status = _render_experiment(name)
+    except GridFailures as failed:
+        _print_failure_report(failed)
+        status = 1
+    _print_divergence_report()
+    return status
+
+
 def _cmd_experiment(args) -> int:
     import os
-
-    from repro.experiments.faults import GridFailures
 
     # The builders resolve every supervision knob from the environment,
     # so one flag covers every grid the experiment touches.
@@ -222,14 +235,27 @@ def _cmd_experiment(args) -> int:
         os.environ["REPRO_RESUME"] = "0"
     if args.validate:
         os.environ["REPRO_VALIDATE"] = args.validate
-    try:
-        status = _render_experiment(args.name)
-    except GridFailures as failed:
-        _print_failure_report(failed)
-        _print_divergence_report()
+    if args.name != "all":
+        return _render_reported(args.name)
+    # The whole paper in one process, in paper order: the in-process
+    # memo serves the points several artifacts share.  One failing
+    # artifact does not stop the rest; the exit status reports it.
+    failed_names = []
+    for index, name in enumerate(EXPERIMENTS):
+        if index:
+            print()
+        try:
+            status = _render_reported(name)
+        except Exception:
+            traceback.print_exc()
+            status = 1
+        if status:
+            failed_names.append(name)
+    if failed_names:
+        print(f"\n{len(failed_names)} of {len(EXPERIMENTS)} artifacts "
+              f"failed: {', '.join(failed_names)}", file=sys.stderr)
         return 1
-    _print_divergence_report()
-    return status
+    return 0
 
 
 def _cmd_validate_replay(args) -> int:
@@ -489,7 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "default lockstep)")
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp.add_argument("name", choices=EXPERIMENTS)
+    exp.add_argument("name", choices=EXPERIMENTS + ("all",),
+                     help="one artifact, or all: every artifact in paper "
+                          "order in one process")
     exp.add_argument("--jobs", "-j", type=int, default=None,
                      help="worker processes for the simulation grid "
                           "(default: REPRO_JOBS or the CPU count)")

@@ -56,7 +56,6 @@ The cycle loop is event-driven rather than scan-driven:
 
 from __future__ import annotations
 
-import gc
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -70,6 +69,7 @@ from repro.core.inflight import (
 from repro.frontend.build import build_engine
 from repro.frontend.fetch import FetchResult
 from repro.frontend.stats import CycleCategory
+from repro.gcpause import gc_paused
 from repro.isa.executor import STACK_BASE
 from repro.isa.instruction import NUM_REGS, REG_LINK, REG_SP
 from repro.isa.opcodes import OpClass, Opcode
@@ -281,9 +281,7 @@ class Machine:
         max_cycles = 200 * (self.max_instructions or 100_000)
         retire_width = core.retire_width
         issue_width = core.issue_width
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with gc_paused():
             while not self.halted and self.cycle < max_cycles:
                 self.cycle += 1
                 if self.rob:
@@ -296,9 +294,6 @@ class Machine:
                 self._fetch()
                 if not self.ready_total and not self.halted:
                     self._skip_quiescent(max_cycles)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return self._finish()
 
     def _skip_quiescent(self, max_cycles: int) -> None:

@@ -76,6 +76,7 @@ from repro.experiments.serialize import (
     machine_result_from_dict,
     machine_result_to_dict,
 )
+from repro.gcpause import gc_paused
 
 #: GridPoint.kind values.
 FRONTEND = "frontend"
@@ -328,16 +329,23 @@ def _run_point(point, engine: Optional[str] = None):
     ``engine="reference"`` pins the run to the frozen reference stack —
     the supervisor's degradation path after a detected divergence.
     Batches return the member results in member order.
+
+    The whole unit — program generation, oracle, warm-up, simulation and
+    result encoding — runs under one pause of the cyclic GC: the
+    simulators build no reference cycles (``tests/test_gc_hygiene.py``),
+    so collections here would only re-walk live objects.  Serial, pool
+    and fleet execution all come through this function.
     """
-    if isinstance(point, _MachineBatch):
-        return runner.run_machine_multi(
-            point.benchmark, [member.config for member in point.points],
-            point.n, warmup=point.warmup, engine=engine)
-    if point.kind == FRONTEND:
-        return runner.frontend_result(point.benchmark, point.config, point.n,
-                                      engine=engine)
-    return runner.machine_result(point.benchmark, point.config, point.n,
-                                 warmup=point.warmup, engine=engine)
+    with gc_paused():
+        if isinstance(point, _MachineBatch):
+            return runner.run_machine_multi(
+                point.benchmark, [member.config for member in point.points],
+                point.n, warmup=point.warmup, engine=engine)
+        if point.kind == FRONTEND:
+            return runner.frontend_result(point.benchmark, point.config,
+                                          point.n, engine=engine)
+        return runner.machine_result(point.benchmark, point.config, point.n,
+                                     warmup=point.warmup, engine=engine)
 
 
 def _run_point_task(point: GridPoint, ordinal: int, attempt: int, key: str,

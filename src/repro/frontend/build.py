@@ -67,18 +67,14 @@ def reset_compiled_state() -> None:
             if cache is not None:
                 cache.clear()
         fill_unit = getattr(engine, "fill_unit", None)
-        if fill_unit is not None and hasattr(fill_unit, "_segment_memo"):
+        if hasattr(fill_unit, "reset_compiled"):
+            # Fast fill unit: segment memo plus the state graph and its
+            # node list.
+            fill_unit.reset_compiled()
+        elif fill_unit is not None and hasattr(fill_unit, "_segment_memo"):
+            # The reference copy keeps no state machine: its memo is the
+            # only derived cache.
             fill_unit._segment_memo.clear()
-            if hasattr(fill_unit, "_materialize"):
-                # Fast fill unit only: flush edge-hit state into the live
-                # lists first so dropping the interned node graph cannot
-                # lose pending slots (the reference copy keeps no state
-                # machine, its memo is the only derived cache).
-                fill_unit._materialize()
-                fill_unit._empty_node = [{}, (), (), 0, None]
-                fill_unit._state_nodes = {((), ()): fill_unit._empty_node}
-                fill_unit._cur_node = None
-                fill_unit._state_stale = False
         trace_cache = getattr(engine, "trace_cache", None)
         if trace_cache is not None:
             for line_set in trace_cache._sets:

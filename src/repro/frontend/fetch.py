@@ -468,8 +468,12 @@ class _FrontEndBase:
     def block_sibling(self, pc: int, variant: CompiledVariant) -> CompiledVariant:
         """The opposite-direction twin of block ``variant`` fetched at ``pc``.
 
-        Looked up rather than linked from the variant, so compiled blocks
-        hold no reference cycles and die with their engine.
+        Looked up rather than linked from the variant: a link would make
+        each twin pair a reference cycle.  Together with the fill unit's
+        index-linked state graph this keeps the engine's whole object
+        graph acyclic, so a dropped engine dies by refcount with no help
+        from the cyclic GC (``tests/test_gc_hygiene.py``); the one GC
+        pause per unit of work lives in ``scheduler._run_point``.
         """
         variants, cuts = self._compiled_blocks[pc]
         return cuts.get(variant.n_active, variants)[variant.key ^ 1]

@@ -14,7 +14,6 @@ computed once per benchmark and shared across every configuration.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -27,6 +26,7 @@ from repro.frontend.fetch import (
     compile_variant,
 )
 from repro.frontend.stats import CycleCategory, FetchReason, FetchRecord, FetchStats
+from repro.gcpause import gc_paused
 from repro.isa.executor import run_oracle
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass, Opcode
@@ -117,17 +117,16 @@ class FrontEndSimulator:
     # ----------------------------------------------------------------- run
 
     def run(self) -> FrontEndResult:
-        # The loop creates no reference cycles, but the compiled variants
-        # and fill-unit states it caches are long-lived: every cyclic
-        # collection mid-run would re-walk them together with the oracle
-        # for nothing.  Same policy as ``Machine.run``.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        # The engine's object graph is acyclic — compiled variants name
+        # their twins by lookup and fill-unit state edges name their
+        # targets by index — so everything this run builds dies by
+        # refcount (tests/test_gc_hygiene.py).  A cyclic collection
+        # mid-run would only re-walk the long-lived caches and the
+        # oracle.  The scheduler pauses the GC once per unit around the
+        # whole point (scheduler._run_point); this nested pause covers
+        # callers that drive the simulator directly.
+        with gc_paused():
             return self._run()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _run(self) -> FrontEndResult:
         oracle = self.oracle

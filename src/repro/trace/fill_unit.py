@@ -124,23 +124,41 @@ class FillUnit:
         #: node and each (plan, responses) edge out of it replays as
         #: "insert these memoized segments, move to that node".
         #: node: [edges, pending_slots, block_slots, pending_dyn,
-        #: recovery_edge] — edges maps (plan id, bias responses) ->
-        #: (plan, finalized segments, target node); recovery_edge caches
+        #: recovery_edge, index] — edges maps (plan id, bias responses) ->
+        #: (plan, finalized segments, target index); recovery_edge caches
         #: what :meth:`note_recovery` finalizes from this state (every
-        #: recovery ends in the empty state).
-        self._state_nodes: dict = {}
-        #: The empty (pending, block) state, pre-interned: every recovery
-        #: and flush lands here, so it is the most-visited node by far.
-        self._empty_node: list = [{}, (), (), 0, None]
-        self._state_nodes[((), ())] = self._empty_node
+        #: recovery ends in the empty state).  An edge names its target by
+        #: its index into ``_nodes``, never by the node itself: the graph
+        #: loops back as traces recur, and object links would make it
+        #: cyclic, so a dropped engine would wait for the cyclic GC
+        #: instead of dying by refcount (``tests/test_gc_hygiene.py``).
+        self._reset_state_machine()
+        self._recording: Optional[list] = None
+        #: Segment invariant checks, armed at construction (zero cost off).
+        self._validate_segments = _segment_validation_armed()
+
+    def _reset_state_machine(self) -> None:
+        """Start a fresh, empty compiled-retire state graph."""
+        #: The empty (pending, block) state, pre-interned at index 0: every
+        #: recovery and flush lands here, so it is the most-visited node.
+        self._empty_node: list = [{}, (), (), 0, None, 0]
+        self._nodes: List[list] = [self._empty_node]
+        self._state_nodes: dict = {((), ()): self._empty_node}
         self._cur_node: Optional[list] = None
         #: True while ``_cur_node`` is authoritative and the live
         #: ``_pending``/``_block`` lists lag behind it (edge-hit fast
         #: transitions don't touch them; see :meth:`_materialize`).
         self._state_stale = False
-        self._recording: Optional[list] = None
-        #: Segment invariant checks, armed at construction (zero cost off).
-        self._validate_segments = _segment_validation_armed()
+
+    def reset_compiled(self) -> None:
+        """Drop the segment memo and the state graph, keeping the fill state.
+
+        Edge-hit state is flushed into the live lists first, so dropping
+        the graph cannot lose pending slots.
+        """
+        self._materialize()
+        self._segment_memo.clear()
+        self._reset_state_machine()
 
     # ------------------------------------------------------------- retire
 
@@ -283,7 +301,7 @@ class FillUnit:
                     insert(segment)
                     reasons[reason] += 1
                 self.segments_built += len(segments)
-                self._cur_node = edge[2]
+                self._cur_node = self._nodes[edge[2]]
                 self._state_stale = True
                 return
         self._materialize()
@@ -293,7 +311,8 @@ class FillUnit:
         self._recording = None
         nxt = self._intern_state()
         if node is not None and nxt is not None:
-            node[0][(id(plan) << 16) | responses] = (plan, tuple(recording), nxt)
+            node[0][(id(plan) << 16) | responses] = (plan, tuple(recording),
+                                                     nxt[5])
         self._cur_node = nxt
 
     def _intern_state(self) -> Optional[list]:
@@ -313,7 +332,8 @@ class FillUnit:
             if len(self._state_nodes) >= self.MAX_STATE_NODES:
                 return None
             node = [{}, tuple(self._pending), tuple(self._block),
-                    self._pending_dyn, None]
+                    self._pending_dyn, None, len(self._nodes)]
+            self._nodes.append(node)
             self._state_nodes[key] = node
         return node
 

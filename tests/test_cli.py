@@ -148,6 +148,36 @@ def test_experiment_failure_report(monkeypatch, capsys):
     assert "resumes from the journal" in out
 
 
+def test_experiment_all_renders_in_paper_order(monkeypatch, capsys):
+    """``experiment all`` renders every artifact in paper order in one
+    process, carries on past a failing one and then exits nonzero."""
+    import repro.__main__ as cli
+
+    rendered = []
+
+    def render(name):
+        rendered.append(name)
+        if name == "fig4":
+            raise RuntimeError("injected")
+        print(name)
+        return 0
+
+    monkeypatch.setattr(cli, "_render_experiment", render)
+    assert main(["experiment", "all"]) == 1
+    assert rendered == list(EXPERIMENTS)
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line] == [
+        name for name in EXPERIMENTS if name != "fig4"]
+    assert "RuntimeError: injected" in captured.err
+    assert "1 of 15 artifacts failed: fig4" in captured.err
+
+    rendered.clear()
+    monkeypatch.setattr(cli, "_render_experiment",
+                        lambda name: rendered.append(name) or 0)
+    assert main(["experiment", "all"]) == 0
+    assert rendered == list(EXPERIMENTS)
+
+
 @pytest.fixture(scope="module")
 def shrunken_runs():
     """Shrink run lengths; the tests that use this share one result memo."""

@@ -42,6 +42,7 @@ PACKAGES = [
     "repro.analysis", "repro.analysis.branches", "repro.analysis.tracecache",
     "repro.analysis.timeline",
     "repro.report", "repro.report.tables",
+    "repro.gcpause",
     "repro.config",
 ]
 

@@ -90,11 +90,16 @@ def test_figure10_has_five_configs():
 
 
 def test_table4_structure():
-    data = table4_rows(benchmarks=["compress"])
-    row = data["rows"][0]
-    for key in ("unreg", "cost-reg", "n=2", "n=4"):
-        assert key in row
-        assert key in data["avg_efr"]
+    data = table4_rows(benchmarks=["compress", "gcc", "go"])
+    for row in data["rows"]:
+        for key in ("unreg", "cost-reg", "n=2", "n=4"):
+            assert key in row
+            assert key in data["avg_efr"]
+        # Table 4's claim: regulating packing (cost-regulated or chunked
+        # to n=2/n=4) inflates trace-cache misses over promotion less
+        # than unregulated packing does.
+        for key in ("cost-reg", "n=2", "n=4"):
+            assert row[key + "_tc_miss"] < row["unreg_tc_miss"], row
 
 
 def test_figure11_ipc_rows():

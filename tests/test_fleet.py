@@ -177,8 +177,11 @@ def test_lease_ttl_scales_with_point_cost():
     async def body():
         fleet = Fleet(lease_ttl=10.0, heartbeat=1.0)
         light = _Entry(_point(n=N))
+        # A machine window as long as the cost reference: its estimate
+        # exceeds the reference at every REPRO_QUICK/REPRO_SCALE setting,
+        # so its TTL never floors at 1.0x the way the light point's does.
         heavy = _Entry(GridPoint("machine", "compress", BASELINE,
-                                 N).resolved())
+                                 faults.COST_REFERENCE).resolved())
         offer_light = fleet.offer(light, attempt=0, ordinal=0)
         offer_heavy = fleet.offer(heavy, attempt=0, ordinal=1)
         assert offer_light.ttl == 10.0 * scheduler.cost_scale(light.point)

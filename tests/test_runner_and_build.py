@@ -63,7 +63,8 @@ def test_build_memory_sizes():
 
 
 def test_clear_caches_empties_compiled_blocks(program):
-    """``runner.clear_caches`` drops every live engine's compiled blocks."""
+    """``runner.clear_caches`` drops every live engine's compiled blocks,
+    and the fill unit's state graph down to its empty node."""
     import repro.experiments.runner as runner
     from repro.frontend import build
     from repro.frontend.simulator import FrontEndSimulator
@@ -72,9 +73,14 @@ def test_clear_caches_empties_compiled_blocks(program):
         FrontEndSimulator(program, config, max_instructions=3_000,
                           engine=engine).run()
         assert engine._compiled_blocks
+    fill_unit = engines[1].fill_unit
+    assert len(fill_unit._nodes) == len(fill_unit._state_nodes) > 1
     runner.clear_caches()
     for engine in list(build._live_engines):
         assert not getattr(engine, "_compiled_blocks", None)
+    assert fill_unit._nodes == [fill_unit._empty_node]
+    assert fill_unit._state_nodes == {((), ()): fill_unit._empty_node}
+    assert fill_unit._cur_node is None and not fill_unit._segment_memo
 
 
 # --- runner caching -----------------------------------------------------------
