@@ -90,7 +90,9 @@ class InFlight:
     ``sq_live`` mirrors store-queue membership for store records (set at
     dispatch, cleared at commit or recovery truncation) so the core's
     per-address store index can filter departed entries without scanning
-    the queue; it is only ever assigned/read for stores.
+    the queue; it and ``addr_known`` are only ever assigned/read for
+    stores, from dispatch on.  ``fu`` is assigned at dispatch and read
+    only after it.  The fetch cycle is the group's.
     """
 
     __slots__ = (
@@ -104,11 +106,11 @@ class InFlight:
         # memory scheduling
         "addr_known", "sq_live",
         # timing
-        "fetch_cycle", "dispatch_cycle",
+        "dispatch_cycle",
         "is_active",
     )
 
-    def __init__(self, seq: int, inst: Instruction, group: FetchGroup, fetch_cycle: int):
+    def __init__(self, seq: int, inst: Instruction, group: FetchGroup):
         # The functional-result slots (next_pc, taken, mem_addr, value,
         # dest) and pending_srcs are deliberately NOT initialized here:
         # the core assigns all of them unconditionally when the record is
@@ -123,15 +125,12 @@ class InFlight:
         self.inst = inst
         self.group = group
         self.state = S_WAITING
-        self.fu = -1
         self.dependents: Optional[List["InFlight"]] = None
         self.cp_snapshot = None
         self.predicted_next: Optional[int] = None
         self.checkpoint: Optional[Checkpoint] = None
         self.inactive_buffer = None  # dormant InFlights past a divergence
         self.cp_need = False
-        self.addr_known = False
-        self.fetch_cycle = fetch_cycle
         self.dispatch_cycle = -1
         self.is_active = True
 

@@ -176,9 +176,9 @@ class Machine:
             engine.restore((0, ()))
         self.engine = engine
         # The core repairs from per-branch checkpoints, so it needs the
-        # engine to capture (GHR, RAS) snapshots — engines default to the
-        # capture-off fast path (warmed engines may also arrive with
-        # capture disabled by the front-end simulator).
+        # engine to capture (GHR, RAS) snapshots and prediction records at
+        # fetch — engines default to capture off (warmed engines may also
+        # arrive with capture disabled by the front-end simulator).
         engine.capture_snapshots = True
         self.fill_unit = getattr(self.engine, "fill_unit", None)
         core = config.core
@@ -235,7 +235,9 @@ class Machine:
         self.fault_redirect_delay = 0
 
         self.result = MachineResult(benchmark=program.name, config=config)
-        self._fetch_cycle_groups: List[Tuple[int, FetchGroup]] = []
+        #: groups fetched without an icache stall, classified useful or
+        #: wrong-path at the end of the run
+        self._fetch_cycle_groups: List[FetchGroup] = []
         self._mem_waiters: Dict[int, List[InFlight]] = {}  # store seq -> loads
         # Sequence numbers after which the fill unit's pending segment is
         # cut: recoveries re-synchronize filling with fetch alignment, but
@@ -294,7 +296,25 @@ class Machine:
                 self._fetch()
                 if not self.ready_total and not self.halted:
                     self._skip_quiescent(max_cycles)
-        return self._finish()
+        result = self._finish()
+        self._release_window()
+        return result
+
+    def _release_window(self) -> None:
+        """Break the reference cycles of the in-flight window at halt.
+
+        A producer lists its consumers in ``dependents``; a younger
+        record's ``checkpoint`` holds the rename map, which points back at
+        producers; a fetch's last record holds its ``inactive_buffer``.
+        Clearing these on the records still in the window lets a dropped
+        machine die by refcount alone (``tests/test_gc_hygiene.py``).
+        """
+        for records in (self.rob, self.dispatch_queue):
+            for rec in records:
+                rec.dependents = None
+                rec.checkpoint = None
+                rec.inactive_buffer = None
+        self.checkpoints.clear()
 
     def _skip_quiescent(self, max_cycles: int) -> None:
         """Jump over cycles in which no pipeline stage can make progress.
@@ -530,7 +550,7 @@ class Machine:
                 rec.inactive_buffer = None
             return
         # Mispredicted.  Track stats, then repair.
-        self.result.resolution_time_sum += self.cycle + REDIRECT_BUBBLE - rec.fetch_cycle
+        self.result.resolution_time_sum += self.cycle + REDIRECT_BUBBLE - rec.group.cycle
         self.result.resolution_count += 1
         if rec.promoted:
             self.result.promoted_faults += 1
@@ -650,7 +670,7 @@ class Machine:
         if rec.predicted_next == rec.next_pc:
             return
         self.result.indirect_mispredicts += 1
-        self.result.resolution_time_sum += self.cycle + REDIRECT_BUBBLE - rec.fetch_cycle
+        self.result.resolution_time_sum += self.cycle + REDIRECT_BUBBLE - rec.group.cycle
         self.result.resolution_count += 1
         cp = rec.checkpoint
         self._fill_cuts.add(rec.seq)
@@ -722,17 +742,17 @@ class Machine:
 
         Truncation is by sequence number, not by remembered length: older
         entries may have retired from the queue front since the checkpoint
-        was taken.
+        was taken.  Both queues are in dispatch (= sequence) order, so the
+        younger entries are popped off their tails.
         """
-        keep = []
-        for store in self.store_queue:
-            if store.seq <= seq:
-                keep.append(store)
-            else:
-                store.addr_known = True  # squashed; stop blocking loads
-                store.sq_live = False
-        self.store_queue = keep
-        self.load_queue = [load for load in self.load_queue if load.seq <= seq]
+        store_queue = self.store_queue
+        while store_queue and store_queue[-1].seq > seq:
+            store = store_queue.pop()
+            store.addr_known = True  # squashed; stop blocking loads
+            store.sq_live = False
+        load_queue = self.load_queue
+        while load_queue and load_queue[-1].seq > seq:
+            load_queue.pop()
 
     def _rescan_mem_blocked(self) -> None:
         """Re-evaluate every memory-blocked load after a recovery.
@@ -753,17 +773,45 @@ class Machine:
         """Kill everything younger than ``seq`` except exempted sequence
         numbers (an inactive buffer about to be activated).
 
-        The ROB is ordered by sequence number, so walking from the young
-        end and stopping at the anchor visits only the records that can
-        possibly squash — recoveries are frequent enough on branchy codes
-        that a full-ROB sweep per recovery was a measurable cost.
+        The ROB is ordered by sequence number, so the squashed records are
+        popped off its young end: retire and later recoveries never see
+        them again.  Live exempted records are put back in order (squashed
+        ones are re-appended by :meth:`_activate_dormant`).  The common
+        case of :meth:`_squash_one` is inlined — every record popped here
+        is dispatched, so it holds a reservation-station slot iff its
+        state is below EXECUTING.
         """
+        rob = self.rob
+        pop = rob.pop
+        rs_count = self.rs_count
         squash_one = self._squash_one
-        for rec in reversed(self.rob):
+        kept = []
+        ready_lost = 0
+        while rob:
+            rec = rob[-1]
             if rec.seq <= seq:
                 break
-            if rec.seq not in exempt and rec.state != S_SQUASHED:
+            pop()
+            previous = rec.state
+            if previous == S_SQUASHED:
+                continue
+            if exempt and rec.seq in exempt:
+                kept.append(rec)
+                continue
+            if rec.inactive_buffer:
                 squash_one(rec)
+                continue
+            rec.state = S_SQUASHED
+            rec.dependents = None
+            rec.checkpoint = None
+            if previous < S_EXECUTING:
+                rs_count[rec.fu] -= 1
+                if previous == S_READY:
+                    ready_lost += 1
+        self.ready_total -= ready_lost
+        if kept:
+            kept.reverse()
+            rob.extend(kept)
         # Anything still waiting to dispatch is on the wrong path too;
         # exempted records leave the queue and are force-dispatched by
         # dormant activation.
@@ -815,10 +863,12 @@ class Machine:
         for rec in buffer:
             if rec.state == S_SQUASHED and rec.dispatch_cycle >= 0:
                 # An *older* recovery (e.g. a promoted-branch fault rolling
-                # back past this fetch) squashed the buffer while its branch
-                # was still unresolved.  The entry is still in the ROB at
-                # the right position: resurrect it in place.
+                # back to this branch's checkpoint) squashed the buffer
+                # while its branch was still unresolved, and popped it off
+                # the ROB.  Everything younger than the branch is gone
+                # now, so the entry goes back at the young end, in order.
                 self.rs_count[rec.seq % n_fus] += 1
+                self.rob.append(rec)
             if rec.dispatch_cycle < 0:
                 # Still in (or squashed out of) the dispatch queue: give it
                 # its window slot now — it issues as part of the recovery.
@@ -1146,6 +1196,7 @@ class Machine:
             if op is _ST:
                 store_queue.append(rec)
                 rec.sq_live = True
+                rec.addr_known = False
                 bucket = store_map_get(mem_addr)
                 if bucket is None:
                     store_map[mem_addr] = [rec]
@@ -1317,6 +1368,7 @@ class Machine:
         if op is _ST:
             self.store_queue.append(rec)
             rec.sq_live = True
+            rec.addr_known = False
             bucket = self.store_map.get(mem_addr)
             if bucket is None:
                 self.store_map[mem_addr] = [rec]
@@ -1401,41 +1453,38 @@ class Machine:
             self.pending_fetch = (result, group)
             self.acc_cache_miss += 1
             return
-        self._fetch_cycle_groups.append((self.cycle, group))
+        self._fetch_cycle_groups.append(group)
         self._enqueue_fetch(result, group)
 
     def _enqueue_fetch(self, result: FetchResult, group: FetchGroup) -> None:
-        records: List[InFlight] = []
-        append = records.append
         seq = self.seq
-        fetch_cycle = group.cycle
-        # Prediction records attach in order to the dynamic branches.
-        rec_iter = iter(result.pred_records)
-        active_dirs = result.active_dirs
-        active_promoted = result.active_promoted
-        snapshot_get = result.control_snapshots.get
-        for idx, inst in enumerate(result.active):
-            seq += 1
-            rec = InFlight(seq, inst, group, fetch_cycle)
-            # A non-None fetch direction marks exactly the conditional
-            # branches (every engine fills active_dirs that way).
-            direction = active_dirs[idx]
-            if direction is not None:
+        active = result.active
+        records = [InFlight(s, inst, group)
+                   for s, inst in enumerate(active, seq + 1)]
+        seq += len(active)
+        # With capture on (see ``__init__``) the engine records one
+        # snapshot per conditional branch in ``active``, in position
+        # order, so the snapshot keys are exactly the branch slots.
+        # Prediction records attach in order to the dynamic ones.
+        snapshots = result.control_snapshots
+        if snapshots:
+            rec_iter = iter(result.pred_records)
+            active_dirs = result.active_dirs
+            active_promoted = result.active_promoted
+            for idx, snapshot in snapshots.items():
+                rec = records[idx]
                 # Each arm fills in ALL the branch-metadata slots the
                 # constructor leaves unset (reads are branch-gated).
                 if active_promoted[idx]:
                     rec.promoted = True
-                    rec.static_dir = direction
+                    rec.static_dir = active_dirs[idx]
                     rec.predicted_taken = None
                 else:
                     rec.promoted = False
-                    rec.predicted_taken = direction
+                    rec.predicted_taken = active_dirs[idx]
                     rec.cp_need = True
                     rec.pred_record = next(rec_iter, None)
-                snapshot = snapshot_get(idx)
-                if snapshot is not None:
-                    rec.cp_snapshot = snapshot
-            append(rec)
+                rec.cp_snapshot = snapshot
         # Attach the end-of-fetch bookkeeping to the last instruction: the
         # fetch's predicted successor doubles as the final block boundary's
         # checkpoint resume point, and for indirect jumps/returns it is the
@@ -1449,7 +1498,7 @@ class Machine:
             inactive_dirs = result.inactive_dirs
             for idx, inst in enumerate(result.inactive):
                 seq += 1
-                drec = InFlight(seq, inst, group, fetch_cycle)
+                drec = InFlight(seq, inst, group)
                 drec.is_active = False
                 if inactive_dirs[idx] is not None:
                     drec.static_dir = inactive_dirs[idx]
@@ -1490,11 +1539,15 @@ class Machine:
         if self.acc_full_window:
             accounting[CycleCategory.FULL_WINDOW] += self.acc_full_window
         # Deferred classification of fetch cycles: useful vs wrong-path.
-        for _cycle, group in self._fetch_cycle_groups:
+        groups = self._fetch_cycle_groups
+        useful = 0
+        for group in groups:
             if group.retired_any:
-                accounting[CycleCategory.USEFUL_FETCH] += 1
-            else:
-                accounting[CycleCategory.BRANCH_MISSES] += 1
+                useful += 1
+        if useful:
+            accounting[CycleCategory.USEFUL_FETCH] += useful
+        if len(groups) > useful:
+            accounting[CycleCategory.BRANCH_MISSES] += len(groups) - useful
         if self.fill_unit is not None:
             self.fill_unit.flush()
             result.fill_reasons = dict(self.fill_unit.finalize_reasons)

@@ -648,14 +648,16 @@ class _Supervisor:
                     # sleep would stall the whole window.
                     self.supervision.sleep(
                         self.supervision.delay(breaker.strikes))
+            if pool is not None:
+                # Normal end: every point settled, so the workers are
+                # idle.  Waiting lets the executor's manager thread exit
+                # now; a non-waiting shutdown leaves it racing the
+                # interpreter's exit hook over its wakeup pipe.
+                pool.shutdown(wait=True)
         except BaseException:
             if pool is not None:
                 _kill_pool(pool)  # terminate workers; do not wait on them
-                pool = None
             raise
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
 
     @staticmethod
     def _pool_broke(breaker: CircuitBreaker) -> None:

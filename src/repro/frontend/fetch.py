@@ -10,11 +10,10 @@ history, return address stack) with snapshot/restore for checkpoint repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.branch.history import GlobalHistory
-from repro.branch.hybrid import HybridPredictor, HybridPrediction
+from repro.branch.hybrid import HybridPredictor
 from repro.branch.indirect import LastTargetPredictor
 from repro.branch.multiple import MultipleBranchPredictor, SplitMultiplePredictor
 from repro.branch.ras import IdealReturnAddressStack
@@ -40,14 +39,21 @@ _REASON_FROM_FINALIZE = {
 }
 
 
-@dataclass(frozen=True, slots=True)
 class PredRecord:
-    """Everything needed to train the predictor for one fetched branch."""
+    """Everything needed to train the predictor for one fetched branch.
 
-    addr: int
-    position: int      # prediction slot within this fetch (0..2)
-    token: object      # predictor-specific handle (row/index/HybridPrediction)
-    predicted: bool
+    A plain ``__slots__`` class: the core builds one per fetched dynamic
+    branch, and a frozen dataclass pays an ``object.__setattr__`` per
+    field in its constructor.
+    """
+
+    __slots__ = ("addr", "position", "token", "predicted")
+
+    def __init__(self, addr: int, position: int, token: object, predicted: bool):
+        self.addr = addr
+        self.position = position    # prediction slot within this fetch (0..2)
+        self.token = token          # predictor-specific handle (row/index/HybridPrediction)
+        self.predicted = predicted
 
 
 class FetchResult:
@@ -89,17 +95,21 @@ class FetchResult:
         self.ends_with_trap = False
         self.segment = segment
         #: position in ``active`` -> (ghr value before this branch's push,
-        #: RAS snapshot at that point).  Used by the core for checkpoint
-        #: repair.
+        #: RAS snapshot at that point), one entry per conditional branch in
+        #: ``active`` (in position order) while the engine's
+        #: ``capture_snapshots`` is on.  Used by the core for checkpoint
+        #: repair; a compiled variant derives the entries from its
+        #: ``snap_recipe``, the fault-override walk records them live.
         self.control_snapshots: dict = {}
-        #: the CompiledVariant this fetch was served from, or None when it
-        #: went through a generic path.  The front-end simulator keys its
-        #: fast retire path off this.
+        #: the CompiledVariant this fetch was served from, or None for the
+        #: fault-override walk and off-image fetches.  The front-end
+        #: simulator keys its fast retire path off this.
         self.variant: Optional[CompiledVariant] = None
-        #: per-fetch predictor tokens ``(t0, t1, t2)`` on the variant path;
-        #: there ``pred_records`` is built lazily (``None`` until a generic
-        #: consumer actually needs the records — most variant fetches
-        #: retire compiled and never do).
+        #: per-fetch predictor tokens ``(t0, t1, t2)`` on the variant path.
+        #: With capture off ``pred_records`` is built lazily (``None`` until
+        #: a generic consumer actually needs the records — most variant
+        #: fetches retire compiled and never do); with capture on (the
+        #: core) it is built at fetch.
         self.pred_tokens: Optional[tuple] = None
 
     @property
@@ -107,8 +117,8 @@ class FetchResult:
         return len(self.active)
 
 
-#: Shared by every variant-served FetchResult: capture is off on the
-#: variant path, so nothing ever writes into it.
+#: Shared by every variant-served FetchResult without snapshots (capture
+#: off, or no conditional branch); consumers only ever read it.
 _EMPTY_SNAPSHOTS: dict = {}
 
 
@@ -125,6 +135,14 @@ class CompiledVariant:
     per-fetch residue is predictor-token capture (``pred_meta``) and the
     tail target when the segment ends in a return or indirect jump.
 
+    ``snap_recipe`` serves the core's checkpoint repair: per conditional
+    branch slot ``(pos, k, j)``, where ``k`` of the variant's
+    ``ghr_count`` batched GHR bits and ``j`` of its ``ras_pushes``
+    precede the branch.  From the GHR value and RAS snapshot at fetch
+    entry, the branch's ``(GHR before its push, RAS snapshot)`` is
+    ``((entry << k) | (ghr_bits >> (ghr_count - k))) & mask`` and
+    ``entry_ras + ras_pushes[:j]``.
+
     An icache fetch block is the one-branch case (:func:`compile_block`):
     static per (pc, delivered length), with one variant per predicted
     direction of its final conditional branch.  ``source`` is the fetch
@@ -138,7 +156,7 @@ class CompiledVariant:
         "ras_pushes", "ghr_count", "ghr_bits", "branch_checks", "n_active",
         "n_dyn", "n_promoted", "n_indirect", "train_meta", "ret_pop",
         "trap_last", "fill_events", "fill_branches", "key", "dyn_pos",
-        "source",
+        "source", "snap_recipe",
     )
 
 
@@ -147,9 +165,11 @@ def compile_variant(segment: TraceSegment, key: int,
     """Compile the fetch of ``segment`` under predicted pattern ``key``.
 
     Bit ``k`` of ``key`` is the predicted direction of the segment's
-    ``k``-th dynamic branch; the compiled walk mirrors
-    ``TraceFetchEngine._fetch_from_plan`` exactly, cut at the first
-    dynamic branch whose prediction disagrees with the embedded path.
+    ``k``-th dynamic branch.  The walk follows the segment's fetch plan
+    (control events only) along the embedded path, cut at the first
+    dynamic branch whose prediction disagrees with it: the same outcome
+    as :meth:`TraceFetchEngine._fetch_from_segment_slow` without an
+    override, and as the reference engine's walk.
     """
     events, dirs_tmpl, promoted_tmpl, _promoted_addrs, tail = segment.fetch_plan()
     instructions = segment.instructions
@@ -165,10 +185,12 @@ def compile_variant(segment: TraceSegment, key: int,
     divergence_pos = -1
     diverging_predicted = False
     dyn_pos: dict = {}
+    snap_recipe = []
     for kind, pos, payload in events:
         if kind == 0:
             ras_pushes.append(payload)
             continue
+        snap_recipe.append((pos, ghr_count, len(ras_pushes)))
         if kind == 1:
             ghr_bits = (ghr_bits << 1) | payload
             ghr_count += 1
@@ -199,6 +221,7 @@ def compile_variant(segment: TraceSegment, key: int,
     v.ras_pushes = tuple(ras_pushes)
     v.ghr_bits = ghr_bits
     v.ghr_count = ghr_count
+    v.snap_recipe = snap_recipe
     if divergence_pos >= 0:
         cut = divergence_pos + 1
         v.active = instructions[:cut]
@@ -297,12 +320,13 @@ def compile_block(block: List[Instruction],
     Returns the variants for a not-taken and a taken prediction of the
     block's final conditional branch, in that order; a block that does
     not end in one has a single outcome, returned twice.  The variants
-    mirror the generic walks (``ICacheFetchEngine._fetch_generic``,
-    ``TraceFetchEngine._fetch_from_icache_generic``) exactly: the only
-    per-fetch residue is the prediction itself and the tail target of a
-    return or indirect jump.  ``train_by_addr`` selects the training
-    record: ``(branch pc, taken)`` for the hybrid predictor, ``(path,
-    taken)`` for the multiple-branch predictors.
+    match the reference engine's per-instruction block walk exactly: the
+    only per-fetch residue is the prediction itself and the tail target
+    of a return or indirect jump.  A block holds at most one control
+    instruction, its last, so its one conditional branch (if any) has no
+    GHR bit or RAS push ahead of it.  ``train_by_addr`` selects the
+    training record: ``(branch pc, taken)`` for the hybrid predictor,
+    ``(path, taken)`` for the multiple-branch predictors.
     """
     last = block[-1]
     op = last.op
@@ -330,7 +354,7 @@ def compile_block(block: List[Instruction],
         if predicted is None:
             v.key = 0
             v.predictions_used = v.n_dyn = v.ghr_count = v.ghr_bits = 0
-            v.pred_meta = v.train_meta = ()
+            v.pred_meta = v.train_meta = v.snap_recipe = ()
             v.dyn_pos = {}
             if op.is_direct_control:  # JMP, CALL
                 v.next_pc = last.target
@@ -345,6 +369,7 @@ def compile_block(block: List[Instruction],
             v.pred_meta = ((last.addr, 0, predicted),)
             v.train_meta = (((last.addr if train_by_addr else ()), predicted),)
             v.dyn_pos = {n - 1: 0}
+            v.snap_recipe = ((n - 1, 0, 0),)
             v.next_pc = last.target if predicted else last.fall_through
         _compile_retire(v)
         variants.append(v)
@@ -372,13 +397,14 @@ class _FrontEndBase:
         self.ras = IdealReturnAddressStack()
         self.indirect = LastTargetPredictor()
         #: Record per-branch (GHR, RAS) snapshots in each FetchResult's
-        #: ``control_snapshots``.  Only the out-of-order core reads them
-        #: (checkpoint repair), and it re-enables this on engine adoption
-        #: (see ``Machine.__init__``); everything else — the oracle-driven
-        #: front-end simulator, benchmarks, warm-up drivers — runs with
-        #: capture off, which both skips a RAS copy per fetched branch and
-        #: unlocks the compiled-variant fetch path (variant results share
-        #: per-variant lists, which must never leak into the core).
+        #: ``control_snapshots`` and build its ``pred_records`` at fetch.
+        #: Only the out-of-order core reads them (checkpoint repair), and
+        #: it re-enables this on engine adoption (see ``Machine.__init__``);
+        #: everything else — the oracle-driven front-end simulator,
+        #: benchmarks, warm-up drivers — runs with capture off.  Both
+        #: settings take the same compiled-variant fetch path: a variant
+        #: derives its snapshots from the fetch-entry GHR/RAS and its
+        #: ``snap_recipe`` (see :meth:`_serve`).
         self.capture_snapshots = False
         #: pc -> (block, line_breaks): the natural fetch block starting at
         #: a pc (up to the first control / fetch width / image end) is a
@@ -400,27 +426,6 @@ class _FrontEndBase:
         self.ras.restore(ras_state)
 
     # --- icache block fetch (shared by both engines) ---------------------
-
-    def _fetch_icache_block(self, pc: int) -> Tuple[List[Instruction], int, bool]:
-        """Fetch one block from the instruction cache with split-line fetch.
-
-        Returns (instructions, stall_cycles, line_boundary_cut).  The block
-        ends at the first control instruction, the fetch width, the end of
-        the code image, or a second-line miss (split-line rule).
-
-        The block contents and the positions where it crosses a cache line
-        are static per pc, so they come from ``_block_cache``; only the
-        dynamic part — the line hit checks, in address order — replays
-        against the memory hierarchy on every fetch.
-        """
-        cached = self._block_cache.get(pc)
-        if cached is None:
-            cached = self._block_cache[pc] = self._build_icache_block(pc)
-        block, breaks = cached
-        stall, cut = self._replay_lines(pc, breaks)
-        if cut:
-            return block[:cut], stall, True
-        return block, stall, False
 
     def _replay_lines(self, pc: int, breaks: tuple) -> Tuple[int, int]:
         """Replay one block fetch's icache accesses, in address order.
@@ -444,8 +449,11 @@ class _FrontEndBase:
     def _fetch_compiled_block(self, pc: int) -> tuple:
         """The compiled icache fetch at ``pc``: ``(variants, stall_cycles)``.
 
-        The same static block and memory traffic as
-        :meth:`_fetch_icache_block`; ``variants`` is the
+        The block ends at the first control instruction, the fetch width,
+        the end of the code image, or a second-line miss (split-line
+        rule).  Its contents and line crossings are static per pc, so
+        they come from ``_block_cache``; only the line hit checks replay
+        against the memory hierarchy on every fetch.  ``variants`` is the
         :func:`compile_block` pair of the delivered block (compiled on
         first delivery), or None when ``pc`` is off the code image.
         """
@@ -485,7 +493,10 @@ class _FrontEndBase:
         state it moves (batched GHR shift, RAS pushes, tail target).
 
         ``tokens`` are the predictor handles captured for the variant's
-        predicted branches (None when it predicts none).
+        predicted branches (None when it predicts none).  With
+        ``capture_snapshots`` on, the checkpoint snapshots come from the
+        variant's ``snap_recipe`` and the fetch-entry GHR/RAS, and the
+        prediction records are built here rather than lazily.
         """
         result = FetchResult.__new__(FetchResult)
         result.pc = pc
@@ -510,6 +521,23 @@ class _FrontEndBase:
         else:
             result.pred_records = ()
             result.pred_tokens = None
+        if self.capture_snapshots:
+            recipe = variant.snap_recipe
+            if recipe:
+                entry = self.ghr.value
+                mask = self.ghr.mask
+                bits = variant.ghr_bits
+                count = variant.ghr_count
+                pushes = variant.ras_pushes
+                entry_ras = self.ras.snapshot()
+                result.control_snapshots = {
+                    pos: (((entry << k) | (bits >> (count - k))) & mask,
+                          entry_ras + pushes[:j] if j else entry_ras)
+                    for pos, k, j in recipe}
+            if tokens is not None:
+                result.pred_records = [
+                    PredRecord(addr, k, tokens[k], predicted)
+                    for addr, k, predicted in variant.pred_meta]
         if variant.ghr_count:
             self.ghr.push_bits(variant.ghr_bits, variant.ghr_count)
         ras = self.ras
@@ -550,24 +578,6 @@ class _FrontEndBase:
                 break
             addr += 1
         return block, tuple(breaks)
-
-    def _control_next_pc(self, inst: Instruction, predicted_taken: Optional[bool]) -> Optional[int]:
-        """Predicted successor of a block-ending control instruction."""
-        op = inst.op
-        if op.is_cond_branch:
-            return inst.target if predicted_taken else inst.fall_through
-        if op is Opcode.JMP:
-            return inst.target
-        if op is Opcode.CALL:
-            self.ras.push(inst.fall_through)
-            return inst.target
-        if op is Opcode.RET:
-            return self.ras.pop()
-        if op is Opcode.JR:
-            return self.indirect.predict(inst.addr)
-        # TRAP / HALT serialize; fetch resumes at the next instruction.
-        return inst.fall_through
-
 
 class TraceFetchEngine(_FrontEndBase):
     """Trace cache front end with partial matching and inactive issue."""
@@ -610,7 +620,7 @@ class TraceFetchEngine(_FrontEndBase):
             segment = self.trace_cache.lookup(pc)
         if segment is None:
             return self._fetch_from_icache(pc)
-        if self._fault_overrides or self.capture_snapshots:
+        if self._fault_overrides:
             return self._fetch_from_segment(pc, segment)
         return self._fetch_from_variant(pc, segment)
 
@@ -667,24 +677,17 @@ class TraceFetchEngine(_FrontEndBase):
         return chosen
 
     def _fetch_from_segment(self, pc: int, segment: TraceSegment) -> FetchResult:
-        """Slow gate: pending fault overrides or snapshot capture active."""
-        events, dirs_tmpl, promoted_tmpl, promoted_addrs, tail = segment.fetch_plan()
-        fault_overrides = self._fault_overrides
-        if fault_overrides and not fault_overrides.keys().isdisjoint(promoted_addrs):
+        """Slow gate: a promoted-fault override is pending somewhere."""
+        promoted_addrs = segment.fetch_plan()[3]
+        if not self._fault_overrides.keys().isdisjoint(promoted_addrs):
             return self._fetch_from_segment_slow(pc, segment)
-        if self.capture_snapshots:
-            # Per-branch snapshot capture needs the event walk (live GHR
-            # and RAS values at each branch); variant results also share
-            # per-variant lists that must never reach the core.
-            return self._fetch_from_plan(pc, segment, events, dirs_tmpl,
-                                         promoted_tmpl, tail)
         return self._fetch_from_variant(pc, segment)
 
     def _fetch_from_variant(self, pc: int, segment: TraceSegment) -> FetchResult:
         """Serve a segment fetch from its compiled variant (the hot path).
 
         The predictor is consulted once (iff the segment contains a
-        dynamic branch, like the plan walk) and its pattern selects the
+        dynamic branch, like the reference walk) and its pattern selects the
         precompiled outcome, which :meth:`_serve` delivers.
         """
         mask = segment._pattern_mask
@@ -716,96 +719,10 @@ class TraceFetchEngine(_FrontEndBase):
             variants[key] = variant
         return self._serve(pc, variant, 0, tokens, segment)
 
-    def _fetch_from_plan(self, pc: int, segment: TraceSegment, events: list,
-                         dirs_tmpl: list, promoted_tmpl: list, tail: int) -> FetchResult:
-        """Segment fetch along the precomputed event plan (no pending fault
-        overrides, the overwhelmingly common case).
-
-        Only the control *events* are walked — per-position work is
-        replaced by slicing the segment's cached direction/promotion
-        templates, which is valid because a non-diverging fetch follows
-        exactly the embedded path and a diverging one follows it up to the
-        diverging branch.
-        """
-        ghr = self.ghr
-        ras = self.ras
-        ghr_push = ghr.push
-        # The predictor is consulted with the fetch-entry history, but only
-        # if the segment actually contains a dynamically predicted branch —
-        # fully promoted (or branch-free) segments skip the table walk.
-        ghr_at_entry = ghr.value
-        prediction = None
-        result = FetchResult(pc=pc, source="tc", segment=segment)
-        capture = self.capture_snapshots
-        snapshots = result.control_snapshots
-        ras_snap = None
-        instructions = segment.instructions
-        dyn_index = 0
-        divergence_pos = -1
-        diverging_predicted = False
-        for kind, pos, payload in events:
-            if kind == 0:
-                ras.push(payload)
-                ras_snap = None
-                continue
-            if capture:
-                if ras_snap is None:
-                    ras_snap = ras.snapshot()
-                snapshots[pos] = (ghr.value, ras_snap)
-            if kind == 1:
-                ghr_push(payload)
-            else:
-                direction, addr = payload
-                if prediction is None:
-                    prediction = self.predictor.predict(pc, ghr_at_entry)
-                predicted = prediction.taken[dyn_index]
-                result.pred_records.append(
-                    PredRecord(addr=addr, position=dyn_index,
-                               token=prediction.indices[dyn_index], predicted=predicted)
-                )
-                dyn_index += 1
-                ghr_push(predicted)
-                if predicted != direction:
-                    divergence_pos = pos
-                    diverging_predicted = predicted
-                    break
-        result.predictions_used = dyn_index
-        if divergence_pos >= 0:
-            cut = divergence_pos + 1
-            result.active = instructions[:cut]
-            dirs = dirs_tmpl[:cut]
-            dirs[divergence_pos] = diverging_predicted
-            result.active_dirs = dirs
-            result.active_promoted = promoted_tmpl[:cut]
-            result.divergence = True
-            diverging = instructions[divergence_pos]
-            result.next_pc = diverging.target if diverging_predicted else diverging.fall_through
-            result.raw_reason = FetchReason.PARTIAL_MATCH
-            # The remainder of the line issues inactively, along the
-            # segment's own (non-predicted) path.
-            if self.inactive_issue and cut < len(instructions):
-                result.inactive = instructions[cut:]
-                result.inactive_dirs = dirs_tmpl[cut:]
-                result.inactive_promoted = promoted_tmpl[cut:]
-            return result
-        result.active = instructions[:]
-        result.active_dirs = dirs_tmpl[:]
-        result.active_promoted = promoted_tmpl[:]
-        result.raw_reason = _REASON_FROM_FINALIZE[segment.finalize_reason]
-        if tail == 0:
-            result.next_pc = segment.next_addr
-        elif tail == 1:
-            result.next_pc = ras.pop()
-        elif tail == 2:
-            result.next_pc = self.indirect.predict(instructions[-1].addr)
-        else:
-            result.next_pc = instructions[-1].fall_through
-            result.ends_with_trap = True
-        return result
-
     def _fetch_from_segment_slow(self, pc: int, segment: TraceSegment) -> FetchResult:
-        """Per-slot segment walk, kept for fetches with a pending promoted
-        fault override (which can cut the fetch at an arbitrary position)."""
+        """Per-slot segment walk, the one fetch not served from a compiled
+        variant: a pending promoted-fault override on one of the segment's
+        branches can cut the fetch at an arbitrary position."""
         ghr = self.ghr
         ras = self.ras
         ghr_push = ghr.push
@@ -894,10 +811,7 @@ class TraceFetchEngine(_FrontEndBase):
         return result
 
     def _fetch_from_icache(self, pc: int) -> FetchResult:
-        """Trace-cache miss: one icache block, from its compiled variant
-        unless snapshot capture needs the generic walk."""
-        if self.capture_snapshots:
-            return self._fetch_from_icache_generic(pc)
+        """Trace-cache miss: one icache block, from its compiled variant."""
         variants, stall = self._fetch_compiled_block(pc)
         if variants is None:
             return _off_image(pc, stall)
@@ -906,37 +820,6 @@ class TraceFetchEngine(_FrontEndBase):
             return self._serve(pc, not_taken, stall, None)
         pattern, t0, _t1, _t2 = self.predictor.predict_pattern(pc, self.ghr.value)
         return self._serve(pc, taken if pattern & 1 else not_taken, stall, (t0,))
-
-    def _fetch_from_icache_generic(self, pc: int) -> FetchResult:
-        block, stall, _boundary_cut = self._fetch_icache_block(pc)
-        if not block:
-            return _off_image(pc, stall)
-        result = FetchResult(pc=pc, source="icache", stall_cycles=stall)
-        last = block[-1]
-        predicted: Optional[bool] = None
-        if last.op.is_cond_branch:
-            if self.capture_snapshots:
-                result.control_snapshots[len(block) - 1] = (self.ghr.value, self.ras.snapshot())
-            prediction = self.predictor.predict(pc, self.ghr.value)
-            predicted = prediction.taken[0]
-            result.pred_records.append(
-                PredRecord(addr=last.addr, position=0,
-                           token=prediction.indices[0], predicted=predicted)
-            )
-            result.predictions_used = 1
-            self.ghr.push(predicted)
-        for inst in block:
-            result.active.append(inst)
-            result.active_dirs.append(predicted if inst is last and last.op.is_cond_branch else None)
-            result.active_promoted.append(False)
-        result.next_pc = self._control_next_pc(last, predicted) if last.op.ends_fetch_block else last.fall_through
-        result.ends_with_trap = last.op.opclass is OpClass.TRAP
-        if len(block) >= FETCH_WIDTH and not last.op.ends_fetch_block:
-            result.raw_reason = FetchReason.MAX_SIZE
-            result.next_pc = last.fall_through
-        else:
-            result.raw_reason = FetchReason.ICACHE
-        return result
 
     def train_branch(self, record: PredRecord, taken: bool, path: Tuple[bool, ...]) -> None:
         self.predictor.update(record.token, record.position, path, taken)
@@ -958,8 +841,6 @@ class ICacheFetchEngine(_FrontEndBase):
         self.predictor = predictor or HybridPredictor(history_bits=history_bits)
 
     def fetch(self, pc: int) -> FetchResult:
-        if self.capture_snapshots:
-            return self._fetch_generic(pc)
         variants, stall = self._fetch_compiled_block(pc)
         if variants is None:
             return _off_image(pc, stall)
@@ -969,37 +850,6 @@ class ICacheFetchEngine(_FrontEndBase):
         prediction = self.predictor.predict(not_taken.last_addr, self.ghr.value)
         return self._serve(pc, taken if prediction.taken else not_taken, stall,
                            (prediction,))
-
-    def _fetch_generic(self, pc: int) -> FetchResult:
-        """Per-instruction block walk, for snapshot capture (the core)."""
-        block, stall, _boundary_cut = self._fetch_icache_block(pc)
-        if not block:
-            return _off_image(pc, stall)
-        result = FetchResult(pc=pc, source="icache", stall_cycles=stall)
-        last = block[-1]
-        predicted: Optional[bool] = None
-        if last.op.is_cond_branch:
-            if self.capture_snapshots:
-                result.control_snapshots[len(block) - 1] = (self.ghr.value, self.ras.snapshot())
-            prediction = self.predictor.predict(last.addr, self.ghr.value)
-            predicted = prediction.taken
-            result.pred_records.append(
-                PredRecord(addr=last.addr, position=0, token=prediction, predicted=predicted)
-            )
-            result.predictions_used = 1
-            self.ghr.push(predicted)
-        for inst in block:
-            result.active.append(inst)
-            result.active_dirs.append(predicted if inst is last and last.op.is_cond_branch else None)
-            result.active_promoted.append(False)
-        result.next_pc = self._control_next_pc(last, predicted) if last.op.ends_fetch_block else last.fall_through
-        result.ends_with_trap = last.op.opclass is OpClass.TRAP
-        if len(block) >= FETCH_WIDTH and not last.op.ends_fetch_block:
-            result.raw_reason = FetchReason.MAX_SIZE
-            result.next_pc = last.fall_through
-        else:
-            result.raw_reason = FetchReason.ICACHE
-        return result
 
     def train_branch(self, record: PredRecord, taken: bool, path: Tuple[bool, ...]) -> None:
         del path  # single-branch predictor

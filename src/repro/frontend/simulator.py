@@ -104,8 +104,9 @@ class FrontEndSimulator:
         #: (the default) leaves the hot loop untouched.
         self.observer = observer
         # This driver repairs from its own architectural GHR/RAS copies and
-        # never reads FetchResult.control_snapshots; skip capturing them
-        # (one RAS copy per fetched branch — only the core needs it).
+        # never reads FetchResult.control_snapshots; skip deriving them
+        # (and building prediction records eagerly) — only the core needs
+        # them.
         self.engine.capture_snapshots = False
         self.fill_unit = getattr(self.engine, "fill_unit", None)
         self.stats = FetchStats()

@@ -11,9 +11,10 @@ inputs its serialized :class:`FrontEndResult` — every counter in
 (:mod:`repro.branch.reference`, :mod:`repro.frontend.fetch_reference`,
 :mod:`repro.trace.fill_unit_reference`), and the two stacks must stay in
 lockstep fetch-by-fetch through randomized probe streams and mid-stream
-snapshot/restore round trips.  Within the fast stack, compiled block
-fetches must match the generic per-instruction walk the machine core
-uses, fetch by fetch.
+snapshot/restore round trips.  With snapshot capture on, as under the
+machine core, the fast engines' compiled fetches must deliver the
+reference walks' checkpoint snapshots and prediction records, fetch by
+fetch.
 """
 
 import random
@@ -27,9 +28,11 @@ from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import frontend_result_to_dict
 from repro.frontend.build import build_engine, build_predictor
 from repro.frontend.fetch import FETCH_WIDTH
-from repro.frontend.simulator import FrontEndSimulator
+from repro.frontend.simulator import FrontEndSimulator, compute_oracle
 from repro.frontend.stats import FetchReason
-from repro.validate.digests import engine_digest, fetch_signature
+from repro.isa import assemble
+from repro.isa.opcodes import Opcode
+from repro.validate.digests import engine_digest
 
 N = 12_000
 
@@ -153,59 +156,150 @@ def test_snapshot_restore_roundtrip_midstream():
             assert ref.snapshot() == snap_ref
 
 
-def _block_kinds(result) -> set:
-    """What a compiled icache-block fetch exercised (for coverage)."""
+def _fetch_kinds(result) -> set:
+    """What one capture-on fetch exercised (for coverage)."""
     if not result.active:
         return {"empty"}
-    if result.variant is None or result.source != "icache":
-        return set()
-    last = result.active[-1].op
-    kinds = {last.mnemonic if last.ends_fetch_block else "plain"}
-    if last.is_cond_branch:
-        kinds.add("taken" if result.active_dirs[-1] else "not-taken")
-    if not last.ends_fetch_block and len(result.active) < FETCH_WIDTH:
-        kinds.add("split-line")
-    if result.raw_reason is FetchReason.MAX_SIZE:
-        kinds.add("max-size")
+    kinds = set()
     if result.stall_cycles:
         kinds.add("stall")
+    if result.source == "icache":
+        last = result.active[-1].op
+        kinds.add(last.mnemonic if last.ends_fetch_block else "plain")
+        if last.is_cond_branch:
+            kinds.add("taken" if result.active_dirs[-1] else "not-taken")
+        if not last.ends_fetch_block and len(result.active) < FETCH_WIDTH:
+            kinds.add("split-line")
+        if result.raw_reason is FetchReason.MAX_SIZE:
+            kinds.add("max-size")
+    if result.divergence and result.inactive:
+        kinds.add("inactive-remainder")
+    if any(result.active_promoted[pos] for pos in result.control_snapshots):
+        kinds.add("promoted")
+    calls = [pos for pos, inst in enumerate(result.active)
+             if inst.op is Opcode.CALL]
+    for pos in result.control_snapshots:
+        before = sum(1 for call in calls if call < pos)
+        if before:
+            kinds.add("call-before-branch")
+            if before < len(calls):
+                kinds.add("calls-around-branch")
+    if result.variant is None:
+        kinds.add("fault-override-walk")
     return kinds
 
 
-@pytest.mark.parametrize("config", [cfg.ICACHE, cfg.BASELINE],
-                         ids=["icache-engine", "tc-miss"])
-def test_compiled_blocks_match_generic_walk(config):
-    """Compiled icache blocks deliver exactly what the generic walk does.
+def _capture_signature(result) -> tuple:
+    """Everything the machine core reads from a capture-on fetch."""
+    return (
+        result.source,
+        result.next_pc,
+        tuple(inst.addr for inst in result.active),
+        tuple(result.active_dirs),
+        tuple(bool(p) for p in result.active_promoted),
+        tuple(inst.addr for inst in result.inactive),
+        tuple(result.inactive_dirs),
+        tuple(bool(p) for p in result.inactive_promoted),
+        result.stall_cycles,
+        result.ends_with_trap,
+        sorted(result.control_snapshots.items()),
+        [(r.addr, r.position, r.predicted) for r in result.pred_records],
+    )
 
-    Two fast engines take the same probe stream: one serves icache blocks
-    from compiled variants (snapshot capture off, as in the front-end
-    simulator), the other walks them instruction by instruction (capture
-    on, as under the machine core).  Both are first trained by the same
-    run, so both predicted directions occur.  The probes visit every pc
-    of gcc in random order plus pcs off the code image, so the mostly
-    cold icache yields stalls and split-line cuts, and every block tail
-    kind shows up.  Fetch signatures and speculative state must agree
-    fetch by fetch.
+
+_BLOCK_KINDS = {"empty", "plain", "split-line", "max-size", "stall", "taken",
+                "not-taken", "CALL", "RET", "JR", "TRAP", "HALT", "JMP"}
+
+
+@pytest.mark.parametrize("config, expected", [
+    pytest.param(cfg.ICACHE, _BLOCK_KINDS, id="icache-engine"),
+    pytest.param(cfg.PROMOTION_PACKING,
+                 {"split-line", "max-size", "inactive-remainder", "promoted",
+                  "call-before-branch", "fault-override-walk"},
+                 id="trace-engine"),
+])
+def test_capture_fetches_match_reference(config, expected):
+    """With snapshot capture on (as under the machine core), compiled
+    fetches deliver exactly what the reference engine's walks do.
+
+    A fast and a reference engine are trained by the same front-end run,
+    then take the same probe stream: every pc of gcc in random order,
+    plus pcs drawn from the correct-path stream (segment starts), plus
+    pcs off the code image.  Every few probes both engines get the same
+    promoted-fault override, so the fast engine's one remaining walk runs
+    too.  Instructions, directions, inactive remainders, successors,
+    checkpoint snapshots and prediction records must agree fetch by
+    fetch, and so must the speculative state after each fetch and the
+    engines' digests at the end.
     """
     program = runner.get_program("gcc")
     oracle = runner.get_oracle("gcc", N)
-    compiled = build_engine(program, config, fast=True)
-    generic = build_engine(program, config, fast=True)
-    for engine in (compiled, generic):
+    fast = build_engine(program, config, fast=True)
+    ref = build_engine(program, config, fast=False)
+    for engine in (fast, ref):
         FrontEndSimulator(program, config, oracle=oracle, engine=engine).run()
-    generic.capture_snapshots = True
+        engine.capture_snapshots = True
+    rng = random.Random(20)
     probes = list(range(len(program))) + [len(program) + 7, len(program) + 99]
-    random.Random(18).shuffle(probes)
+    probes += [oracle[rng.randrange(len(oracle))][0].addr for _ in range(4000)]
+    rng.shuffle(probes)
     seen = set()
-    for pc in probes:
-        got = compiled.fetch(pc)
-        want = generic.fetch(pc)
-        assert want.variant is None
-        assert fetch_signature(pc, got) == fetch_signature(pc, want)
-        assert got.ends_with_trap == want.ends_with_trap
-        assert compiled.snapshot() == generic.snapshot()
-        seen |= _block_kinds(got)
-    assert engine_digest(compiled) == engine_digest(generic)
-    assert seen >= {"empty", "plain", "split-line", "max-size", "stall",
-                    "taken", "not-taken", "CALL", "RET", "JR", "TRAP",
-                    "HALT", "JMP"}
+    for i, pc in enumerate(probes):
+        got = fast.fetch(pc)
+        want = ref.fetch(pc)
+        assert _capture_signature(got) == _capture_signature(want), pc
+        assert fast.snapshot() == ref.snapshot()
+        seen |= _fetch_kinds(got)
+        promoted = [inst.addr for inst, p in zip(got.active, got.active_promoted)
+                    if p]
+        if promoted and i % 7 == 0:
+            addr = promoted[0]
+            direction = not got.active_dirs[got.active_promoted.index(True)]
+            fast.add_fault_override(addr, direction)
+            ref.add_fault_override(addr, direction)
+            got = fast.fetch(pc)
+            assert _capture_signature(got) == _capture_signature(ref.fetch(pc))
+            assert fast.snapshot() == ref.snapshot()
+            seen |= _fetch_kinds(got)
+    assert engine_digest(fast) == engine_digest(ref)
+    assert seen >= expected
+
+
+NESTED_CALLS_SOURCE = """
+        .text
+main:   ADDI r10, r0, 300
+loop:   CALL f
+        ADDI r10, r10, -1
+        BNE r10, r0, loop
+        HALT
+f:      ADD r5, r31, r0
+        ANDI r1, r10, 3
+        BEQ r1, r0, fskip
+        ADDI r2, r2, 1
+fskip:  CALL g
+        ADD r31, r5, r0
+        RET
+g:      ADDI r3, r3, 1
+        RET
+"""
+
+
+def test_capture_snapshot_between_calls():
+    """A trace segment holding CALL, branch, CALL: the branch's RAS
+    snapshot takes the first push only.  Rare in the paper workloads
+    (none in gcc at this length), so a small program forces it."""
+    program = assemble(NESTED_CALLS_SOURCE, name="nested-calls")
+    oracle = compute_oracle(program, 4000)
+    config = cfg.BASELINE
+    fast = build_engine(program, config, fast=True)
+    ref = build_engine(program, config, fast=False)
+    for engine in (fast, ref):
+        FrontEndSimulator(program, config, oracle=oracle, engine=engine).run()
+        engine.capture_snapshots = True
+    seen = set()
+    for pc in [row[0].addr for row in oracle[:600]]:
+        got = fast.fetch(pc)
+        assert _capture_signature(got) == _capture_signature(ref.fetch(pc)), pc
+        assert fast.snapshot() == ref.snapshot()
+        seen |= _fetch_kinds(got)
+    assert "calls-around-branch" in seen

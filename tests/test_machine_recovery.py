@@ -8,6 +8,9 @@ import pytest
 from repro import BASELINE, PROMOTION, PROMOTION_COST_REG, generate_program
 from repro.config import MachineConfig
 from repro.core.machine import Machine
+from repro.core.machine_reference import Machine as ReferenceMachine
+from repro.experiments.cachekey import canonical_json
+from repro.experiments.serialize import machine_result_to_dict
 from repro.frontend.stats import CycleCategory
 from repro.isa import FunctionalExecutor, assemble
 
@@ -119,6 +122,60 @@ next:   ADDI r10, r10, -1
     # bounded by the number of rare outcomes.
     assert result.promoted_faults <= 80
     check_arch(program, machine)
+
+
+def test_dormant_buffer_squashed_by_an_older_fault_reactivates(monkeypatch):
+    """A promoted fault rolls back to a still-unresolved branch's own
+    checkpoint, squashing that branch's dormant buffer; the branch then
+    resolves against its prediction and activates the squashed buffer.
+
+    B (the ``BEQ``) waits on a load and two multiplies, while the
+    promoted ``BNE`` on its predicted path waits on the load alone and,
+    on that wrong path, faults first.  The squash pops the buffer off the
+    ROB, so the activation must put it back at the young end, in order.
+    """
+    source = """
+        .data
+vals:   .words 0 0 0 0 0 5 5 0 0 5 0 5 0 5 5 0 0 5 0 5 5 0 5 0 5 0 0 0 0 0 0 0
+        .words 0 5 0 5 0 0 0 0 0 0 0 0 5 5 0 5 5 5 0 0 0 5 5 0 5 0 0 0 0 0 5 5
+        .text
+main:   ADDI r10, r0, 2000
+        ADDI r7, r0, 3
+loop:   ANDI r3, r10, 63
+        LD r1, vals(r3)
+        MUL r2, r1, r7
+        MUL r2, r2, r7
+        BEQ r2, r0, ltaken
+        ADD r20, r20, r1
+        ADD r21, r21, r1
+        JMP join
+ltaken: ADD r22, r22, r1
+        BNE r1, r0, never
+        ADDI r23, r23, 1
+join:   ADDI r10, r10, -1
+        BNE r10, r0, loop
+        HALT
+never:  ADDI r24, r24, 1
+        HALT
+"""
+    program = assemble(source)
+    reactivated = []
+    activate = Machine._activate_dormant
+
+    def spy(self, buffer):
+        reactivated.extend(rec for rec in buffer
+                           if rec.squashed and rec.dispatch_cycle >= 0)
+        return activate(self, buffer)
+
+    monkeypatch.setattr(Machine, "_activate_dormant", spy)
+    frontend = replace(PROMOTION, promote_threshold=8)
+    machine, result = run_machine(program, frontend=frontend, n=None)
+    assert reactivated
+    check_arch(program, machine)
+    reference = ReferenceMachine(program, MachineConfig(frontend=frontend),
+                                 max_instructions=None).run()
+    assert canonical_json(machine_result_to_dict(result)) == \
+        canonical_json(machine_result_to_dict(reference))
 
 
 def test_misfetch_stalls_then_redirects(switch_program):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+from concurrent.futures.process import _ExecutorManagerThread
 
 import pytest
 
@@ -154,6 +156,16 @@ def test_parallel_matches_serial_byte_identical():
         left = json.dumps(frontend_result_to_dict(parallel[point]), sort_keys=True)
         right = json.dumps(frontend_result_to_dict(serial[point]), sort_keys=True)
         assert left == right
+
+
+def test_pooled_grid_leaves_no_executor_thread():
+    """A grid that finishes normally shuts its pool down waiting: the
+    executor's manager thread is gone when ``run_grid`` returns, so it
+    cannot race the interpreter's exit hook."""
+    run_grid(_grid(), jobs=2)
+    alive = [thread for thread in threading.enumerate()
+             if isinstance(thread, _ExecutorManagerThread)]
+    assert not alive
 
 
 def test_run_grid_populates_runner_memo():
