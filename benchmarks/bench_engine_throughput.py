@@ -143,14 +143,9 @@ def _time_machine() -> dict:
     warmup plus machine window — once per core per repeat over
     :mod:`repro.core.machine` and the seed reference it must match, keeps
     the best-of-N minimum per configuration, and asserts the serialized
-    results are byte-identical before recording the speedups.  A second
-    section times :func:`runner.run_machine_multi`: the same three-config
-    grid as one batched pass over a shared oracle stream versus three
-    isolated cold points, which is where a cold multi-config grid actually
-    saves time.
+    results are byte-identical before recording the speedups.
     """
-    report = {"schema": 4, "grid": [], "grid_total": {},
-              "multi_config": {}, "trace_files": {}}
+    report = {"schema": 5, "grid": [], "grid_total": {}, "trace_files": {}}
     os.environ["REPRO_DISK_CACHE"] = "0"
     try:
         runner.clear_caches()
@@ -204,40 +199,6 @@ def _time_machine() -> dict:
             "speedup_vs_reference": total_ref / total_fast
             if total_fast else 0.0,
         }
-
-        # One-pass multi-config grid: with caches genuinely cold (no disk
-        # results, no trace files), three isolated points each pay their
-        # own functional oracle execution; the batched pass pays it once.
-        os.environ["REPRO_TRACE_FILES"] = "0"
-        try:
-            configs = [MachineConfig(frontend=f) for _, f in MACHINE_CONFIGS]
-            point_jsons = []
-            point_total = 0.0
-            for config in configs:
-                runner.clear_caches()
-                start = time.perf_counter()
-                result = runner.machine_result(name, config)
-                point_total += time.perf_counter() - start
-                point_jsons.append(
-                    canonical_json(machine_result_to_dict(result)))
-            runner.clear_caches()
-            start = time.perf_counter()
-            batched = runner.run_machine_multi(name, configs)
-            batched_s = time.perf_counter() - start
-            batched_jsons = [canonical_json(machine_result_to_dict(r))
-                             for r in batched]
-            report["multi_config"] = {
-                "benchmark": name,
-                "configs": [label for label, _ in MACHINE_CONFIGS],
-                "per_point_seconds": point_total,
-                "batched_seconds": batched_s,
-                "amortization_speedup": point_total / batched_s
-                if batched_s else 0.0,
-                "results_identical": batched_jsons == point_jsons,
-            }
-        finally:
-            os.environ.pop("REPRO_TRACE_FILES", None)
-
     finally:
         os.environ.pop("REPRO_DISK_CACHE", None)
 
@@ -294,12 +255,6 @@ def bench_machine_core(benchmark, emit):
     lines.append(f"  grid total         ref {total['reference_seconds']:5.2f}s"
                  f"  machine {total['machine_seconds']:5.2f}s  "
                  f"{total['speedup_vs_reference']:4.2f}x vs ref")
-    multi = report["multi_config"]
-    lines.append(f"  multi-config grid  {len(multi['configs'])} cold points "
-                 f"{multi['per_point_seconds']:5.2f}s -> one-pass batch "
-                 f"{multi['batched_seconds']:5.2f}s  "
-                 f"{multi['amortization_speedup']:4.2f}x  "
-                 f"(identical={multi['results_identical']})")
     tf = report["trace_files"]
     if tf["enabled"]:
         lines.append(
@@ -310,19 +265,11 @@ def bench_machine_core(benchmark, emit):
     emit("BENCH_machine", "\n".join(lines))
 
     # The optimization contract: byte-identical results across both
-    # cores, the grid well ahead of the seed reference, and the batched
-    # multi-config pass beating isolated cold points.  (Per-config jitter
-    # on a shared 1-core container is real; grid totals are the stable
-    # numbers, so only they carry floors.)
+    # cores and the grid well ahead of the seed reference.  (Per-config
+    # jitter on a shared 1-core container is real; grid totals are the
+    # stable numbers, so only they carry floors.)
     assert all(row["results_identical"] for row in report["grid"])
     assert total["speedup_vs_reference"] >= 1.5
-    assert multi["results_identical"]
-    # The batch shares one program build and one functional oracle
-    # execution across the grid; three isolated cold points pay three.
-    # That shared slice is small next to per-config warmup+window at this
-    # scale, so the floor only requires the batch not to *lose* (with a
-    # jitter allowance); the measured margin is the record.
-    assert multi["batched_seconds"] <= multi["per_point_seconds"] * 1.10
     if tf["enabled"]:
         assert tf["stored"] and tf["loaded"]
         # Replaying from the binary trace must beat functional

@@ -7,7 +7,7 @@ structures exactly as they stood before the fast front-end rewrite:
 :mod:`repro.branch.hybrid`, :mod:`repro.branch.multiple`,
 :mod:`repro.branch.ras` and :mod:`repro.branch.indirect`.  It exists so
 the optimized predictors in those modules can be pinned byte-identical
-against known-good behaviour: ``REPRO_FAST_FRONTEND=0`` rebuilds every
+against known-good behaviour: ``REPRO_ENGINE=reference`` rebuilds every
 front end from these classes (see :mod:`repro.frontend.build`), and
 ``tests/test_frontend_parity.py`` asserts the two paths train and
 predict identically.

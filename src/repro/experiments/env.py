@@ -5,12 +5,14 @@ variables so one setting covers every grid a script touches.  Before
 this module each consumer parsed its own ``os.environ`` reads, which
 meant subtly different invalid-value behavior (some raised, some
 silently ignored) and duplicated warn-once bookkeeping.  All knobs now
-go through four typed getters:
+go through these typed getters:
 
 * :func:`get_str` — raw string with a default;
 * :func:`get_flag` — tri-state boolean: unset means the default, and a
   set-but-empty or ``"0"`` value means off (the historical contract of
   ``REPRO_DISK_CACHE`` / ``REPRO_KEEP_GOING`` and friends);
+* :func:`get_choice` — one of a fixed set of names, where an unknown
+  value warns once and falls back to the default;
 * :func:`get_int` / :func:`get_float` — numeric knobs where an unset or
   empty variable yields the default and an unparseable value warns once
   (via :mod:`repro.experiments.warnonce`) and falls back to the default,
@@ -57,6 +59,18 @@ def _warn_invalid(name: str, raw: str, default) -> None:
     warnonce.warn_once(
         name.lower().replace("_", "-"),
         f"ignoring invalid {name}={raw!r}; using {default!r}")
+
+
+def get_choice(name: str, choices: Tuple[str, ...], default: str) -> str:
+    """Enumerated knob: unset/empty -> ``default``; a value outside
+    ``choices`` warns once."""
+    raw = os.environ.get(name)
+    if raw is None or raw == "":
+        return default
+    if raw not in choices:
+        _warn_invalid(name, raw, default)
+        return default
+    return raw
 
 
 def get_int(name: str, default: Optional[int]) -> Optional[int]:

@@ -27,7 +27,7 @@ used to be silently ignored, which made typos look like real runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import FrontEndConfig, MachineConfig
 from repro.core.machine import Machine, MachineResult
@@ -48,17 +48,6 @@ _programs: Dict[str, Program] = {}
 _oracles: Dict[Tuple[str, int], list] = {}
 _frontend: Dict[Tuple[str, FrontEndConfig, int], FrontEndResult] = {}
 _machine: Dict[Tuple[str, MachineConfig, int], MachineResult] = {}
-
-def fast_machine_enabled() -> bool:
-    """``REPRO_FAST_MACHINE``: the event-driven machine core
-    (:mod:`repro.core.machine`, default on).
-
-    ``REPRO_FAST_MACHINE=0`` pins every machine run to the frozen seed
-    reference core (:mod:`repro.core.machine_reference`) — the escape
-    hatch mirroring ``REPRO_FAST_FRONTEND`` for the front end.
-    """
-    return env.get_flag("REPRO_FAST_MACHINE", True)
-
 
 def quick_scale() -> float:
     """Run-length multiplier from the environment.
@@ -246,29 +235,23 @@ def frontend_result(benchmark: str, config: FrontEndConfig,
     if result is not None:
         return result
     from repro import validate
+    from repro.frontend.build import build_engine, fast_stack_enabled
     if engine is not None:
         _discard_forced_divergence()
-        from repro.frontend.build import build_engine
         built = build_engine(get_program(benchmark), config,
                              fast=(engine != "reference"))
         result = FrontEndSimulator(
             get_program(benchmark), config,
             oracle=get_oracle(benchmark, n), engine=built).run()
-    elif validate.armed():
-        from repro.frontend.build import fast_frontend_enabled
+    elif validate.armed() and fast_stack_enabled():
         from repro.validate.lockstep import lockstep_frontend
-        if fast_frontend_enabled():
-            stride, offset = _sample_params(
-                frontend_cache_key(benchmark, config, n))
-            result = lockstep_frontend(benchmark, config, n,
-                                       stride=stride, offset=offset)
-        else:
-            # REPRO_FAST_FRONTEND=0: the "fast" stack is the reference
-            # stack; a differential run would compare it to itself.
-            result = FrontEndSimulator(
-                get_program(benchmark), config,
-                oracle=get_oracle(benchmark, n)).run()
+        stride, offset = _sample_params(
+            frontend_cache_key(benchmark, config, n))
+        result = lockstep_frontend(benchmark, config, n,
+                                   stride=stride, offset=offset)
     else:
+        # Under REPRO_ENGINE=reference the default stack is the reference
+        # stack, so a differential run would compare it to itself.
         result = FrontEndSimulator(
             get_program(benchmark), config,
             oracle=get_oracle(benchmark, n)).run()
@@ -305,29 +288,26 @@ def machine_result(benchmark: str, config: MachineConfig,
     if result is not None:
         return result
     from repro import validate
+    from repro.frontend.build import fast_stack_enabled
     if engine is not None:
         _discard_forced_divergence()
         result = _machine_one_stack(benchmark, config, n, warmup,
                                     fast=(engine != "reference"))
-    elif validate.armed():
-        from repro.frontend.build import fast_frontend_enabled
-        if not fast_frontend_enabled():
-            # The "fast" stack already is the reference stack.
-            result = _machine_one_stack(benchmark, config, n, warmup,
-                                        fast=False)
+    elif validate.armed() and fast_stack_enabled():
+        stride, offset = _sample_params(
+            machine_cache_key(benchmark, config, n, warmup=warmup))
+        if offset == 0:
+            from repro.validate.lockstep import lockstep_machine
+            result = lockstep_machine(benchmark, config, n, warmup=warmup)
         else:
-            stride, offset = _sample_params(
-                machine_cache_key(benchmark, config, n, warmup=warmup))
-            if offset == 0:
-                from repro.validate.lockstep import lockstep_machine
-                result = lockstep_machine(benchmark, config, n,
-                                          warmup=warmup)
-            else:
-                _discard_forced_divergence()
-                result = _machine_one_stack(benchmark, config, n, warmup,
-                                            fast=True)
+            _discard_forced_divergence()
+            result = _machine_one_stack(benchmark, config, n, warmup,
+                                        fast=True)
     else:
-        result = _machine_one_stack(benchmark, config, n, warmup, fast=None)
+        # As in frontend_result: REPRO_ENGINE=reference is not
+        # cross-checked against itself.
+        result = _machine_one_stack(benchmark, config, n, warmup,
+                                    fast=fast_stack_enabled())
     diskcache.store(machine_cache_key(benchmark, config, n, warmup=warmup),
                     "machine", machine_result_to_dict(result))
     _machine[(benchmark, config, n)] = result
@@ -335,15 +315,13 @@ def machine_result(benchmark: str, config: MachineConfig,
 
 
 def _machine_one_stack(benchmark: str, config: MachineConfig, n: int,
-                       warmup: bool, fast: Optional[bool]) -> MachineResult:
+                       warmup: bool, fast: bool) -> MachineResult:
     """One plain machine run on the named stack (no cross-checking).
 
-    ``fast=None`` follows the knobs: ``REPRO_FAST_MACHINE`` picks the
-    machine core (:mod:`repro.core.machine` or the frozen
-    :mod:`repro.core.machine_reference`) and ``REPRO_FAST_FRONTEND`` the
-    front end.  ``fast=True`` pins both fast layers; ``fast=False`` pins
-    the frozen reference stack (the scheduler's post-divergence
-    degradation path).
+    ``fast=True`` runs the fast front end and the event-driven core
+    (:mod:`repro.core.machine`); ``fast=False`` the frozen reference
+    stack and :mod:`repro.core.machine_reference` (``REPRO_ENGINE=
+    reference``, and the scheduler's post-divergence degradation path).
     """
     from repro.core.machine_reference import Machine as ReferenceMachine
     program = get_program(benchmark)
@@ -354,74 +332,9 @@ def _machine_one_stack(benchmark: str, config: MachineConfig, n: int,
                               memory_config=config.memory, fast=fast)
         FrontEndSimulator(program, config.frontend,
                           oracle=get_oracle(benchmark), engine=engine).run()
-    use_fast = fast_machine_enabled() if fast is None else fast
-    machine_cls = Machine if use_fast else ReferenceMachine
+    machine_cls = Machine if fast else ReferenceMachine
     return machine_cls(program, config, max_instructions=n,
                        engine=engine).run()
-
-
-def run_machine_multi(benchmark: str, configs: Sequence[MachineConfig],
-                      n: Optional[int] = None, warmup: bool = True,
-                      engine: Optional[str] = None) -> List[MachineResult]:
-    """One-pass machine runs for several configs of one benchmark.
-
-    The correct-path oracle stream and the generated program are
-    resolved **once** and shared across every config in the batch; each
-    config still gets its own fetch engine, its own warmup pass and its
-    own machine window, so every result is byte-identical to an
-    independent :func:`machine_result` call and is stored under the
-    *unchanged* per-config cache key (the disk cache and checkpoint
-    journals keep deduping per point).
-
-    Configs already satisfied by the memo or disk cache are served from
-    there; only the misses simulate.  With ``REPRO_VALIDATE`` armed the
-    batch degrades to per-point :func:`machine_result` calls, because
-    the lockstep guard is inherently per point.
-    """
-    if n is None:
-        n = machine_length(benchmark)
-    results: List[Optional[MachineResult]] = []
-    missing: List[int] = []
-    for i, config in enumerate(configs):
-        cached = cached_machine_result(benchmark, config, n, warmup=warmup)
-        results.append(cached)
-        if cached is None:
-            missing.append(i)
-    if not missing:
-        return results
-    from repro import validate
-    if engine is None and validate.armed():
-        for i in missing:
-            results[i] = machine_result(benchmark, configs[i], n,
-                                        warmup=warmup)
-        return results
-    if engine is not None:
-        _discard_forced_divergence()
-    from repro.core.machine_reference import Machine as ReferenceMachine
-    from repro.frontend.build import build_engine
-    fast = None if engine is None else (engine != "reference")
-    use_fast = fast_machine_enabled() if fast is None else fast
-    machine_cls = Machine if use_fast else ReferenceMachine
-    # Shared across the whole batch: one program build, one oracle
-    # resolution (trace-file load or functional execution).
-    program = get_program(benchmark)
-    oracle = get_oracle(benchmark) if warmup else None
-    for i in missing:
-        config = configs[i]
-        built = None
-        if warmup:
-            built = build_engine(program, config.frontend,
-                                 memory_config=config.memory, fast=fast)
-            FrontEndSimulator(program, config.frontend, oracle=oracle,
-                              engine=built).run()
-        result = machine_cls(program, config, max_instructions=n,
-                             engine=built).run()
-        diskcache.store(machine_cache_key(benchmark, config, n,
-                                          warmup=warmup),
-                        "machine", machine_result_to_dict(result))
-        _machine[(benchmark, config, n)] = result
-        results[i] = result
-    return results
 
 
 def cached_machine_result(benchmark: str, config: MachineConfig,

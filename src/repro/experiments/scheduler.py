@@ -115,66 +115,6 @@ class GridPoint:
         return replace(self, n=n)
 
 
-@dataclass(frozen=True)
-class _MachineBatch:
-    """Several machine points of one benchmark run as one pool task.
-
-    The members share (benchmark, length, warmup), so the worker drives
-    them through :func:`repro.experiments.runner.run_machine_multi` and
-    pays the oracle resolution and program build once for the whole
-    batch.  Results, cache keys and journal entries stay strictly
-    per-point — the batch is an execution grouping, not a cache unit.
-
-    Batches are an optimistic fast path: any failure (exception,
-    timeout, divergence) splits the batch back into its member points,
-    which then go through the ordinary per-point supervision policy.
-    """
-
-    benchmark: str
-    n: int
-    warmup: bool
-    points: Tuple[GridPoint, ...]
-
-
-def _batch_machine_points(points: Sequence[GridPoint],
-                          jobs: int) -> List[Any]:
-    """Group compatible machine points into multi-config batches.
-
-    Machine points sharing (benchmark, length, warmup) collapse into one
-    :class:`_MachineBatch`; front-end points and singletons pass through
-    unchanged.  With a parallel pool, batching only happens when enough
-    units remain to keep every worker busy — otherwise per-point fan-out
-    wins the makespan and the grouping is skipped.
-    """
-    groups: Dict[Tuple[str, int, bool], List[GridPoint]] = {}
-    order: List[Any] = []
-    for point in points:
-        if point.kind == MACHINE:
-            key = (point.benchmark, point.n, point.warmup)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = []
-                order.append(("group", key))
-            group.append(point)
-        else:
-            order.append(("point", point))
-    units: List[Any] = []
-    for tag, item in order:
-        if tag == "point":
-            units.append(item)
-        else:
-            members = groups[item]
-            if len(members) >= 2:
-                benchmark, n, warmup = item
-                units.append(_MachineBatch(benchmark, n, warmup,
-                                           tuple(members)))
-            else:
-                units.extend(members)
-    if jobs > 1 and len(units) < min(jobs, len(points)):
-        return list(points)  # batching would leave workers idle
-    return units
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: argument > ``REPRO_JOBS`` > ``os.cpu_count()``."""
     if jobs is None:
@@ -199,8 +139,6 @@ def _estimated_cost(point: GridPoint) -> int:
     window plus an oracle-driven front-end warmup at the benchmark's
     full default length; front-end points pay their length directly.
     """
-    if isinstance(point, _MachineBatch):
-        return sum(_estimated_cost(member) for member in point.points)
     if point.kind == MACHINE:
         cost = _MACHINE_COST_FACTOR * point.n
         if point.warmup:
@@ -281,13 +219,8 @@ def _result_from_payload(point: GridPoint, payload: Dict[str, Any]):
     return machine_result_from_dict(payload)
 
 
-def _oracle_needs(point) -> List[Tuple[str, int]]:
+def _oracle_needs(point: GridPoint) -> List[Tuple[str, int]]:
     """The (benchmark, length) oracle streams this point will consume."""
-    if isinstance(point, _MachineBatch):
-        needs: List[Tuple[str, int]] = []
-        for member in point.points:
-            needs.extend(_oracle_needs(member))
-        return needs
     if point.kind == FRONTEND:
         return [(point.benchmark, point.n)]
     if point.warmup:
@@ -323,12 +256,11 @@ def _worker_init(emitted_keys: Tuple[str, ...]) -> None:
     faults.mark_worker()
 
 
-def _run_point(point, engine: Optional[str] = None):
-    """Execute one resolved point (or machine batch) through the runner.
+def _run_point(point: GridPoint, engine: Optional[str] = None):
+    """Execute one resolved point through the runner.
 
     ``engine="reference"`` pins the run to the frozen reference stack —
     the supervisor's degradation path after a detected divergence.
-    Batches return the member results in member order.
 
     The whole unit — program generation, oracle, warm-up, simulation and
     result encoding — runs under one pause of the cyclic GC: the
@@ -337,10 +269,6 @@ def _run_point(point, engine: Optional[str] = None):
     and fleet execution all come through this function.
     """
     with gc_paused():
-        if isinstance(point, _MachineBatch):
-            return runner.run_machine_multi(
-                point.benchmark, [member.config for member in point.points],
-                point.n, warmup=point.warmup, engine=engine)
         if point.kind == FRONTEND:
             return runner.frontend_result(point.benchmark, point.config,
                                           point.n, engine=engine)
@@ -445,7 +373,7 @@ class _Supervisor:
         self.supervision = faults.Supervision(
             budget=faults.retry_budget(self.routes, policy.max_retries),
             backoff=policy.backoff)
-        self.states: Dict[Any, faults.PointState] = {}
+        self.states: Dict[GridPoint, faults.PointState] = {}
         self.failures: List[faults.PointFailure] = []
         self.results: Dict[GridPoint, Any] = {}
         #: Divergences handled gracefully (the grid still completed);
@@ -454,45 +382,24 @@ class _Supervisor:
 
     # ------------------------------------------------------------ outcomes
 
-    def _state(self, unit) -> faults.PointState:
-        return self.states.get(unit, faults.PointState())
+    def _state(self, point: GridPoint) -> faults.PointState:
+        return self.states.get(point, faults.PointState())
 
-    def _task_key(self, unit) -> str:
-        """The cache key identifying a task (first member for batches)."""
-        if isinstance(unit, _MachineBatch):
-            return self.keys[unit.points[0]]
-        return self.keys[unit]
-
-    def _record(self, point, result) -> None:
-        """A point completed: admit, remember, journal.
-
-        A batch records each member under its own per-point key.
-        """
-        if isinstance(point, _MachineBatch):
-            for member, member_result in zip(point.points, result):
-                self._record(member, member_result)
-            return
+    def _record(self, point: GridPoint, result) -> None:
+        """A point completed: admit, remember, journal."""
         _admit(point, result)
         self.results[point] = result
         self.journal.record(self.keys[point], point.kind,
                             _result_to_payload(point, result))
 
-    def _settle(self, point, exc: BaseException, on_floor: bool,
-                requeue: Callable[[Any], None]) -> str:
+    def _settle(self, point: GridPoint, exc: BaseException, on_floor: bool,
+                requeue: Callable[[GridPoint], None]) -> str:
         """Feed one failed run to the policy and carry out its action.
 
-        A batch is an optimistic grouping, not an attempt of any single
-        point: it splits back into its members, which requeue with fresh
-        states and the batch's ordinal.  Otherwise ``give-up`` reports
-        the point (or raises right now, without keep-going) and every
-        other action requeues it (its new state picks the route and
-        engine).  Returns the action taken.
+        ``give-up`` reports the point (or raises right now, without
+        keep-going) and every other action requeues it (its new state
+        picks the route and engine).  Returns the action taken.
         """
-        if isinstance(point, _MachineBatch):
-            for member in point.points:
-                self.ordinals.setdefault(member, self.ordinals[point])
-                requeue(member)
-            return "split"
         kind = faults.classify(exc)
         action, state = self.supervision.step(self._state(point), kind,
                                               on_floor)
@@ -568,7 +475,7 @@ class _Supervisor:
         """
         breaker = self.routes[0].breaker
         pool: Optional[ProcessPoolExecutor] = None
-        inflight: Dict[Any, Any] = {}
+        inflight: Dict[Any, GridPoint] = {}
         deadlines: Dict[Any, float] = {}
         try:
             while pending or inflight:
@@ -588,7 +495,7 @@ class _Supervisor:
                     try:
                         future = pool.submit(
                             _run_point_task, point, self.ordinals[point],
-                            state.retries, self._task_key(point), state.engine)
+                            state.retries, self.keys[point], state.engine)
                     except (BrokenExecutor, RuntimeError):
                         # The pool died between iterations: requeue the
                         # point without charging it a retry and handle
@@ -767,10 +674,9 @@ def run_grid(points: Sequence[GridPoint], jobs: Optional[int] = None, *,
                      timeout=resolved_timeout,
                      backoff=faults.resolve_backoff(),
                      keep_going=faults.resolve_keep_going(keep_going))
-    units = _batch_machine_points(misses, policy.jobs)
-    if tracefile.enabled() and policy.jobs > 1 and len(units) > 1:
-        _prewrite_traces(units)
-    supervisor = _Supervisor(units, keys, policy, journal)
+    if tracefile.enabled() and policy.jobs > 1 and len(misses) > 1:
+        _prewrite_traces(misses)
+    supervisor = _Supervisor(misses, keys, policy, journal)
     try:
         computed = supervisor.run()
     except BaseException:

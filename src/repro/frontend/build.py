@@ -5,7 +5,7 @@ Two complete front-end stacks can be wired:
 * the **fast** stack (default) — the array-backed predictors and
   compiled-fetch-plan engines in :mod:`repro.branch` /
   :mod:`repro.frontend.fetch` / :mod:`repro.trace.fill_unit`;
-* the **reference** stack (``REPRO_FAST_FRONTEND=0``) — the frozen seed
+* the **reference** stack (``REPRO_ENGINE=reference``) — the frozen seed
   copies in :mod:`repro.branch.reference`,
   :mod:`repro.frontend.fetch_reference` and
   :mod:`repro.trace.fill_unit_reference`.
@@ -41,11 +41,16 @@ from repro.trace.trace_cache import TraceCache
 _live_engines: "weakref.WeakSet" = weakref.WeakSet()
 
 
-def fast_frontend_enabled() -> bool:
-    """True unless ``REPRO_FAST_FRONTEND=0`` selects the frozen reference
-    front end (engines, predictors, fill unit and bias table)."""
+def fast_stack_enabled() -> bool:
+    """True unless ``REPRO_ENGINE=reference`` selects the frozen reference
+    stack: the seed front end (engines, predictors, fill unit and bias
+    table) and the seed machine core (:mod:`repro.core.machine_reference`).
+
+    ``fast`` is the default; any other value warns once and runs fast.
+    """
     from repro.experiments import env
-    return env.get_str("REPRO_FAST_FRONTEND", "1") != "0"
+    return env.get_choice("REPRO_ENGINE", ("fast", "reference"),
+                          "fast") == "fast"
 
 
 def reset_compiled_state() -> None:
@@ -104,7 +109,7 @@ def build_predictor(config: FrontEndConfig, fast: Optional[bool] = None):
     ``fast=False`` builds it from the frozen reference stack.
     """
     if fast is None:
-        fast = fast_frontend_enabled()
+        fast = fast_stack_enabled()
     if config.predictor == "tree":
         cls = MultipleBranchPredictor if fast else branch_reference.MultipleBranchPredictor
         return cls(rows_bits=14)
@@ -119,12 +124,12 @@ def build_engine(program: Program, config: FrontEndConfig,
                  fast: Optional[bool] = None):
     """Construct the complete front end described by ``config``.
 
-    ``fast`` overrides the ``REPRO_FAST_FRONTEND`` selection: True builds
+    ``fast`` overrides the ``REPRO_ENGINE`` selection: True builds
     the optimized stack, False the frozen reference stack, None (default)
     follows the environment.
     """
     if fast is None:
-        fast = fast_frontend_enabled()
+        fast = fast_stack_enabled()
     memory = build_memory(config, memory_config)
     if config.kind == "icache":
         cls = ICacheFetchEngine if fast else fetch_reference.ICacheFetchEngine

@@ -3,7 +3,7 @@
 A **verbatim copy** of :mod:`repro.frontend.fetch` exactly as it stood
 before the fast front-end rewrite, with its predictor imports redirected
 to the frozen stack in :mod:`repro.branch.reference`.  Selecting
-``REPRO_FAST_FRONTEND=0`` makes :func:`repro.frontend.build.build_engine`
+``REPRO_ENGINE=reference`` makes :func:`repro.frontend.build.build_engine`
 construct these engines instead of the optimized ones;
 ``benchmarks/bench_frontend_fetch.py`` and
 ``tests/test_frontend_parity.py`` pin the optimized path byte-identical

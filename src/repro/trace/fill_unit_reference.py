@@ -2,7 +2,7 @@
 
 **Verbatim copies** of :class:`repro.trace.fill_unit.FillUnit` and
 :class:`repro.trace.bias_table.BranchBiasTable` exactly as they stood
-before the fast front-end rewrite.  ``REPRO_FAST_FRONTEND=0`` wires a
+before the fast front-end rewrite.  ``REPRO_ENGINE=reference`` wires a
 reference trace-cache front end from these classes (see
 :mod:`repro.frontend.build`) so the optimized fill path can be pinned
 byte-identical against known-good behaviour.

@@ -541,41 +541,71 @@ def test_checkpoints_can_be_disabled(monkeypatch):
     assert checkpoint.stats()["entries"] == 0
 
 
-def test_sigkilled_run_resumes_from_journal(monkeypatch):
+#: A two-point grid whose ordinal 0 (BASELINE, first at equal cost)
+#: hangs far past the tests below while ordinal 1 completes and is
+#: journaled.  SIGUSR1 dumps every thread's stack to stderr, in the
+#: parent and, through the fork, in both pool workers.
+_HUNG_GRID_SCRIPT = (
+    "import faulthandler, signal\n"
+    "faulthandler.register(signal.SIGUSR1, all_threads=True)\n"
+    "from repro.config import BASELINE, PROMOTION_PACKING\n"
+    "from repro.experiments.scheduler import GridPoint, run_grid\n"
+    f"run_grid([GridPoint('frontend', 'compress', BASELINE, {N}),\n"
+    f"          GridPoint('frontend', 'compress', PROMOTION_PACKING, {N})],\n"
+    "         jobs=2)\n"
+)
+
+
+def _spawn_hung_grid(stderr_path: Path) -> subprocess.Popen:
+    """Start the hung grid in its own process group, stderr to a file.
+
+    No deadline, so the child blocks forever on the hung worker until
+    the test kills the whole group.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    env["REPRO_FAULTS"] = "hang:p0:600"
+    env["REPRO_DISK_CACHE"] = "0"
+    with open(stderr_path, "wb") as stderr:
+        return subprocess.Popen([sys.executable, "-c", _HUNG_GRID_SCRIPT],
+                                env=env, cwd=REPO, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+
+
+def _wait_for_journal(child: subprocess.Popen, journal: Path,
+                      stderr_path: Path) -> None:
+    """Wait up to 120 s for the first complete journal line.
+
+    On a stall, the failure message carries the stacks of the child and
+    its workers, dumped by SIGUSR1 before the caller's SIGKILL.
+    """
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if journal.exists() and journal.read_text().endswith("\n"):
+            return
+        if child.poll() is not None:
+            pytest.fail("child exited before journaling anything; stderr:\n"
+                        + stderr_path.read_text(errors="replace"))
+        time.sleep(0.2)
+    try:
+        os.killpg(child.pid, signal.SIGUSR1)
+    except ProcessLookupError:
+        pass
+    time.sleep(2)  # let every process finish writing its dump
+    pytest.fail("journal never appeared; stacks of the child and its "
+                "workers:\n" + stderr_path.read_text(errors="replace"))
+
+
+def test_sigkilled_run_resumes_from_journal(monkeypatch, tmp_path):
     """SIGKILL a grid mid-run; the resumed run recomputes only the
     unjournaled point (asserted by journal inspection and a call count)."""
     points = [GridPoint("frontend", "compress", BASELINE, N),
               GridPoint("frontend", "compress", PROMOTION_PACKING, N)]
     journal = _journal_path(points)
-
-    script = (
-        "from repro.config import BASELINE, PROMOTION_PACKING\n"
-        "from repro.experiments.scheduler import GridPoint, run_grid\n"
-        f"run_grid([GridPoint('frontend', 'compress', BASELINE, {N}),\n"
-        f"          GridPoint('frontend', 'compress', PROMOTION_PACKING, {N})],\n"
-        "         jobs=2)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    # Ordinal 0 (BASELINE, first at equal cost) hangs far past the test;
-    # ordinal 1 completes and is journaled.  No deadline, so the child
-    # blocks forever on the hung worker until we SIGKILL the whole group.
-    env["REPRO_FAULTS"] = "hang:p0:600"
-    env["REPRO_DISK_CACHE"] = "0"
-    child = subprocess.Popen([sys.executable, "-c", script], env=env,
-                             cwd=REPO, start_new_session=True,
-                             stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
+    stderr_path = tmp_path / "child-stderr.txt"
+    child = _spawn_hung_grid(stderr_path)
     try:
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if journal.exists() and journal.read_text().endswith("\n"):
-                break
-            if child.poll() is not None:
-                pytest.fail("child exited before journaling anything")
-            time.sleep(0.2)
-        else:
-            pytest.fail("journal never appeared")
+        _wait_for_journal(child, journal, stderr_path)
     finally:
         try:
             os.killpg(child.pid, signal.SIGKILL)
@@ -604,7 +634,8 @@ def test_sigkilled_run_resumes_from_journal(monkeypatch):
     assert not journal.exists()
 
 
-def test_sigint_interrupted_run_leaves_resumable_journal(monkeypatch):
+def test_sigint_interrupted_run_leaves_resumable_journal(monkeypatch,
+                                                         tmp_path):
     """Ctrl-C (SIGINT to the parent only) mid-grid must (a) actually
     terminate the run instead of wedging interpreter exit behind the
     hung worker, and (b) leave the checkpoint journal resumable, so the
@@ -612,32 +643,10 @@ def test_sigint_interrupted_run_leaves_resumable_journal(monkeypatch):
     points = [GridPoint("frontend", "compress", BASELINE, N),
               GridPoint("frontend", "compress", PROMOTION_PACKING, N)]
     journal = _journal_path(points)
-
-    script = (
-        "from repro.config import BASELINE, PROMOTION_PACKING\n"
-        "from repro.experiments.scheduler import GridPoint, run_grid\n"
-        f"run_grid([GridPoint('frontend', 'compress', BASELINE, {N}),\n"
-        f"          GridPoint('frontend', 'compress', PROMOTION_PACKING, {N})],\n"
-        "         jobs=2)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    env["REPRO_FAULTS"] = "hang:p0:600"
-    env["REPRO_DISK_CACHE"] = "0"
-    child = subprocess.Popen([sys.executable, "-c", script], env=env,
-                             cwd=REPO, start_new_session=True,
-                             stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
+    stderr_path = tmp_path / "child-stderr.txt"
+    child = _spawn_hung_grid(stderr_path)
     try:
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if journal.exists() and journal.read_text().endswith("\n"):
-                break
-            if child.poll() is not None:
-                pytest.fail("child exited before journaling anything")
-            time.sleep(0.2)
-        else:
-            pytest.fail("journal never appeared")
+        _wait_for_journal(child, journal, stderr_path)
         os.kill(child.pid, signal.SIGINT)  # the parent only, like Ctrl-C
         # The regression: exit used to block on the executor's atexit
         # join of the hung worker.  The scheduler now kills the pool on

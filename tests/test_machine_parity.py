@@ -13,9 +13,9 @@ The cases deliberately cross the interesting machine features: cold and
 functionally warmed front ends, promotion (promoted-branch faults),
 trace packing, the plain icache front end, the perfect-memory-
 disambiguation scheduler, and seeded-random ablation draws (inactive
-issue off).  A second group pins the one-pass multi-config runner path
-(:func:`runner.run_machine_multi`) and the ``REPRO_FAST_MACHINE``
-escape hatch.
+issue off).  A second group pins a grid of one benchmark's machine
+configs to isolated per-point runs and the ``REPRO_ENGINE`` stack
+selector.
 """
 
 import dataclasses
@@ -129,67 +129,140 @@ def test_randomized_ablation_parity(bench, config, warmup):
         canonical_json(machine_result_to_dict(reference))
 
 
-# ------------------------------------------------- multi-config machine runs
+# ---------------------------------------------- machine grids and the stack
 
-def test_run_machine_multi_matches_per_point():
-    """One-pass batched grid == isolated per-point runs, same cache keys.
+#: Machine window of the grid-level tests below.
+GRID_N = 1_500
 
-    The batched pass shares one program and one oracle stream across the
-    configs, but every result must serialize byte-identically to an
-    isolated :func:`runner.machine_result` call, and must land on disk
-    under the **unchanged** per-config cache key (the scheduler's
-    checkpoint journal and the fault harness address entries by that
-    key, so a batched run has to be indistinguishable from singles).
+
+@pytest.fixture
+def small_machine_runs(monkeypatch):
+    """Floor-length warm-ups on the default stack, no divergence guard.
+
+    An armed guard instantiates the reference core on every point by
+    design, which would hide the stack routing the tests observe.
     """
-    from repro.experiments import diskcache
-
-    configs = [MachineConfig(frontend=cfg.BASELINE),
-               MachineConfig(frontend=cfg.PROMOTION),
-               MachineConfig(frontend=cfg.PROMOTION_PACKING)]
-    n = 1_500
-    runner.clear_caches(disk=True)
-    singles = [runner.machine_result("compress", c, n, warmup=False)
-               for c in configs]
-    runner.clear_caches(disk=True)
-    batched = runner.run_machine_multi("compress", configs, n, warmup=False)
-    assert [canonical_json(machine_result_to_dict(r)) for r in batched] == \
-        [canonical_json(machine_result_to_dict(r)) for r in singles]
-    for config, result in zip(configs, batched):
-        key = runner.machine_cache_key("compress", config, n, warmup=False)
-        assert diskcache.load(key) == machine_result_to_dict(result)
+    for knob in ("REPRO_QUICK", "REPRO_VALIDATE", "REPRO_ENGINE",
+                 "REPRO_FAULTS"):
+        monkeypatch.delenv(knob, raising=False)
+    monkeypatch.setenv("REPRO_SCALE", "0.01")
 
 
-def test_fast_machine_flag_pins_reference_core(monkeypatch):
-    """``REPRO_FAST_MACHINE=0`` routes runner machine runs to the seed core.
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_machine_grid_matches_isolated_points(jobs, tmp_path, monkeypatch,
+                                              small_machine_runs):
+    """A grid of one benchmark's Fig 11 configs == isolated runs.
 
-    The knob is the escape hatch if machine-core parity is ever in
-    doubt in the field; it must actually instantiate the reference
-    implementation, and the result must not change.
+    Every grid result must serialize byte-identically to an isolated
+    :func:`runner.machine_result` call and sit on disk under its own
+    per-point cache key: the checkpoint journal and the fault harness
+    address entries by that key.
     """
+    from repro.experiments import diskcache, paper
+    from repro.experiments.scheduler import MACHINE, GridPoint, run_grid
+
+    configs = [config for _label, config in paper._machine_configs(False)]
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "singles"))
+    singles = []
+    for config in configs:
+        runner.clear_caches()
+        singles.append(runner.machine_result("compress", config, GRID_N))
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "grid"))
+    runner.clear_caches()
+    points = [GridPoint(MACHINE, "compress", config, GRID_N, warmup=True)
+              for config in configs]
+    results = run_grid(points, jobs=jobs)
+    for point, config, single in zip(points, configs, singles):
+        payload = machine_result_to_dict(results[point])
+        assert canonical_json(payload) == \
+            canonical_json(machine_result_to_dict(single))
+        key = runner.machine_cache_key("compress", config, GRID_N)
+        assert diskcache.load(key) == payload
+    runner.clear_caches()
+
+
+def _spy_stacks(monkeypatch):
+    """Record reference-core instantiations and every built engine."""
     from repro.core import machine_reference
+    from repro.frontend import build
 
-    calls = []
-    real = machine_reference.Machine
+    machines, engines = [], []
+    real_machine = machine_reference.Machine
+    real_build = build.build_engine
 
-    class Spy(real):
+    class Spy(real_machine):
         def __init__(self, *args, **kwargs):
-            calls.append(1)
-            real.__init__(self, *args, **kwargs)
+            machines.append(1)
+            real_machine.__init__(self, *args, **kwargs)
+
+    def spy_build(*args, **kwargs):
+        engine = real_build(*args, **kwargs)
+        engines.append(engine)
+        return engine
 
     monkeypatch.setattr(machine_reference, "Machine", Spy)
-    config = MachineConfig(frontend=cfg.BASELINE)
-    # An armed divergence guard instantiates the reference core on every
-    # point by design; disarm it so the spy observes only the routing.
-    monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-    monkeypatch.setenv("REPRO_FAST_MACHINE", "0")
-    runner.clear_caches(disk=True)
-    pinned = runner.machine_result("compress", config, 1_000, warmup=False)
-    assert calls, "REPRO_FAST_MACHINE=0 must run the reference core"
+    monkeypatch.setattr(build, "build_engine", spy_build)
+    return machines, engines
 
-    monkeypatch.delenv("REPRO_FAST_MACHINE")
+
+def _stack_modules(engine):
+    """Modules of the engine, its predictor and its fill unit."""
+    return {type(engine).__module__, type(engine.predictor).__module__,
+            type(engine.fill_unit).__module__}
+
+
+def test_engine_reference_pins_both_halves(monkeypatch, small_machine_runs):
+    """``REPRO_ENGINE=reference`` runs the seed core *and* the seed front
+    end; the default runs neither, and the results are byte-identical.
+
+    The knob is the escape hatch if parity is ever in doubt in the
+    field, so it must actually instantiate the reference stack.
+    """
+    from repro.branch import reference as branch_reference
+    from repro.frontend import fetch_reference
+    from repro.trace import fill_unit_reference
+
+    machines, engines = _spy_stacks(monkeypatch)
+    config = MachineConfig(frontend=cfg.PROMOTION_PACKING)
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
     runner.clear_caches(disk=True)
-    calls.clear()
-    fast = runner.machine_result("compress", config, 1_000, warmup=False)
-    assert not calls, "the default path must use the fast machine core"
+    pinned = runner.machine_result("compress", config, 1_000)
+    assert machines, "REPRO_ENGINE=reference must run the reference core"
+    assert [_stack_modules(engine) for engine in engines] == [{
+        fetch_reference.__name__, branch_reference.__name__,
+        fill_unit_reference.__name__}]
+
+    monkeypatch.delenv("REPRO_ENGINE")
+    runner.clear_caches(disk=True)
+    machines.clear()
+    engines.clear()
+    fast = runner.machine_result("compress", config, 1_000)
+    assert not machines, "the default path must use the fast machine core"
+    assert len(engines) == 1
+    assert not _stack_modules(engines[0]) & {
+        fetch_reference.__name__, branch_reference.__name__,
+        fill_unit_reference.__name__}
     assert canonical_json(machine_result_to_dict(fast)) == \
         canonical_json(machine_result_to_dict(pinned))
+    runner.clear_caches(disk=True)
+
+
+def test_invalid_engine_warns_once_and_runs_fast(monkeypatch,
+                                                 small_machine_runs):
+    import warnings
+
+    machines, _engines = _spy_stacks(monkeypatch)
+    monkeypatch.setenv("REPRO_ENGINE", "refrence")
+    runner.clear_caches(disk=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for config in (MachineConfig(frontend=cfg.BASELINE),
+                       MachineConfig(frontend=cfg.PROMOTION)):
+            runner.machine_result("compress", config, 1_000)
+    messages = [str(w.message) for w in caught
+                if "REPRO_ENGINE" in str(w.message)]
+    assert messages == ["ignoring invalid REPRO_ENGINE='refrence'; "
+                        "using 'fast'"]
+    assert not machines, "an invalid value must run the fast stack"
+    runner.clear_caches(disk=True)

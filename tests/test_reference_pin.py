@@ -18,13 +18,13 @@ SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 #: Path under ``src/repro`` -> sha256 of the file's bytes.
 PINS = {
     "branch/reference.py":
-        "82a491d30802946b88258f91a980c8c39318fcccbdef1ca5d688e2effdbb1af7",
+        "40e334cb619c281d1c14a815a09ecbce39cf6e175c84f4498208c77fe6e5d684",
     "core/machine_reference.py":
         "a5d875f7cf775547fc42ee8da52a73f81ec3c94b371b76cce449a38640637e08",
     "frontend/fetch_reference.py":
-        "6d0529f471913a225c5199364b8614dbe22d37a7bfe19d0eed2b6203e5ce9de9",
+        "2b4ca3d2451871a1f2be56eb1328a7ff8b7bfe999fa0e0271bd7a48e5eacceac",
     "trace/fill_unit_reference.py":
-        "1fea6516fc1406706fa5faafa5d1e064ef8c645181d389a05bf3c98ba75c9345",
+        "6f92f08b0a881e8bb531f914e448d9f020baae8d320fa0d62eb8ef4077acf30e",
 }
 
 

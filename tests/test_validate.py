@@ -40,7 +40,7 @@ from repro.validate.report import load_report, replay_report
 N = 6_000
 
 _KNOBS = ("REPRO_VALIDATE", "REPRO_FAULTS", "REPRO_JOBS", "REPRO_RETRIES",
-          "REPRO_KEEP_GOING", "REPRO_RESUME", "REPRO_FAST_FRONTEND")
+          "REPRO_KEEP_GOING", "REPRO_RESUME", "REPRO_ENGINE")
 
 
 @pytest.fixture(autouse=True)
@@ -244,7 +244,7 @@ def test_grid_divergence_matches_clean_reference_run(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
     monkeypatch.delenv("REPRO_VALIDATE")
     monkeypatch.delenv("REPRO_FAULTS")
-    monkeypatch.setenv("REPRO_FAST_FRONTEND", "0")
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
     runner.clear_caches()
     clean = _dicts(run_grid(_grid(), jobs=1))
     assert perturbed == clean
