@@ -27,7 +27,7 @@ used to be silently ignored, which made typos look like real runs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.config import FrontEndConfig, MachineConfig
 from repro.core.machine import Machine, MachineResult
@@ -170,21 +170,49 @@ def machine_cache_key(benchmark: str, config: MachineConfig, n: int,
                      extra={"warmup": warmup_n})
 
 
+def _probe(memo: dict, memo_key: tuple, key: str, decode) -> Tuple[Any, Any]:
+    """``(result, stored payload)`` from the memo or disk cache.
+
+    A memo hit has no stored payload (``(result, None)``); a miss is
+    ``(None, None)``.  A disk hit is decoded, which validates it, and
+    admitted to the memo.  An entry that parses but does not decode (a
+    foreign or truncated payload) is quarantined like an unparseable
+    file, so the point is recomputed instead of failing its grid.
+    """
+    result = memo.get(memo_key)
+    if result is not None:
+        return result, None
+    payload = diskcache.load(key)
+    if payload is None:
+        return None, None
+    try:
+        result = decode(payload)
+    except (LookupError, TypeError, ValueError, AttributeError):
+        diskcache.quarantine(diskcache.entry_path(key))
+        return None, None
+    memo[memo_key] = result
+    return result, payload
+
+
+def probe_frontend(benchmark: str, config: FrontEndConfig,
+                   n: Optional[int] = None,
+                   key: Optional[str] = None) -> Tuple[Any, Any]:
+    """Front-end ``(result, stored payload)``; see :func:`_probe`.
+
+    ``key`` is the point's cache key when the caller already has it.
+    """
+    if n is None:
+        n = default_length(benchmark)
+    if key is None:
+        key = frontend_cache_key(benchmark, config, n)
+    return _probe(_frontend, (benchmark, config, n), key,
+                  frontend_result_from_dict)
+
+
 def cached_frontend_result(benchmark: str, config: FrontEndConfig,
                            n: Optional[int] = None) -> Optional[FrontEndResult]:
     """Memo- or disk-cached front-end result, or None (never computes)."""
-    if n is None:
-        n = default_length(benchmark)
-    key = (benchmark, config, n)
-    result = _frontend.get(key)
-    if result is not None:
-        return result
-    payload = diskcache.load(frontend_cache_key(benchmark, config, n))
-    if payload is not None:
-        result = frontend_result_from_dict(payload)
-        _frontend[key] = result
-        return result
-    return None
+    return probe_frontend(benchmark, config, n)[0]
 
 
 def admit_frontend_result(result: FrontEndResult, n: int) -> None:
@@ -337,23 +365,23 @@ def _machine_one_stack(benchmark: str, config: MachineConfig, n: int,
                        engine=engine).run()
 
 
+def probe_machine(benchmark: str, config: MachineConfig,
+                  n: Optional[int] = None, warmup: bool = True,
+                  key: Optional[str] = None) -> Tuple[Any, Any]:
+    """Machine ``(result, stored payload)``; see :func:`probe_frontend`."""
+    if n is None:
+        n = machine_length(benchmark)
+    if key is None:
+        key = machine_cache_key(benchmark, config, n, warmup=warmup)
+    return _probe(_machine, (benchmark, config, n), key,
+                  machine_result_from_dict)
+
+
 def cached_machine_result(benchmark: str, config: MachineConfig,
                           n: Optional[int] = None,
                           warmup: bool = True) -> Optional[MachineResult]:
     """Memo- or disk-cached machine result, or None (never computes)."""
-    if n is None:
-        n = machine_length(benchmark)
-    key = (benchmark, config, n)
-    result = _machine.get(key)
-    if result is not None:
-        return result
-    payload = diskcache.load(machine_cache_key(benchmark, config, n,
-                                               warmup=warmup))
-    if payload is not None:
-        result = machine_result_from_dict(payload)
-        _machine[key] = result
-        return result
-    return None
+    return probe_machine(benchmark, config, n, warmup=warmup)[0]
 
 
 def admit_machine_result(result: MachineResult, n: int) -> None:

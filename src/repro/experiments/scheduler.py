@@ -306,13 +306,36 @@ def _admit(point: GridPoint, result) -> None:
         runner.admit_machine_result(result, point.n)
 
 
-def _cached(point: GridPoint):
-    """The point's result from the memo or disk cache, or None."""
+def _probe(point: GridPoint, key: Optional[str] = None):
+    """The point's ``(result, stored payload)``; see ``runner._probe``.
+
+    ``key``, when given, is the point's :func:`point_key` (it spares the
+    probe a second hash of the point).
+    """
     if point.kind == FRONTEND:
-        return runner.cached_frontend_result(point.benchmark, point.config,
-                                             point.n)
-    return runner.cached_machine_result(point.benchmark, point.config,
-                                        point.n, warmup=point.warmup)
+        return runner.probe_frontend(point.benchmark, point.config, point.n,
+                                     key=key)
+    return runner.probe_machine(point.benchmark, point.config, point.n,
+                                warmup=point.warmup, key=key)
+
+
+def _cached(point: GridPoint, key: Optional[str] = None):
+    """The point's result from the memo or disk cache, or None."""
+    return _probe(point, key)[0]
+
+
+def _cached_payload(point: GridPoint,
+                    key: Optional[str] = None) -> Optional[Dict[str, Any]]:
+    """The point's wire payload from the memo or disk cache, or None.
+
+    The memo is probed first.  A disk hit answers with the stored dict
+    as it is: it is decoded once, to validate it and admit it to the
+    memo, but never re-encoded.  Only a memo hit is encoded.
+    """
+    result, payload = _probe(point, key)
+    if payload is None and result is not None:
+        payload = _result_to_payload(point, result)
+    return payload
 
 
 def _spawn_pool(workers: int) -> ProcessPoolExecutor:
@@ -636,7 +659,7 @@ def run_grid(points: Sequence[GridPoint], jobs: Optional[int] = None, *,
     results: Dict[GridPoint, Any] = {}
     misses: List[GridPoint] = []
     for point in resolved:
-        cached = _cached(point)
+        cached = _cached(point, keys[point])
         if cached is not None:
             results[point] = cached
         else:

@@ -44,9 +44,12 @@ better, because the service adds four things the library cannot:
   Per-point lifecycle events stream to ``subscribe``-d clients through
   :mod:`repro.service.events`.
 
-Every submission runs under a grid checkpoint journal
-(:mod:`repro.experiments.checkpoint`) keyed by its content-hashed point
-set, so crash-resume works per client request, not just per process.
+Every submission's computed points are journaled under a grid
+checkpoint journal (:mod:`repro.experiments.checkpoint`) keyed by its
+content-hashed point set, so crash-resume works per client request, not
+just per process.  Cache hits are not journaled (a hit is already
+durable in the cache, as in ``run_grid``): a warm hit costs one thread
+hop and no journal file.
 
 The server is single-event-loop; simulations run in pool workers (or,
 degraded, in threads via ``asyncio.to_thread``), so the loop only ever
@@ -148,11 +151,11 @@ class ExperimentService:
         ]
         self.table = CoalesceTable()
         #: Admitted-but-not-yet-attached new keys, counted against the
-        #: admission window so concurrent submissions (whose preparation
-        #: awaits journal/cache IO) cannot oversubscribe it.  Keyed, not
-        #: a counter: concurrent duplicates of a reserved key are free —
-        #: they will coalesce onto the one computation, exactly like
-        #: duplicates of a key already in the table.
+        #: admission window so concurrent submissions cannot
+        #: oversubscribe it.  Keyed, not a counter: concurrent
+        #: duplicates of a reserved key are free — they will coalesce
+        #: onto the one computation, exactly like duplicates of a key
+        #: already in the table.
         self._reserved: set = set()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_generation = 0
@@ -460,28 +463,29 @@ class ExperimentService:
     # -------------------------------------------------------- admission
 
     def _admission_answer(self, conn: _Connection, keys: List[str],
-                          journaled: Dict[str, Any]):
+                          journaled: Dict[str, Any], hits=()):
         """``(None, reserved_keys)`` to admit, else ``((reason, hint), [])``.
 
         Runs *before* any entry, journal-write or task exists, so a
         rejected submission leaves zero state behind.  Only genuinely
-        new computations count against the window: keys already in
-        flight (or reserved by a concurrent admission — those will
-        coalesce) attach for free, keys with a disk-cache entry are
-        answered from disk without a pool slot (one ``stat`` per key
-        keeps the check cheap enough for the admission path), and keys
-        replayed from the submission's checkpoint journal (``journaled``,
-        loaded by the caller before asking) are free too — resubmitting
-        an interrupted grid must never be rejected for work it already
-        finished.
+        new computations count against the window.  Free are: keys
+        replayed from the submission's checkpoint journal
+        (``journaled``) and keys its cache probe answered (``hits``),
+        both found by :meth:`_prepare` before asking — resubmitting an
+        interrupted grid must never be rejected for work it already
+        finished; keys already in flight (or reserved by a concurrent
+        admission — those will coalesce); and probe misses whose
+        disk-cache entry has landed since the probe (a ``stat`` per
+        miss, never per hit), which a computation that finished in
+        between leaves behind.
 
         The check and its reservation are one synchronous step on the
         event loop: the returned keys are added to ``self._reserved``
         before returning and must be handed back through
         :meth:`_release_reservations` once they are attached (or the
         submission dies), so concurrent submissions — whose preparation
-        awaits journal and cache IO — cannot all be admitted against
-        the same stale in-flight count.
+        runs on a worker thread — cannot all be admitted against the
+        same stale in-flight count.
         """
         if self._draining:
             return (protocol.DRAINING, 5.0), []
@@ -489,7 +493,8 @@ class ExperimentService:
             return (protocol.CLIENT_BACKLOG, 1.0), []
         new_keys = []
         for key in dict.fromkeys(keys):
-            if key not in journaled and key not in self._reserved \
+            if key not in journaled and key not in hits \
+                    and key not in self._reserved \
                     and self.table.get(key) is None \
                     and not diskcache.entry_path(key).exists():
                 new_keys.append(key)
@@ -511,11 +516,24 @@ class ExperimentService:
 
     # ------------------------------------------------------- submissions
 
-    def _cached_payload(self, point) -> Optional[Dict[str, Any]]:
-        result = scheduler._cached(point)
-        if result is None:
-            return None
-        return protocol.result_to_payload(point.kind, result)
+    @staticmethod
+    def _prepare(journal: checkpoint.Journal, points, keys: List[str]):
+        """A submission's blocking IO, run as one worker-thread step.
+
+        Replays the checkpoint journal, then probes every point it does
+        not hold (:func:`scheduler._cached_payload`: memo, then disk).
+        Returns ``(journaled, hits)``: ``{key: (kind, payload)}`` and
+        ``{key: payload}``.  It creates no state, so a rejection or a
+        failure after it leaves none.
+        """
+        journaled = journal.load()
+        hits: Dict[str, Dict[str, Any]] = {}
+        for point, key in zip(points, keys):
+            if key not in journaled and key not in hits:
+                payload = scheduler._cached_payload(point, key)
+                if payload is not None:
+                    hits[key] = payload
+        return journaled, hits
 
     async def _handle_submit(self, conn: _Connection,
                              message: Dict[str, Any]) -> None:
@@ -533,13 +551,19 @@ class ExperimentService:
             await conn.send({"id": reply_id, "type": "error",
                              "error": str(exc)})
             return
-        # The journal is read before the admission decision so that
-        # resubmitting an interrupted grid is admitted for free: its
-        # journaled points cost neither a pool slot nor a window share.
-        # The read creates no state, so a rejection still leaves none.
-        journal = checkpoint.Journal(keys)
-        journaled = await asyncio.to_thread(journal.load)
-        rejection, reserved = self._admission_answer(conn, keys, journaled)
+        # Journal and cache are read before the admission decision, so
+        # journaled and cached points cost neither a pool slot nor a
+        # window share.
+        try:
+            journal = checkpoint.Journal(keys)
+            journaled, hits = await asyncio.to_thread(
+                self._prepare, journal, points, keys)
+        except Exception as exc:  # a client must never hang
+            await conn.send({"id": reply_id, "type": "error",
+                             "error": faults.format_error(exc)})
+            return
+        rejection, reserved = self._admission_answer(conn, keys, journaled,
+                                                     hits)
         if rejection is not None:
             reason, retry_after = rejection
             self.counters["rejected"] += 1
@@ -565,12 +589,9 @@ class ExperimentService:
                         results[index] = {"key": key, "kind": point.kind,
                                           "status": "ok", "payload": hit[1]}
                         continue
-                    cached = await asyncio.to_thread(self._cached_payload,
-                                                     point)
+                    cached = hits.get(key)
                     if cached is not None:
                         self.counters["cache_hits"] += 1
-                        await asyncio.to_thread(
-                            journal.record, key, point.kind, cached)
                         results[index] = {"key": key, "kind": point.kind,
                                           "status": "ok", "payload": cached}
                         continue
@@ -621,7 +642,8 @@ class ExperimentService:
                     entry, point, key, journal, deadline_at, loop)
             clean = all(r is not None and r.get("status") == "ok"
                         for r in results)
-            if clean:
+            # Only a journal that holds lines has a file to drop.
+            if clean and (journaled or journal.recorded):
                 await asyncio.to_thread(journal.complete)
             await conn.send({"id": reply_id, "type": "done",
                              "results": results})

@@ -125,6 +125,30 @@ def test_wrong_version_entry_is_discarded():
     assert not path.exists()  # deleted, not left to shadow future writes
 
 
+def test_undecodable_payload_is_quarantined_and_recomputed():
+    """An entry that parses but whose payload does not decode is
+    quarantined and its point recomputed, instead of raising out of
+    the cache probe and failing the whole grid."""
+    config = MachineConfig(frontend=BASELINE)
+    points = [GridPoint("frontend", "compress", BASELINE, N),
+              GridPoint("machine", "compress", config, 2_000, warmup=False)]
+    expected = run_grid(points, jobs=1)
+    runner.clear_caches(disk=True)
+    keys = [cache_key("frontend", "compress", BASELINE, N),
+            runner.machine_cache_key("compress", config, 2_000, warmup=False)]
+    garbage = ({"bogus": 1}, ["not", "a", "payload"])
+    for key, kind, payload in zip(keys, ("frontend", "machine"), garbage):
+        diskcache.store(key, kind, payload)
+    results = run_grid(points, jobs=1)
+    assert frontend_result_to_dict(results[points[0]]) \
+        == frontend_result_to_dict(expected[points[0]])
+    assert machine_result_to_dict(results[points[1]]) \
+        == machine_result_to_dict(expected[points[1]])
+    assert diskcache.cache_stats()["quarantined"] == 2
+    # The recomputation healed both entries.
+    assert all(diskcache.load(key) not in garbage for key in keys)
+
+
 def test_disk_cache_can_be_disabled(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     runner.frontend_result("compress", BASELINE, N)

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import BASELINE, PROMOTION, PROMOTION_PACKING
+from repro.config import (BASELINE, PROMOTION, PROMOTION_PACKING,
+                          MachineConfig)
 from repro.experiments import checkpoint, diskcache, env, runner, scheduler
 from repro.experiments.serialize import frontend_result_to_dict
 from repro.experiments import breaker as breaker_module
@@ -31,6 +32,7 @@ from repro.service import protocol
 from repro.service.client import (ServiceClient, ServiceError,
                                   ServiceOverloaded, ServicePointError,
                                   submit_with_retry)
+from repro.service.coalesce import CoalesceTable
 from repro.service.server import ExperimentService, ServiceThread
 
 N = 6_000
@@ -525,35 +527,156 @@ def test_admission_reserves_window_before_attach():
 
 def test_preparation_failure_never_strands_coalesce_entries(monkeypatch):
     """A failure between attaching a coalesce entry and spawning its
-    drive task (here: the cache probe for a later point of the same
-    submission blowing up) must tear the taskless entry down — a
-    stranded entry would hang every later duplicate until drain and
-    leak its disk-cache pin."""
-    real = ExperimentService._cached_payload
+    drive task (here: attaching the second point of the submission
+    blowing up) must tear the taskless entry down — a stranded entry
+    would hang every later duplicate until drain and leak its
+    disk-cache pin."""
+    real = CoalesceTable.attach
     calls = []
 
-    def exploding(self, point):
-        calls.append(point)
+    def exploding(self, key, point, loop):
+        calls.append(key)
         if len(calls) == 2:
-            raise RuntimeError("cache probe exploded")
-        return real(self, point)
+            raise RuntimeError("coalesce attach exploded")
+        return real(self, key, point, loop)
 
-    monkeypatch.setattr(ExperimentService, "_cached_payload", exploding)
+    monkeypatch.setattr(CoalesceTable, "attach", exploding)
     service = _service()
     try:
         with ServiceClient(*service.start(), timeout=60) as client:
-            with pytest.raises(ServiceError, match="cache probe exploded"):
+            with pytest.raises(ServiceError, match="attach exploded"):
                 client.submit([_point(BASELINE), _point(PROMOTION_PACKING)])
             status = client.status()
             assert status["in_flight"] == 0
             assert status["admission_reserved"] == 0
             assert diskcache.pinned_keys() == set()
             # The key is not wedged on a dead entry: resubmitting it
-            # computes normally (the third probe delegates to the real
-            # cache lookup).
+            # computes normally (the third attach delegates to the real
+            # table).
             results = client.submit([_point(BASELINE)])
             assert results[0] is not None
             assert client.status()["counters"]["computed_ok"] == 1
+    finally:
+        service.stop()
+
+
+def test_preparation_error_answers_client(monkeypatch):
+    """A cache probe that raises during preparation answers the client
+    with an error at once and leaves no entry, reservation, pin, task
+    or journal behind."""
+    def exploding(point, key=None):
+        raise RuntimeError("cache probe exploded")
+
+    monkeypatch.setattr(scheduler, "_cached_payload", exploding)
+    service = _service()
+    try:
+        with ServiceClient(*service.start(), timeout=60) as client:
+            start = time.monotonic()
+            with pytest.raises(ServiceError, match="cache probe exploded"):
+                client.submit([_point(BASELINE), _point(PROMOTION_PACKING)])
+            assert time.monotonic() - start < 10
+            status = client.status()
+            assert status["in_flight"] == 0
+            assert status["admission_reserved"] == 0
+            assert status["counters"]["submissions"] == 0
+            assert diskcache.pinned_keys() == set()
+            assert not service.service._drive_tasks
+            assert not checkpoint.checkpoint_dir().exists() \
+                or not any(checkpoint.checkpoint_dir().iterdir())
+    finally:
+        service.stop()
+
+
+def _spy_thread_hops(monkeypatch):
+    """Record the function of every ``asyncio.to_thread`` call."""
+    import asyncio
+    hops = []
+    real = asyncio.to_thread
+
+    def spy(func, *args, **kwargs):
+        hops.append(func)
+        return real(func, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", spy)
+    return hops
+
+
+def _wire(payload):
+    """The bytes a payload travels as inside a reply."""
+    return protocol.encode({"payload": payload})
+
+
+def test_warm_hit_is_one_thread_hop_without_journal(monkeypatch):
+    """A hit-only single-point submit makes one thread hop, writes no
+    checkpoint journal, and replies with the stored payload bytes."""
+    machine = GridPoint("machine", "compress", MachineConfig(frontend=BASELINE),
+                        2_000, warmup=False)
+    direct = {
+        "frontend": runner.frontend_result("compress", BASELINE, N),
+        "machine": runner.machine_result("compress", machine.config, 2_000,
+                                         warmup=False)}
+    runner.clear_caches(disk=False)  # the service reads the disk cache
+    service = _service()
+    try:
+        with ServiceClient(*service.start()) as client:
+            hops = _spy_thread_hops(monkeypatch)
+            for point in (_point(), machine):
+                key = scheduler.point_key(point.resolved())
+                del hops[:]
+                raw = client.result(client.submit_nowait([point]), raw=True)
+                assert [h.__name__ for h in hops] == ["_prepare"]
+                assert raw[0]["status"] == "ok"
+                stored = diskcache.load(key)
+                assert _wire(raw[0]["payload"]) == _wire(stored)
+                assert _wire(raw[0]["payload"]) == _wire(
+                    protocol.result_to_payload(point.kind,
+                                               direct[point.kind]))
+            status = client.status()
+            assert status["counters"]["cache_hits"] == 2
+            assert status["counters"]["computed_ok"] == 0
+            assert status["checkpoints"]["entries"] == 0
+        root = checkpoint.checkpoint_dir()
+        assert not root.exists() or not any(root.iterdir())
+    finally:
+        service.stop()
+
+
+def test_memo_hit_replies_without_disk(monkeypatch):
+    """A point already in the in-process memo is answered (encoded from
+    the memo) even when its disk entry is gone."""
+    point = _point()
+    key = scheduler.point_key(point.resolved())
+    expected = _wire(frontend_result_to_dict(
+        runner.frontend_result("compress", BASELINE, N)))
+    diskcache.entry_path(key).unlink()
+    service = _service()
+    try:
+        with ServiceClient(*service.start()) as client:
+            raw = client.result(client.submit_nowait([point]), raw=True)
+            assert raw[0]["status"] == "ok"
+            assert _wire(raw[0]["payload"]) == expected
+            counters = client.status()["counters"]
+            assert counters["cache_hits"] == 1
+            assert counters["computed_ok"] == 0
+    finally:
+        service.stop()
+
+
+def test_undecodable_cache_payload_is_recomputed_by_submit():
+    """A cache entry whose payload does not decode is quarantined and
+    recomputed, not served and not raised to the client."""
+    expected = _result_json(runner.frontend_result("compress", BASELINE, N))
+    runner.clear_caches(disk=True)
+    key = scheduler.point_key(_point().resolved())
+    diskcache.store(key, "frontend", {"bogus": 1})
+    service = _service()
+    try:
+        with ServiceClient(*service.start()) as client:
+            results = client.submit([_point()])
+            assert _result_json(results[0]) == expected
+            status = client.status()
+            assert status["counters"]["computed_ok"] == 1
+            assert status["cache"]["quarantined"] == 1
     finally:
         service.stop()
 
