@@ -50,9 +50,17 @@ from repro.config import (
 from repro.core.machine import Machine, MachineResult, simulate as _simulate_machine
 from repro.frontend.simulator import FrontEndResult, FrontEndSimulator, compute_oracle
 from repro.isa import assemble, FunctionalExecutor, Program
-from repro.workloads import generate_program
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # ``generate_program`` is one of ``repro.workloads``' lazy names
+    # (PEP 562): it loads the generator, and numpy with it, on first use.
+    if name == "generate_program":
+        from repro import workloads
+        return getattr(workloads, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def simulate_frontend(program, config: FrontEndConfig = BASELINE,

@@ -41,7 +41,6 @@ from repro.frontend.simulator import FrontEndSimulator
 from repro.frontend.stats import FetchReason
 from repro.report import format_bar_chart, format_histogram, format_table
 from repro.trace.fill_unit import PackingPolicy
-from repro.workloads import generate_program
 from repro.workloads.profiles import BENCHMARK_NAMES, get_profile
 
 CONFIGS = {
@@ -101,6 +100,8 @@ def _print_divergence(exc) -> int:
 
 def _cmd_run(args) -> int:
     import os
+
+    from repro.workloads.generator import generate_program
 
     if args.validate:
         os.environ["REPRO_VALIDATE"] = args.validate

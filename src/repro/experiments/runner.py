@@ -41,13 +41,12 @@ from repro.experiments.serialize import (
 )
 from repro.frontend.simulator import FrontEndResult, FrontEndSimulator, compute_oracle
 from repro.isa.program import Program
-from repro.workloads import generate_program
 from repro.workloads.profiles import get_profile
 
 _programs: Dict[str, Program] = {}
 _oracles: Dict[Tuple[str, int], list] = {}
 _frontend: Dict[Tuple[str, FrontEndConfig, int], FrontEndResult] = {}
-_machine: Dict[Tuple[str, MachineConfig, int], MachineResult] = {}
+_machine: Dict[Tuple[str, MachineConfig, int, bool], MachineResult] = {}
 
 def quick_scale() -> float:
     """Run-length multiplier from the environment.
@@ -108,6 +107,16 @@ def clear_caches(disk: bool = False) -> None:
                 os.rmdir(root / name)
             except OSError:
                 pass
+
+
+def generate_program(benchmark: str) -> Program:
+    """A fresh synthetic program for a paper benchmark.
+
+    The generator, and numpy with it, is imported on the first call:
+    a process serving cached results never pays for it.
+    """
+    from repro.workloads.generator import generate_program as generate
+    return generate(benchmark)
 
 
 def get_program(benchmark: str) -> Program:
@@ -338,7 +347,7 @@ def machine_result(benchmark: str, config: MachineConfig,
                                     fast=fast_stack_enabled())
     diskcache.store(machine_cache_key(benchmark, config, n, warmup=warmup),
                     "machine", machine_result_to_dict(result))
-    _machine[(benchmark, config, n)] = result
+    _machine[(benchmark, config, n, warmup)] = result
     return result
 
 
@@ -351,7 +360,6 @@ def _machine_one_stack(benchmark: str, config: MachineConfig, n: int,
     stack and :mod:`repro.core.machine_reference` (``REPRO_ENGINE=
     reference``, and the scheduler's post-divergence degradation path).
     """
-    from repro.core.machine_reference import Machine as ReferenceMachine
     program = get_program(benchmark)
     engine = None
     if warmup:
@@ -360,7 +368,10 @@ def _machine_one_stack(benchmark: str, config: MachineConfig, n: int,
                               memory_config=config.memory, fast=fast)
         FrontEndSimulator(program, config.frontend,
                           oracle=get_oracle(benchmark), engine=engine).run()
-    machine_cls = Machine if fast else ReferenceMachine
+    if fast:
+        machine_cls = Machine
+    else:
+        from repro.core.machine_reference import Machine as machine_cls
     return machine_cls(program, config, max_instructions=n,
                        engine=engine).run()
 
@@ -373,7 +384,7 @@ def probe_machine(benchmark: str, config: MachineConfig,
         n = machine_length(benchmark)
     if key is None:
         key = machine_cache_key(benchmark, config, n, warmup=warmup)
-    return _probe(_machine, (benchmark, config, n), key,
+    return _probe(_machine, (benchmark, config, n, warmup), key,
                   machine_result_from_dict)
 
 
@@ -384,6 +395,6 @@ def cached_machine_result(benchmark: str, config: MachineConfig,
     return probe_machine(benchmark, config, n, warmup=warmup)[0]
 
 
-def admit_machine_result(result: MachineResult, n: int) -> None:
+def admit_machine_result(result: MachineResult, n: int, warmup: bool) -> None:
     """Insert a result computed elsewhere (a pool worker) into the memo."""
-    _machine[(result.benchmark, result.config, n)] = result
+    _machine[(result.benchmark, result.config, n, warmup)] = result

@@ -303,7 +303,7 @@ def _admit(point: GridPoint, result) -> None:
     if point.kind == FRONTEND:
         runner.admit_frontend_result(result, point.n)
     else:
-        runner.admit_machine_result(result, point.n)
+        runner.admit_machine_result(result, point.n, point.warmup)
 
 
 def _probe(point: GridPoint, key: Optional[str] = None):
@@ -339,7 +339,14 @@ def _cached_payload(point: GridPoint,
 
 
 def _spawn_pool(workers: int) -> ProcessPoolExecutor:
-    """A worker pool whose processes run :func:`_worker_init`."""
+    """A worker pool whose processes run :func:`_worker_init`.
+
+    A pool is spawned only to compute, so the workload generator (and
+    numpy with it) is imported here first: forked workers inherit it
+    instead of each importing their own, while a process that only
+    serves cached results never loads it.
+    """
+    import repro.workloads.generator  # noqa: F401
     return ProcessPoolExecutor(max_workers=max(1, workers),
                                initializer=_worker_init,
                                initargs=(warnonce.snapshot(),))

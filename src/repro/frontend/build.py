@@ -13,7 +13,9 @@ Two complete front-end stacks can be wired:
 Both produce byte-identical simulation results (pinned by
 ``tests/test_frontend_parity.py`` and ``benchmarks/bench_frontend_fetch``);
 the reference stack exists as the known-good contract the fast one is
-measured and verified against.
+measured and verified against.  Its modules are imported only when a
+``fast=False`` build asks for them, so a process that never checks
+against the reference never loads it.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ import weakref
 from dataclasses import replace
 from typing import Optional
 
-from repro.branch import reference as branch_reference
 from repro.branch.multiple import MultipleBranchPredictor, SplitMultiplePredictor
 from repro.config import FrontEndConfig
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryConfig, MemoryHierarchy
-from repro.frontend import fetch_reference
 from repro.frontend.fetch import ICacheFetchEngine, TraceFetchEngine
-from repro.trace import fill_unit_reference
 from repro.trace.bias_table import BranchBiasTable
 from repro.trace.fill_unit import FillUnit
 from repro.trace.trace_cache import TraceCache
@@ -110,12 +109,16 @@ def build_predictor(config: FrontEndConfig, fast: Optional[bool] = None):
     """
     if fast is None:
         fast = fast_stack_enabled()
+    if fast:
+        tree, split = MultipleBranchPredictor, SplitMultiplePredictor
+    else:
+        from repro.branch import reference
+        tree = reference.MultipleBranchPredictor
+        split = reference.SplitMultiplePredictor
     if config.predictor == "tree":
-        cls = MultipleBranchPredictor if fast else branch_reference.MultipleBranchPredictor
-        return cls(rows_bits=14)
+        return tree(rows_bits=14)
     if config.predictor == "split":
-        cls = SplitMultiplePredictor if fast else branch_reference.SplitMultiplePredictor
-        return cls(table_bits=(16, 14, 13), history_bits=14)
+        return split(table_bits=(16, 14, 13), history_bits=14)
     raise ValueError(f"unknown predictor kind {config.predictor!r}")
 
 
@@ -130,17 +133,25 @@ def build_engine(program: Program, config: FrontEndConfig,
     """
     if fast is None:
         fast = fast_stack_enabled()
+    if fast:
+        icache_cls, trace_cls = ICacheFetchEngine, TraceFetchEngine
+        bias_cls, fill_cls = BranchBiasTable, FillUnit
+    else:
+        from repro.frontend import fetch_reference
+        from repro.trace import fill_unit_reference
+        icache_cls = fetch_reference.ICacheFetchEngine
+        trace_cls = fetch_reference.TraceFetchEngine
+        bias_cls = fill_unit_reference.BranchBiasTable
+        fill_cls = fill_unit_reference.FillUnit
     memory = build_memory(config, memory_config)
     if config.kind == "icache":
-        cls = ICacheFetchEngine if fast else fetch_reference.ICacheFetchEngine
-        engine = cls(program, memory)
+        engine = icache_cls(program, memory)
         _live_engines.add(engine)
         return engine
     if config.kind != "tc":
         raise ValueError(f"unknown front end kind {config.kind!r}")
     trace_cache = TraceCache(n_lines=config.tc_lines, assoc=config.tc_assoc,
                              path_assoc=config.path_associativity)
-    bias_cls = BranchBiasTable if fast else fill_unit_reference.BranchBiasTable
     bias_table = (
         bias_cls(entries=config.bias_entries, threshold=config.promote_threshold)
         if config.promote
@@ -154,7 +165,6 @@ def build_engine(program: Program, config: FrontEndConfig,
             bias_threshold=config.static_bias_threshold,
             min_executions=config.static_min_executions,
         )
-    fill_cls = FillUnit if fast else fill_unit_reference.FillUnit
     fill_unit = fill_cls(
         trace_cache=trace_cache,
         bias_table=bias_table,
@@ -163,8 +173,7 @@ def build_engine(program: Program, config: FrontEndConfig,
         static_promotions=static_promotions,
     )
     predictor = build_predictor(config, fast=fast)
-    engine_cls = TraceFetchEngine if fast else fetch_reference.TraceFetchEngine
-    engine = engine_cls(
+    engine = trace_cls(
         program=program,
         memory=memory,
         trace_cache=trace_cache,

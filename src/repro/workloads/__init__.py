@@ -7,13 +7,35 @@ published character: static code footprint, fetch-block size, fraction of
 strongly biased branches, loop structure, call behaviour, indirect-jump
 frequency and data working set.  See DESIGN.md section 2 for the
 substitution argument.
+
+The generator (which needs numpy) and the characterization statistics
+load on first use: a process that only reads profiles — cache keys, the
+experiment service answering from the disk cache — never imports them.
 """
+
+import importlib
 
 from repro.workloads.builder import CodeBuilder, DataBuilder
 from repro.workloads.behaviors import BranchBehavior, BranchKind
 from repro.workloads.profiles import BenchmarkProfile, PROFILES, BENCHMARK_NAMES, get_profile
-from repro.workloads.generator import generate_program, WorkloadGenerator
-from repro.workloads.stats import WorkloadStats, characterize
+
+#: Names served on first access (PEP 562), and the module each lives in.
+_LAZY = {
+    "generate_program": "repro.workloads.generator",
+    "WorkloadGenerator": "repro.workloads.generator",
+    "WorkloadStats": "repro.workloads.stats",
+    "characterize": "repro.workloads.stats",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CodeBuilder",

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads with the generator, not with the profiles
+    import numpy as np
 
 
 class BranchKind(enum.Enum):

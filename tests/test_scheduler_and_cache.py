@@ -91,6 +91,29 @@ def test_disk_cache_hit_skips_simulation(monkeypatch):
     assert frontend_result_to_dict(first) == frontend_result_to_dict(second)
 
 
+def test_machine_memo_keeps_warmed_and_unwarmed_apart(monkeypatch):
+    from repro.experiments import scheduler
+
+    monkeypatch.setenv("REPRO_SCALE", "0.01")  # a 5,000-instruction warm-up
+    config = MachineConfig(frontend=BASELINE)
+    unwarmed = runner.machine_result("compress", config, 2_000, warmup=False)
+    warmed = runner.machine_result("compress", config, 2_000, warmup=True)
+    assert warmed.cycles != unwarmed.cycles
+    runner.clear_caches(disk=True)
+    cold = runner.machine_result("compress", config, 2_000, warmup=True)
+    assert machine_result_to_dict(warmed) == machine_result_to_dict(cold)
+
+    # A result admitted from a pool worker is keyed by its warm-up too.
+    runner.clear_caches()
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    scheduler._admit(GridPoint("machine", "compress", config, 2_000,
+                               warmup=False), unwarmed)
+    assert runner.cached_machine_result("compress", config, 2_000,
+                                        warmup=True) is None
+    assert runner.cached_machine_result("compress", config, 2_000,
+                                        warmup=False) is unwarmed
+
+
 def test_machine_disk_round_trip():
     config = MachineConfig(frontend=BASELINE)
     first = runner.machine_result("compress", config, 2_000, warmup=False)
