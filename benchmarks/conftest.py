@@ -1,9 +1,10 @@
-"""Shared infrastructure for the paper-reproduction benchmark harness.
+"""Shared infrastructure for the ablation, robustness and engine benches.
 
-Every ``bench_*`` function regenerates one of the paper's tables or
-figures, prints it, saves it under ``benchmarks/output/``, and asserts the
-qualitative shape the paper reports.  Timings come from pytest-benchmark
-(one round: these are simulations, not microbenchmarks).
+Every ``bench_*`` function runs its experiment once under
+pytest-benchmark timing (these are simulations, not microbenchmarks),
+prints what it measured, saves it under ``benchmarks/output/``, and
+asserts the shape it expects.  The paper's own tables and figures, and
+their claims, come from ``python -m repro experiment <name>|all``.
 
 Set ``REPRO_QUICK=1`` for a fast pass at quarter-length runs.  To time
 the simulations themselves rather than cache loads, point
@@ -42,9 +43,3 @@ def emit():
 
     return _emit
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _announce_scale():
-    if os.environ.get("REPRO_QUICK"):
-        print("\n[repro] REPRO_QUICK=1: quarter-length simulation runs\n")
-    yield

@@ -123,19 +123,15 @@ def random_machine_config(rng: np.random.Generator):
 def run_one_machine(seed: int, length: int = DEFAULT_LENGTH) -> str:
     """One machine-core fuzz case; returns a label, raises on divergence.
 
-    Pairs the machine core with the fast front end and the frozen seed
-    core with the reference front end (the same pairing the runner's
-    lockstep guard uses), so a serialized-result mismatch flags a
-    divergence in either layer.  The machine window is a quarter of the
-    front-end budget — cycle-level runs are the slow part of a sweep.
+    Runs through :func:`repro.validate.lockstep.lockstep_machine`, which
+    pairs the machine core with the fast front end and the frozen seed
+    core with the reference front end, so a serialized-result mismatch
+    flags a divergence in either layer.  The machine window is a quarter
+    of the front-end budget — cycle-level runs are the slow part of a
+    sweep.
     """
-    from repro.core.machine import Machine
-    from repro.core.machine_reference import Machine as ReferenceMachine
-    from repro.experiments.cachekey import canonical_json
-    from repro.experiments.serialize import machine_result_to_dict
-    from repro.frontend.build import build_engine
-    from repro.frontend.simulator import FrontEndSimulator, compute_oracle
-    from repro.validate.errors import DivergenceError
+    from repro.frontend.simulator import compute_oracle
+    from repro.validate.lockstep import lockstep_machine
     from repro.workloads.generator import generate_program
 
     rng = np.random.default_rng(seed)
@@ -143,26 +139,10 @@ def run_one_machine(seed: int, length: int = DEFAULT_LENGTH) -> str:
     config = random_machine_config(rng)
     warmup = bool(rng.random() < 0.5)
     program = generate_program(profile, seed=seed)
-    machine_n = max(500, length // 4)
-
-    def one_run(machine_cls, fast: bool):
-        engine = None
-        if warmup:
-            engine = build_engine(program, config.frontend,
-                                  memory_config=config.memory, fast=fast)
-            FrontEndSimulator(program, config.frontend,
-                              oracle=compute_oracle(program, length),
-                              engine=engine).run()
-        return machine_cls(program, config, max_instructions=machine_n,
-                           engine=engine).run()
-
-    reference = one_run(ReferenceMachine, fast=False)
-    result = one_run(Machine, fast=True)
-    if (canonical_json(machine_result_to_dict(result))
-            != canonical_json(machine_result_to_dict(reference))):
-        raise DivergenceError(
-            "fast machine diverged from reference: serialized "
-            "MachineResult mismatch")
+    lockstep_machine(profile.name, config, max(500, length // 4),
+                     warmup=warmup, report=False, program=program,
+                     warmup_oracle=(compute_oracle(program, length)
+                                    if warmup else None))
     warm = "warm" if warmup else "cold"
     return f"{profile.name}/{config.describe()}/{warm}"
 

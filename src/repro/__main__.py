@@ -6,7 +6,8 @@ Commands:
 * ``run`` — simulate one benchmark under one configuration (front end by
   default, ``--machine`` for the full cycle-level core);
 * ``experiment`` — regenerate one of the paper's tables or figures, or
-  ``all`` of them in paper order;
+  ``all`` of them in paper order, and check the paper's claims on each
+  (:data:`repro.experiments.paper.CLAIMS`; exits nonzero on a failed one);
 * ``validate-replay`` — re-run the lockstep comparison a divergence
   report describes; exits nonzero iff it still reproduces;
 * ``serve`` — run the shared experiment service (async grid front door
@@ -37,6 +38,7 @@ from dataclasses import replace
 from repro import config as cfg
 from repro.config import CoreConfig, MachineConfig
 from repro.core.machine import Machine
+from repro.experiments import paper
 from repro.frontend.simulator import FrontEndSimulator
 from repro.frontend.stats import FetchReason
 from repro.report import format_bar_chart, format_histogram, format_table
@@ -52,11 +54,7 @@ CONFIGS = {
     "promotion_costreg": cfg.PROMOTION_COST_REG,
 }
 
-EXPERIMENTS = (
-    "table1", "table2", "table3", "table4",
-    "fig4", "fig6", "fig7", "fig9", "fig10",
-    "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-)
+EXPERIMENTS = tuple(paper.ARTIFACTS)
 
 
 def _cmd_list(_args) -> int:
@@ -204,12 +202,27 @@ def _print_divergence_report() -> None:
           "python -m repro validate-replay <report.json>")
 
 
-def _render_reported(name: str) -> int:
-    """Render one artifact, then report failed and diverged grid points."""
+def _print_claims(name: str, rendered: dict) -> int:
+    """Print the verdict of each claim on ``name``; 1 if any FAILs."""
+    scale = paper.run_scale()
+    verdicts = paper.check_claims(name, rendered, scale)
+    if verdicts:
+        print(f"\nclaims ({scale or 'unnamed'} scale):")
+    for verdict, claim, measured in verdicts:
+        print(f"  {verdict:<26} {claim.id}: {measured or '-'}"
+              f"  [paper: {claim.paper}]")
+    return int(any(verdict == "FAIL" for verdict, _c, _m in verdicts))
+
+
+def _render_reported(name: str, rendered: dict) -> int:
+    """Render one artifact and check its claims, then report failed and
+    diverged grid points.  ``rendered`` collects each artifact's data
+    for the claims that read more than one artifact."""
     from repro.experiments.faults import GridFailures
 
     try:
-        status = _render_experiment(name)
+        rendered[name] = _render_experiment(name)
+        status = _print_claims(name, rendered)
     except GridFailures as failed:
         _print_failure_report(failed)
         status = 1
@@ -236,8 +249,9 @@ def _cmd_experiment(args) -> int:
         os.environ["REPRO_RESUME"] = "0"
     if args.validate:
         os.environ["REPRO_VALIDATE"] = args.validate
+    rendered: dict = {}
     if args.name != "all":
-        return _render_reported(args.name)
+        return _render_reported(args.name, rendered)
     # The whole paper in one process, in paper order: the in-process
     # memo serves the points several artifacts share.  One failing
     # artifact does not stop the rest; the exit status reports it.
@@ -246,7 +260,7 @@ def _cmd_experiment(args) -> int:
         if index:
             print()
         try:
-            status = _render_reported(name)
+            status = _render_reported(name, rendered)
         except Exception:
             traceback.print_exc()
             status = 1
@@ -274,21 +288,11 @@ def _cmd_validate_replay(args) -> int:
     return _print_divergence(exc)
 
 
-def _render_experiment(name: str) -> int:
-    """Build and print one paper table/figure (grids may raise)."""
-    from repro.experiments import paper
-
-    if name == "table1":
-        rows = paper.table1_rows()
-    elif name == "table2":
-        rows = paper.table2_rows()
-    elif name == "table3":
-        rows = paper.table3_rows()
-    elif name == "table4":
-        rows = paper.table4_rows()["rows"]
-    elif name in ("fig4", "fig6"):
-        config = cfg.BASELINE if name == "fig4" else cfg.PROMOTION
-        data = paper.fetch_breakdown("gcc", config)
+def _render_experiment(name: str):
+    """Build and print one paper table/figure; returns its data (grids
+    may raise)."""
+    data = paper.ARTIFACTS[name]()
+    if name in ("fig4", "fig6"):
         sizes: dict = {}
         for (size, _reason), fraction in data["histogram"].items():
             sizes[size] = sizes.get(size, 0.0) + fraction
@@ -299,31 +303,12 @@ def _render_experiment(name: str) -> int:
         print(format_bar_chart({r.value: reasons.get(r, 0.0) for r in FetchReason},
                                title="termination reasons (fraction of fetches)",
                                fmt="{:6.3f}"))
-        return 0
-    elif name == "fig7":
-        rows = paper.figure7_rows()
-    elif name == "fig9":
-        rows = paper.figure9_rows()
-    elif name == "fig10":
-        rows = paper.figure10_rows()
-    elif name == "fig11":
-        rows = paper.figure11_rows()
-    elif name == "fig12":
-        rows = paper.figure12_rows()
-    elif name == "fig13":
-        rows = paper.figure13_rows()
-    elif name == "fig14":
-        rows = paper.figure14_rows()
-    elif name == "fig15":
-        rows = paper.figure15_rows()
-    elif name == "fig16":
-        rows = paper.figure16_rows()
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(name)
+        return data
+    rows = data["rows"] if name == "table4" else data
     headers = list(rows[0].keys())
     print(format_table(headers, [[row[h] for h in headers] for row in rows],
                        title=name))
-    return 0
+    return data
 
 
 def _cmd_serve(args) -> int:

@@ -128,14 +128,23 @@ def get_program(benchmark: str) -> Program:
     return program
 
 
+def run_lengths(benchmark: str, scale: float) -> Tuple[int, int]:
+    """(front-end, machine) run lengths at run-length multiplier ``scale``.
+
+    Machine runs are slower; they get a third of the front-end budget.
+    """
+    n = max(5_000, int(get_profile(benchmark).default_dynamic * scale))
+    return n, max(5_000, n // 3)
+
+
 def default_length(benchmark: str) -> int:
     """Front-end run length for this benchmark, after env scaling."""
-    return max(5_000, int(get_profile(benchmark).default_dynamic * quick_scale()))
+    return run_lengths(benchmark, quick_scale())[0]
 
 
 def machine_length(benchmark: str) -> int:
-    """Machine runs are slower; use a third of the front-end budget."""
-    return max(5_000, default_length(benchmark) // 3)
+    """Machine run length for this benchmark, after env scaling."""
+    return run_lengths(benchmark, quick_scale())[1]
 
 
 def get_oracle(benchmark: str, n: Optional[int] = None) -> list:

@@ -105,13 +105,17 @@ def lockstep_frontend(benchmark: str, config, n: int, *, stride: int = 1,
 
 
 def lockstep_machine(benchmark: str, config, n: int, *, warmup: bool = True,
-                     warmup_n: Optional[int] = None, report: bool = True):
+                     warmup_n: Optional[int] = None, report: bool = True,
+                     program=None, warmup_oracle=None):
     """Run one machine point through both full stacks and cross-check.
 
     The reference side pairs the frozen machine core with the frozen
     front end; the fast side pairs the event-driven core with the fast
     front end — so a mismatch flags a divergence in *either* layer.
-    Returns the verified fast result.
+    ``program``/``warmup_oracle`` default to the runner's memoized ones
+    for ``benchmark`` (the warm-up oracle over ``warmup_n``
+    instructions); the fuzzer passes synthetic ones directly (with
+    ``benchmark`` as a label).  Returns the verified fast result.
     """
     from repro.core.machine import Machine
     from repro.core.machine_reference import Machine as ReferenceMachine
@@ -119,8 +123,9 @@ def lockstep_machine(benchmark: str, config, n: int, *, warmup: bool = True,
     from repro.frontend.build import build_engine
     from repro.frontend.simulator import FrontEndSimulator
 
-    program = runner.get_program(benchmark)
-    if warmup and warmup_n is None:
+    if program is None:
+        program = runner.get_program(benchmark)
+    if warmup and warmup_n is None and warmup_oracle is None:
         warmup_n = runner.default_length(benchmark)
 
     def one_run(machine_cls, fast: bool):
@@ -128,8 +133,10 @@ def lockstep_machine(benchmark: str, config, n: int, *, warmup: bool = True,
         if warmup:
             engine = build_engine(program, config.frontend,
                                   memory_config=config.memory, fast=fast)
-            FrontEndSimulator(program, config.frontend,
-                              oracle=runner.get_oracle(benchmark, warmup_n),
+            oracle = warmup_oracle
+            if oracle is None:
+                oracle = runner.get_oracle(benchmark, warmup_n)
+            FrontEndSimulator(program, config.frontend, oracle=oracle,
                               engine=engine).run()
         return machine_cls(program, config, max_instructions=n,
                            engine=engine).run()

@@ -108,6 +108,8 @@ def test_experiment_supervision_flags_set_env(monkeypatch):
     for knob in ("REPRO_JOBS", "REPRO_RETRIES", "REPRO_KEEP_GOING",
                  "REPRO_RESUME"):
         monkeypatch.setenv(knob, "")
+    # The stand-in renders no artifact, so it has no claims to check.
+    monkeypatch.setattr(cli.paper, "CLAIMS", ())
     monkeypatch.setattr(cli, "_render_experiment", lambda name: 0)
     assert main(["experiment", "table3", "--jobs", "3", "--max-retries", "7",
                  "--keep-going", "--no-resume"]) == 0
@@ -162,6 +164,7 @@ def test_experiment_all_renders_in_paper_order(monkeypatch, capsys):
         print(name)
         return 0
 
+    monkeypatch.setattr(cli.paper, "CLAIMS", ())
     monkeypatch.setattr(cli, "_render_experiment", render)
     assert main(["experiment", "all"]) == 1
     assert rendered == list(EXPERIMENTS)
