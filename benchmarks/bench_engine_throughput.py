@@ -23,11 +23,10 @@ from repro.core.machine import Machine
 from repro.core.machine_reference import Machine as ReferenceMachine
 from repro.experiments import diskcache
 from repro.experiments import runner
-from repro.experiments import tracefile
 from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import machine_result_to_dict
 from repro.frontend.build import build_engine
-from repro.frontend.simulator import FrontEndSimulator, compute_oracle
+from repro.frontend.simulator import FrontEndSimulator
 from repro.isa.executor import run_oracle
 
 BENCHMARKS = ("compress", "gcc")
@@ -145,7 +144,7 @@ def _time_machine() -> dict:
     the best-of-N minimum per configuration, and asserts the serialized
     results are byte-identical before recording the speedups.
     """
-    report = {"schema": 5, "grid": [], "grid_total": {}, "trace_files": {}}
+    report = {"schema": 6, "grid": [], "grid_total": {}}
     os.environ["REPRO_DISK_CACHE"] = "0"
     try:
         runner.clear_caches()
@@ -202,36 +201,6 @@ def _time_machine() -> dict:
     finally:
         os.environ.pop("REPRO_DISK_CACHE", None)
 
-    # Trace-file round trip: cold functional execution + binary store vs a
-    # warm mmap load of the same oracle stream (best-of-3 minima each).
-    runner.clear_caches(disk=True)
-    name = MACHINE_GRID_BENCHMARK
-    program = runner.get_program(name)
-    n = runner.default_length(name)
-
-    def _best_of(fn, repeats=3):
-        best_s, value = None, None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            value = fn()
-            elapsed = time.perf_counter() - start
-            if best_s is None or elapsed < best_s:
-                best_s = elapsed
-        return best_s, value
-
-    compute_s, oracle = _best_of(lambda: compute_oracle(program, n))
-    store_s, stored = _best_of(lambda: tracefile.store_oracle(name, n, oracle))
-    load_s, loaded = _best_of(lambda: tracefile.load_oracle(name, n, program))
-    report["trace_files"] = {
-        "enabled": tracefile.enabled(),
-        "instructions": n,
-        "cold_compute_seconds": compute_s,
-        "cold_store_seconds": store_s,
-        "warm_load_seconds": load_s,
-        "replay_speedup": (compute_s / load_s) if load_s else 0.0,
-        "stored": stored is not None,
-        "loaded": loaded is not None and len(loaded) == n,
-    }
     return report
 
 
@@ -255,13 +224,6 @@ def bench_machine_core(benchmark, emit):
     lines.append(f"  grid total         ref {total['reference_seconds']:5.2f}s"
                  f"  machine {total['machine_seconds']:5.2f}s  "
                  f"{total['speedup_vs_reference']:4.2f}x vs ref")
-    tf = report["trace_files"]
-    if tf["enabled"]:
-        lines.append(
-            f"  oracle trace file: compute {tf['cold_compute_seconds']:.2f}s"
-            f" + store {tf['cold_store_seconds']:.3f}s -> "
-            f"mmap load {tf['warm_load_seconds']:.3f}s "
-            f"({tf['replay_speedup']:,.0f}x replay speedup)")
     emit("BENCH_machine", "\n".join(lines))
 
     # The optimization contract: byte-identical results across both
@@ -270,9 +232,3 @@ def bench_machine_core(benchmark, emit):
     # stable numbers, so only they carry floors.)
     assert all(row["results_identical"] for row in report["grid"])
     assert total["speedup_vs_reference"] >= 1.5
-    if tf["enabled"]:
-        assert tf["stored"] and tf["loaded"]
-        # Replaying from the binary trace must beat functional
-        # re-execution (its whole point); the margin is what the record
-        # in BENCH_machine.json tracks over time.
-        assert tf["warm_load_seconds"] < tf["cold_compute_seconds"]

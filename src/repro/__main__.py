@@ -31,6 +31,7 @@ runs on the frozen reference stack and the two are cross-checked.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -97,8 +98,6 @@ def _print_divergence(exc) -> int:
 
 
 def _cmd_run(args) -> int:
-    import os
-
     from repro.workloads.generator import generate_program
 
     if args.validate:
@@ -231,8 +230,6 @@ def _render_reported(name: str, rendered: dict) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    import os
-
     # The builders resolve every supervision knob from the environment,
     # so one flag covers every grid the experiment touches.
     if args.jobs is not None:
@@ -605,21 +602,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Knobs the ``run`` and ``experiment`` flags set for the code they
+#: call; :func:`main` puts each back as it found it when it returns.
+_FLAG_KNOBS = ("REPRO_JOBS", "REPRO_RETRIES", "REPRO_KEEP_GOING",
+               "REPRO_RESUME", "REPRO_VALIDATE")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate-replay":
-        return _cmd_validate_replay(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    return _cmd_experiment(args)
+    saved = {name: os.environ.get(name) for name in _FLAG_KNOBS}
+    try:
+        if args.command == "list":
+            return _cmd_list(args)
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "validate-replay":
+            return _cmd_validate_replay(args)
+        if args.command == "serve":
+            return _cmd_serve(args)
+        if args.command == "worker":
+            return _cmd_worker(args)
+        if args.command == "submit":
+            return _cmd_submit(args)
+        return _cmd_experiment(args)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 if __name__ == "__main__":

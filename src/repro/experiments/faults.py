@@ -9,7 +9,7 @@ service in :mod:`repro.service.server` — four things:
 
 1. **A failure taxonomy.**  :func:`classify` sorts an exception raised by
    a grid point into *transient* (broken process pool, worker killed,
-   OS-level cache/trace IO errors — worth retrying with backoff),
+   OS-level cache IO errors — worth retrying with backoff),
    *timeout* (the point exceeded its wall-clock deadline — also retried),
    *divergence* (the lockstep guard caught the fast stack disagreeing
    with the reference) or *deterministic* (a simulation exception or
@@ -34,12 +34,11 @@ service in :mod:`repro.service.server` — four things:
    ``action:when[:arg]`` where *action* is one of ``crash`` (the worker
    calls ``os._exit``), ``hang`` (the worker sleeps *arg* seconds,
    default 30), ``corrupt-cache`` (the point's freshly written result
-   cache entry is overwritten with garbage) or ``corrupt-trace`` (the
-   point's oracle trace files are corrupted and the worker's oracle memo
-   dropped, forcing the checksum-recovery path).  *when* is either
-   ``pN`` — fire on the point scheduled at ordinal ``N``, first attempt
-   only, so retries succeed — or a probability in ``[0, 1]`` hashed from
-   (action, point key, attempt), so a given run is exactly reproducible.
+   cache entry is overwritten with garbage) or ``diverge`` (see below).
+   *when* is either ``pN`` — fire on the point scheduled at ordinal
+   ``N``, first attempt only, so retries succeed — or a probability in
+   ``[0, 1]`` hashed from (action, point key, attempt), so a given run
+   is exactly reproducible.
    The ``diverge`` action arms the :mod:`repro.validate` forced-latch so
    the next validated fetch/run reports an (injected) divergence —
    chaos coverage for the lockstep guard's detect/report/requeue path.
@@ -101,7 +100,7 @@ def classify(exc: BaseException) -> str:
     """Sort a grid-point exception into the retry taxonomy:
     :class:`Classified` -> its own ``kind``; ``DivergenceError`` ->
     :data:`DIVERGENCE`; broken pools, killed workers and OS-level IO
-    errors on the cache or trace files -> :data:`TRANSIENT`; anything
+    errors on the cache files -> :data:`TRANSIENT`; anything
     else -> :data:`DETERMINISTIC`.  :class:`Supervision` decides the rest.
     """
     if isinstance(exc, Classified):
@@ -316,7 +315,7 @@ class Supervision:
 # ---------------------------------------------------- injection harness
 
 #: Legal ``REPRO_FAULTS`` actions.
-ACTIONS = ("crash", "hang", "corrupt-cache", "corrupt-trace", "diverge")
+ACTIONS = ("crash", "hang", "corrupt-cache", "diverge")
 
 #: Worker exit status used by the ``crash`` action (visible in pool logs).
 CRASH_EXIT_STATUS = 37
@@ -417,9 +416,8 @@ def _corrupt_file(path) -> None:
         pass
 
 
-def inject_before(key: str, ordinal: int, attempt: int,
-                  trace_paths: Sequence[Any] = ()) -> None:
-    """Worker-side hook before a point runs: crash, hang, corrupt-trace."""
+def inject_before(key: str, ordinal: int, attempt: int) -> None:
+    """Worker-side hook before a point runs: crash, hang, diverge."""
     for spec in active_spec():
         if not _fires(spec, key, ordinal, attempt):
             continue
@@ -428,14 +426,6 @@ def inject_before(key: str, ordinal: int, attempt: int,
         elif spec.action == "hang":
             time.sleep(spec.arg if spec.arg is not None
                        else DEFAULT_HANG_SECONDS)
-        elif spec.action == "corrupt-trace":
-            for path in trace_paths:
-                _corrupt_file(path)
-            # Drop the inherited oracle memo so this worker actually
-            # re-reads the (now corrupt) trace file and must take the
-            # checksum-recovery path instead of serving fork-time state.
-            from repro.experiments import runner
-            runner._oracles.clear()
         elif spec.action == "diverge":
             from repro.validate import errors
             errors.arm_forced_divergence()

@@ -10,10 +10,9 @@ Results are served from a two-level cache:
    simulator source fingerprint), so re-running an experiment script is
    warm across processes and across parallel workers.
 
-The oracle stream additionally persists as a compact binary trace file
-(:mod:`repro.experiments.tracefile`): it is computed at most once per
-(benchmark, length) machine-wide, and every other process memory-maps
-the stored trace instead of re-executing the program functionally.
+The oracle stream is memoized in process only; a pooled grid computes
+every oracle it needs in the parent before forking its workers
+(:func:`repro.experiments.scheduler.run_grid`), so they inherit it.
 
 Run-length environment knobs (they compose):
 
@@ -31,7 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.config import FrontEndConfig, MachineConfig
 from repro.core.machine import Machine, MachineResult
-from repro.experiments import diskcache, env, tracefile, warnonce
+from repro.experiments import diskcache, env, warnonce
 from repro.experiments.cachekey import cache_key
 from repro.experiments.serialize import (
     frontend_result_from_dict,
@@ -66,12 +65,11 @@ def clear_caches(disk: bool = False) -> None:
 
     With ``disk=True`` also purge the persistent on-disk state — the
     result cache (entries, size index, pins, quarantine, lock files),
-    the stored oracle trace files, the checkpoint journals, and the
-    cross-process warn-once marker files — then prune the now-empty
-    bookkeeping subdirectories (``warned/``, ``checkpoints/``,
-    ``divergences/``, ``traces/`` and friends).  It used to leave the
-    markers and empty directories behind, so a "cleared" cache dir was
-    never actually empty.  Used by benchmarks that need genuinely cold
+    the checkpoint journals, and the cross-process warn-once marker
+    files — then prune the now-empty bookkeeping subdirectories
+    (``warned/``, ``checkpoints/``, ``divergences/`` and friends).  It
+    used to leave the markers and empty directories behind, so a
+    "cleared" cache dir was never actually empty.  Used by benchmarks that need genuinely cold
     runs and by service operators resetting a shared cache.
 
     Also drops the compiled state living *inside* engines built so far
@@ -89,20 +87,18 @@ def clear_caches(disk: bool = False) -> None:
     _oracles.clear()
     _frontend.clear()
     _machine.clear()
-    tracefile.clear_column_memo()
     warnonce.reset()
     from repro.frontend.build import reset_compiled_state
     reset_compiled_state()
     if disk:
         diskcache.purge()
-        tracefile.purge()
         checkpoint.purge()
         root = diskcache.cache_dir()
         # warnonce.reset() above already removed the marker files; what
         # remains is pruning empty bookkeeping directories (missing or
         # non-empty ones are left alone — rmdir refuses non-empty dirs).
-        for name in ("warned", "checkpoints", "divergences", "traces",
-                     "locks", "pins", "quarantine"):
+        for name in ("warned", "checkpoints", "divergences", "locks",
+                     "pins", "quarantine"):
             try:
                 os.rmdir(root / name)
             except OSError:
@@ -148,24 +144,13 @@ def machine_length(benchmark: str) -> int:
 
 
 def get_oracle(benchmark: str, n: Optional[int] = None) -> list:
-    """Memoized correct-path instruction stream.
-
-    Cold path: try the shared binary trace file first (mmap read — no
-    functional re-execution), and on a genuine miss compute the stream
-    once and persist it for every other process on the machine.
-    """
+    """Memoized correct-path instruction stream (computed on a miss)."""
     if n is None:
         n = default_length(benchmark)
     key = (benchmark, n)
     oracle = _oracles.get(key)
     if oracle is None:
-        program = get_program(benchmark)
-        oracle = tracefile.load_oracle(benchmark, n, program)
-        if oracle is None:
-            # Memoize the column-carrying view so the trace-file store
-            # reuses one column build.
-            oracle = tracefile.as_columns(compute_oracle(program, n))
-            tracefile.store_oracle(benchmark, n, oracle)
+        oracle = compute_oracle(get_program(benchmark), n)
         _oracles[key] = oracle
     return oracle
 

@@ -13,9 +13,9 @@ Scheduling decisions:
   four front-end points of the same length, plus their warmup), with at
   most ``jobs`` tasks in flight so per-point deadlines measure runtime,
   not queueing.
-* **Shared oracle traces.**  The parent pre-writes every oracle a
-  missing point needs (:mod:`repro.experiments.tracefile`) and workers
-  memory-map them instead of re-executing.
+* **Oracles computed before the fork.**  The parent computes every
+  oracle a missing point needs into the runner's memo before it spawns
+  the pool, so forked workers inherit them instead of re-executing.
 * **Cache-first.**  The parent serves every point it can from the memo
   and disk caches — and from the grid's checkpoint journal
   (:mod:`repro.experiments.checkpoint`) — before spawning anything; a
@@ -68,7 +68,7 @@ from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
 from repro.experiments import (checkpoint, diskcache, env, faults, runner,
-                               tracefile, warnonce)
+                               warnonce)
 from repro.experiments.breaker import CircuitBreaker
 from repro.experiments.serialize import (
     frontend_result_from_dict,
@@ -228,14 +228,14 @@ def _oracle_needs(point: GridPoint) -> List[Tuple[str, int]]:
     return []  # the core itself runs the program, not the oracle
 
 
-def _prewrite_traces(points: Sequence[GridPoint]) -> None:
-    """Compute each needed oracle once and persist its trace file, so
-    every worker memory-maps instead of functionally re-executing."""
+def _prewarm_oracles(points: Sequence[GridPoint]) -> None:
+    """Compute each needed oracle once into the runner's memo, so the
+    workers forked afterwards inherit it instead of re-executing."""
     needed = set()
     for point in points:
         needed.update(_oracle_needs(point))
     for benchmark, n in sorted(needed):
-        runner.get_oracle(benchmark, n)  # computes + stores on miss
+        runner.get_oracle(benchmark, n)
 
 
 def _worker_init(emitted_keys: Tuple[str, ...]) -> None:
@@ -284,10 +284,7 @@ def _run_point_task(point: GridPoint, ordinal: int, attempt: int, key: str,
     ``REPRO_FAULTS`` is set, so the production path pays two tuple
     checks per point.
     """
-    faults.inject_before(
-        key, ordinal, attempt,
-        trace_paths=[tracefile.trace_path(b, n)
-                     for b, n in _oracle_needs(point)])
+    faults.inject_before(key, ordinal, attempt)
     result = _run_point(point, engine=engine)
     faults.inject_after(key, ordinal, attempt,
                         cache_path=diskcache.entry_path(key))
@@ -704,8 +701,8 @@ def run_grid(points: Sequence[GridPoint], jobs: Optional[int] = None, *,
                      timeout=resolved_timeout,
                      backoff=faults.resolve_backoff(),
                      keep_going=faults.resolve_keep_going(keep_going))
-    if tracefile.enabled() and policy.jobs > 1 and len(misses) > 1:
-        _prewrite_traces(misses)
+    if policy.jobs > 1 and len(misses) > 1:
+        _prewarm_oracles(misses)
     supervisor = _Supervisor(misses, keys, policy, journal)
     try:
         computed = supervisor.run()

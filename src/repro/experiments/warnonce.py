@@ -17,7 +17,7 @@ module centralizes the state:
 
 The snapshot/seed handoff only covers warnings the parent had already
 emitted when the pool started.  For conditions that *arise* mid-run in
-workers — a corrupt trace file that several workers discover at once —
+workers — one condition that several workers discover at once —
 ``warn_once(..., shared=True)`` additionally takes a cross-process
 latch: a marker file under ``$REPRO_CACHE_DIR/warned/`` claimed with an
 exclusive create, so exactly one process in the whole tree emits the

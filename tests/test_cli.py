@@ -99,27 +99,56 @@ def test_config_names_resolve():
 
 
 def test_experiment_supervision_flags_set_env(monkeypatch):
+    """The builders see the supervision flags as environment knobs."""
     import os
 
     import repro.__main__ as cli
 
-    # setenv registers restoration, so the values main() writes directly
-    # into os.environ are rolled back after the test.
     for knob in ("REPRO_JOBS", "REPRO_RETRIES", "REPRO_KEEP_GOING",
                  "REPRO_RESUME"):
         monkeypatch.setenv(knob, "")
+    expected = {}
+    seen = []
+
+    def render(name):
+        seen.append(name)
+        for knob, value in expected.items():
+            assert os.environ[knob] == value, knob
+        return 0
+
     # The stand-in renders no artifact, so it has no claims to check.
+    monkeypatch.setattr(cli.paper, "CLAIMS", ())
+    monkeypatch.setattr(cli, "_render_experiment", render)
+    expected.update(REPRO_JOBS="3", REPRO_RETRIES="7", REPRO_KEEP_GOING="1",
+                    REPRO_RESUME="0")
+    assert main(["experiment", "table3", "--jobs", "3", "--max-retries", "7",
+                 "--keep-going", "--no-resume"]) == 0
+    expected.clear()
+    expected.update(REPRO_KEEP_GOING="0", REPRO_RESUME="1")
+    assert main(["experiment", "table3", "--fail-fast", "--resume"]) == 0
+    assert seen == ["table3", "table3"]
+
+
+@pytest.mark.parametrize("before", [None, "0"], ids=["unset", "set"])
+def test_main_restores_the_knobs_its_flags_set(monkeypatch, before):
+    """``main`` leaves the environment as it found it: a flag's knob
+    must not leak into later commands or child processes."""
+    import os
+
+    import repro.__main__ as cli
+
+    for knob in cli._FLAG_KNOBS:
+        monkeypatch.delenv(knob, raising=False)
+    if before is not None:
+        monkeypatch.setenv("REPRO_KEEP_GOING", before)
     monkeypatch.setattr(cli.paper, "CLAIMS", ())
     monkeypatch.setattr(cli, "_render_experiment", lambda name: 0)
     assert main(["experiment", "table3", "--jobs", "3", "--max-retries", "7",
-                 "--keep-going", "--no-resume"]) == 0
-    assert os.environ["REPRO_JOBS"] == "3"
-    assert os.environ["REPRO_RETRIES"] == "7"
-    assert os.environ["REPRO_KEEP_GOING"] == "1"
-    assert os.environ["REPRO_RESUME"] == "0"
-    assert main(["experiment", "table3", "--fail-fast", "--resume"]) == 0
-    assert os.environ["REPRO_KEEP_GOING"] == "0"
-    assert os.environ["REPRO_RESUME"] == "1"
+                 "--keep-going", "--resume", "--validate", "sample:16"]) == 0
+    assert os.environ.get("REPRO_KEEP_GOING") == before
+    for knob in ("REPRO_JOBS", "REPRO_RETRIES", "REPRO_RESUME",
+                 "REPRO_VALIDATE"):
+        assert knob not in os.environ, knob
 
 
 def test_experiment_exclusive_flag_pairs_rejected():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import BASELINE, PROMOTION_PACKING
-from repro.experiments import checkpoint, diskcache, faults, runner, tracefile, warnonce
+from repro.experiments import checkpoint, diskcache, faults, runner, warnonce
 from repro.experiments.breaker import CircuitBreaker
 from repro.experiments.faults import GridFailures, PointFailure, PointTimeout
 from repro.experiments.scheduler import GridPoint, run_grid
@@ -29,10 +29,9 @@ N = 6_000
 
 REPO = Path(__file__).parent.parent
 
-_KNOBS = ("REPRO_DISK_CACHE", "REPRO_TRACE_FILES", "REPRO_FAULTS",
-          "REPRO_RETRIES", "REPRO_POINT_TIMEOUT", "REPRO_KEEP_GOING",
-          "REPRO_RESUME", "REPRO_CHECKPOINTS", "REPRO_JOBS",
-          "REPRO_VALIDATE")
+_KNOBS = ("REPRO_DISK_CACHE", "REPRO_FAULTS", "REPRO_RETRIES",
+          "REPRO_POINT_TIMEOUT", "REPRO_KEEP_GOING", "REPRO_RESUME",
+          "REPRO_CHECKPOINTS", "REPRO_JOBS", "REPRO_VALIDATE")
 
 
 @pytest.fixture(autouse=True)
@@ -217,9 +216,12 @@ def test_parse_spec():
 
 
 def test_parse_spec_drops_malformed_entries():
-    with pytest.warns(RuntimeWarning, match="malformed REPRO_FAULTS"):
-        specs = faults.parse_spec("explode:p1,crash:p2,hang:nine,crash:1.5")
+    with pytest.warns(RuntimeWarning, match="malformed REPRO_FAULTS") as caught:
+        specs = faults.parse_spec(
+            "explode:p1,crash:p2,hang:nine,crash:1.5,corrupt-trace:p0")
     assert specs == (faults.FaultSpec("crash", ordinal=2),)
+    # An action that is no longer legal warns and drops like a typo.
+    assert any("'corrupt-trace:p0'" in str(w.message) for w in caught)
 
 
 def test_ordinal_faults_fire_on_first_attempt_only():
@@ -253,13 +255,13 @@ def test_faults_never_fire_outside_armed_workers(monkeypatch):
 
 
 def test_chaos_crash_and_corruption_matches_clean_serial(monkeypatch):
-    """Worker crash + cache corruption + trace corruption: byte-identical."""
+    """Worker crash + cache corruption: byte-identical."""
     serial = _dicts(run_grid(_grid(), jobs=1))
     runner.clear_caches(disk=True)
 
     # Ordinal 0 crashes its worker, ordinal 1's fresh cache entry is
-    # stamped with garbage, ordinal 2's oracle trace file is corrupted.
-    monkeypatch.setenv("REPRO_FAULTS", "crash:p0,corrupt-cache:p1,corrupt-trace:p2")
+    # stamped with garbage.
+    monkeypatch.setenv("REPRO_FAULTS", "crash:p0,corrupt-cache:p1")
     monkeypatch.setenv("REPRO_RETRIES", "3")
     faulted = _dicts(run_grid(_grid(), jobs=2))
     assert faulted == serial
@@ -707,31 +709,14 @@ def test_shared_warn_latch_spans_processes():
         assert warnonce.warn_once("shared-test", "fresh", shared=True) is True
 
 
-def test_corrupt_trace_warns_once_and_recovers():
-    oracle = runner.get_oracle("compress", N)
-    path = tracefile.trace_path("compress", N)
-    assert path.exists()
+def test_corrupt_cache_quarantine_tolerates_losing_the_race(monkeypatch):
+    """Two processes race to quarantine the same corrupt cache entry: the
+    one whose rename loses must treat FileNotFoundError as success."""
+    expected = _dicts({"p": runner.frontend_result("compress", BASELINE, N)})
+    key = runner.frontend_cache_key("compress", BASELINE, N)
+    path = diskcache.entry_path(key)
     faults._corrupt_file(path)
-    runner._oracles.clear()
-    program = runner.get_program("compress")
-    with pytest.warns(RuntimeWarning, match="corrupt oracle trace"):
-        assert tracefile.load_oracle("compress", N, program) is None
-    assert not path.exists()  # moved aside so it cannot shadow the rewrite
-    # The corrupt bytes were quarantined as evidence, not destroyed.
-    quarantined = list(diskcache.quarantine_dir().glob(f"{path.name}.*"))
-    assert len(quarantined) == 1
-    recovered = runner.get_oracle("compress", N)  # recomputes + re-stores
-    assert len(recovered) == len(oracle)
-    assert path.exists()
-
-
-def test_corrupt_trace_quarantine_tolerates_losing_the_race(monkeypatch):
-    """Two processes race to quarantine the same corrupt trace: the one
-    whose rename loses must treat FileNotFoundError as success."""
-    runner.get_oracle("compress", N)
-    path = tracefile.trace_path("compress", N)
-    faults._corrupt_file(path)
-    runner._oracles.clear()
+    runner.clear_caches()
 
     real_replace = os.replace
 
@@ -742,7 +727,8 @@ def test_corrupt_trace_quarantine_tolerates_losing_the_race(monkeypatch):
         return real_replace(src, dst, *args, **kwargs)
 
     monkeypatch.setattr(os, "replace", racing_replace)
-    program = runner.get_program("compress")
-    with pytest.warns(RuntimeWarning, match="corrupt oracle trace"):
-        assert tracefile.load_oracle("compress", N, program) is None
+    assert diskcache.load(key) is None
     assert not path.exists()
+    monkeypatch.setattr(os, "replace", real_replace)
+    recomputed = runner.frontend_result("compress", BASELINE, N)
+    assert _dicts({"p": recomputed}) == expected

@@ -29,10 +29,10 @@ from repro.service.worker import FleetWorker
 
 N = 6_000
 
-_KNOBS = ("REPRO_DISK_CACHE", "REPRO_TRACE_FILES", "REPRO_FAULTS",
-          "REPRO_RETRIES", "REPRO_POINT_TIMEOUT", "REPRO_KEEP_GOING",
-          "REPRO_RESUME", "REPRO_CHECKPOINTS", "REPRO_JOBS",
-          "REPRO_VALIDATE", "REPRO_CACHE_MAX_MB", "REPRO_ADMIT_MAX",
+_KNOBS = ("REPRO_DISK_CACHE", "REPRO_FAULTS", "REPRO_RETRIES",
+          "REPRO_POINT_TIMEOUT", "REPRO_KEEP_GOING", "REPRO_RESUME",
+          "REPRO_CHECKPOINTS", "REPRO_JOBS", "REPRO_VALIDATE",
+          "REPRO_CACHE_MAX_MB", "REPRO_ADMIT_MAX",
           "REPRO_CLIENT_BACKLOG", "REPRO_DRAIN_GRACE",
           "REPRO_SERVICE_ADDR", "REPRO_LEASE_TTL", "REPRO_HEARTBEAT",
           "REPRO_FLEET_MIN")

@@ -205,6 +205,26 @@ def test_parallel_matches_serial_byte_identical():
         assert left == right
 
 
+def test_pooled_grid_computes_every_oracle_in_the_parent(monkeypatch,
+                                                          tmp_path):
+    """A pooled grid computes each oracle once, in the parent, before it
+    forks its workers: they inherit the memo instead of re-executing."""
+    log = tmp_path / "oracles.txt"
+    real = runner.compute_oracle
+
+    def recording(program, n):
+        with open(log, "a") as handle:  # a worker's call is logged too
+            handle.write(f"{os.getpid()} {program.name} {n}\n")
+        return real(program, n)
+
+    monkeypatch.setattr(runner, "compute_oracle", recording)
+    assert len(run_grid(_grid(), jobs=2)) == 4
+    rows = [line.split() for line in log.read_text().splitlines()]
+    assert {int(pid) for pid, _name, _n in rows} == {os.getpid()}
+    assert sorted((name, int(n)) for _pid, name, n in rows) == [
+        ("compress", N), ("m88ksim", N)]
+
+
 def test_pooled_grid_leaves_no_executor_thread():
     """A grid that finishes normally shuts its pool down waiting: the
     executor's manager thread is gone when ``run_grid`` returns, so it

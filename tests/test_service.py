@@ -39,10 +39,10 @@ N = 6_000
 
 REPO = Path(__file__).parent.parent
 
-_KNOBS = ("REPRO_DISK_CACHE", "REPRO_TRACE_FILES", "REPRO_FAULTS",
-          "REPRO_RETRIES", "REPRO_POINT_TIMEOUT", "REPRO_KEEP_GOING",
-          "REPRO_RESUME", "REPRO_CHECKPOINTS", "REPRO_JOBS",
-          "REPRO_VALIDATE", "REPRO_CACHE_MAX_MB", "REPRO_ADMIT_MAX",
+_KNOBS = ("REPRO_DISK_CACHE", "REPRO_FAULTS", "REPRO_RETRIES",
+          "REPRO_POINT_TIMEOUT", "REPRO_KEEP_GOING", "REPRO_RESUME",
+          "REPRO_CHECKPOINTS", "REPRO_JOBS", "REPRO_VALIDATE",
+          "REPRO_CACHE_MAX_MB", "REPRO_ADMIT_MAX",
           "REPRO_CLIENT_BACKLOG", "REPRO_DRAIN_GRACE",
           "REPRO_SERVICE_ADDR", "REPRO_LEASE_TTL", "REPRO_HEARTBEAT",
           "REPRO_FLEET_MIN")
@@ -343,8 +343,8 @@ def test_clear_caches_disk_leaves_no_orphans():
     leftovers = sorted(p.relative_to(root).as_posix()
                        for p in root.rglob("*") if not p.is_dir())
     assert leftovers == []
-    for name in ("warned", "checkpoints", "divergences", "traces",
-                 "locks", "pins", "quarantine"):
+    for name in ("warned", "checkpoints", "divergences", "locks", "pins",
+                 "quarantine"):
         assert not (root / name).exists(), name
 
 
