@@ -84,15 +84,50 @@ def config_to_dict(config) -> Dict[str, Any]:
     raise TypeError(f"not a config: {config!r}")
 
 
+#: Configs :func:`config_from_dict` has built, by :func:`_identity` of
+#: their dict.  Configs are frozen, so every result and grid point
+#: decoded from an equal dict can share one.  Dicts arrive from service
+#: clients too, so it stops growing at ``_BUILT_MAX`` entries.
+_built: Dict[Any, Any] = {}
+_BUILT_MAX = 4096
+
+
+def _identity(data: Dict[str, Any]) -> Any:
+    """A hashable stand-in for a config dict, exact down to value types
+    (``1``, ``1.0`` and ``True`` are equal in Python but not in a cache
+    key).  Raises TypeError or AttributeError for a malformed dict."""
+    def flat(part):
+        return tuple(part.items()), tuple(map(type, part.values()))
+
+    if data.get("type") == "machine":
+        return (flat(data["frontend"]), flat(data["memory"]),
+                flat(data["core"]))
+    return flat(data)
+
+
 def config_from_dict(data: Dict[str, Any]):
-    """Inverse of :func:`config_to_dict` (dispatches on the type tag)."""
+    """Inverse of :func:`config_to_dict` (dispatches on the type tag).
+
+    A dict equal to one already seen returns the config built then.
+    """
+    try:
+        identity = _identity(data)
+        config = _built.get(identity)
+    except (AttributeError, KeyError, TypeError):
+        identity = config = None
+    if config is not None:
+        return config
     kind = data.get("type")
     body = {k: v for k, v in data.items() if k != "type"}
     if kind == "machine":
-        return machine_config_from_dict(body)
-    if kind == "frontend":
-        return frontend_config_from_dict(body)
-    raise ValueError(f"unknown config type tag: {kind!r}")
+        config = machine_config_from_dict(body)
+    elif kind == "frontend":
+        config = frontend_config_from_dict(body)
+    else:
+        raise ValueError(f"unknown config type tag: {kind!r}")
+    if identity is not None and len(_built) < _BUILT_MAX:
+        _built[identity] = config
+    return config
 
 
 # -------------------------------------------------------------- profiles

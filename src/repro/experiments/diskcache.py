@@ -407,13 +407,60 @@ def pinned_keys() -> set:
 
 # -------------------------------------------------------------- entries
 
+#: What :func:`store` writes around a payload, keys sorted and no
+#: whitespace: ``{"kind":"<kind>","payload":<payload>,"version":1}``.
+_KIND_AT = '{"kind":"'
+_PAYLOAD_AT = '","payload":'
+_TAIL = ',"version":%d}' % CACHE_SCHEMA_VERSION
+
+
+class StoredPayload(dict):
+    """A payload :func:`load` parsed, with ``text``: its JSON as stored.
+
+    :func:`store` writes sorted keys with compact separators, the form
+    :func:`repro.service.protocol.encode` emits, so a reply can carry
+    ``text`` as it is instead of encoding the dict again.
+    """
+
+    __slots__ = ("text",)
+
+
+def _stored_payload(text: str) -> Optional[StoredPayload]:
+    """The payload of an entry in :func:`store`'s exact layout, else None.
+
+    Only the payload's own text is parsed, so a match is one JSON value
+    framed exactly as :func:`store` frames it, in ASCII with no
+    whitespace.  An entry in any other layout gets None and is parsed
+    whole by the caller.
+    """
+    if not (text.startswith(_KIND_AT) and text.endswith(_TAIL)):
+        return None
+    at = text.find(_PAYLOAD_AT, len(_KIND_AT))
+    if at < 0 or not text[len(_KIND_AT):at].isidentifier():
+        return None
+    body = text[at + len(_PAYLOAD_AT):-len(_TAIL)]
+    if not body.isascii() or " " in body or "\n" in body \
+            or "\t" in body or "\r" in body:
+        return None
+    try:
+        value = json.loads(body)
+    except ValueError:
+        return None
+    if not isinstance(value, dict):
+        return None
+    payload = StoredPayload(value)
+    payload.text = body
+    return payload
+
+
 def load(key: str) -> Optional[Dict[str, Any]]:
     """Payload stored under ``key``, or None on miss/corruption.
 
     A file that cannot be parsed, or whose version tag does not match,
     is quarantined so it cannot shadow a future write under the same
     key.  A successful load refreshes the entry's mtime — the recency
-    signal the quota evictor orders by.
+    signal the quota evictor orders by.  An entry in the layout
+    :func:`store` writes loads as a :class:`StoredPayload`.
     """
     if not enabled():
         return None
@@ -425,12 +472,15 @@ def load(key: str) -> Optional[Dict[str, Any]]:
     try:
         # Decode inside the corruption handler: stamped-over entries can
         # hold non-UTF-8 bytes (UnicodeDecodeError is a ValueError).
-        envelope = json.loads(raw.decode("utf-8"))
-        if not isinstance(envelope, dict):
-            raise ValueError("not an object")
-        if envelope.get("version") != CACHE_SCHEMA_VERSION:
-            raise ValueError("version mismatch")
-        payload = envelope["payload"]
+        text = raw.decode("utf-8")
+        payload = _stored_payload(text)
+        if payload is None:
+            envelope = json.loads(text)
+            if not isinstance(envelope, dict):
+                raise ValueError("not an object")
+            if envelope.get("version") != CACHE_SCHEMA_VERSION:
+                raise ValueError("version mismatch")
+            payload = envelope["payload"]
     except (ValueError, KeyError):
         quarantine(path)
         return None

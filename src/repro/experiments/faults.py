@@ -336,15 +336,18 @@ class FaultSpec:
     arg: Optional[float] = None        #: action argument (hang seconds)
 
 
-def mark_worker() -> None:
+def mark_worker(armed: bool = True) -> bool:
     """Arm the harness for this process (called by the pool initializer).
 
     Faults never fire in the parent, so serial execution — including the
     scheduler's degraded-mode fallback and inline deterministic re-runs —
-    is always a safe floor.
+    is always a safe floor.  ``armed=False`` disarms it again; the
+    previous state is returned, so a caller that arms only for its own
+    lifetime (an in-process fleet worker) can restore it.
     """
     global _in_worker
-    _in_worker = True
+    previous, _in_worker = _in_worker, armed
+    return previous
 
 
 def in_worker() -> bool:

@@ -14,6 +14,12 @@ The oracle stream is memoized in process only; a pooled grid computes
 every oracle it needs in the parent before forking its workers
 (:func:`repro.experiments.scheduler.run_grid`), so they inherit it.
 
+Cache keys are memoized too, on (kind, benchmark, config, length,
+warm-up length).  A key is a pure function of those within one process
+(the benchmark profiles and the source fingerprint never change), so
+:func:`clear_caches` keeps that memo: a warm service that drops its
+result memos still hashes each point once.
+
 Run-length environment knobs (they compose):
 
 * ``REPRO_QUICK=1`` divides all run lengths by four (fast CI passes);
@@ -46,6 +52,11 @@ _programs: Dict[str, Program] = {}
 _oracles: Dict[Tuple[str, int], list] = {}
 _frontend: Dict[Tuple[str, FrontEndConfig, int], FrontEndResult] = {}
 _machine: Dict[Tuple[str, MachineConfig, int, bool], MachineResult] = {}
+#: ``(kind, benchmark, config, n, warmup length or None) -> cache key``;
+#: never cleared (see the module docstring).  Points arrive from service
+#: clients too, so it stops growing at ``_KEYS_MAX`` entries.
+_keys: Dict[Tuple[str, str, Any, int, Optional[int]], str] = {}
+_KEYS_MAX = 1 << 16
 
 def quick_scale() -> float:
     """Run-length multiplier from the environment.
@@ -63,14 +74,15 @@ def quick_scale() -> float:
 def clear_caches(disk: bool = False) -> None:
     """Drop every memoized program, oracle and result.
 
+    The cache-key memo stays: keys do not change within a process.
+
     With ``disk=True`` also purge the persistent on-disk state — the
-    result cache (entries, size index, pins, quarantine, lock files),
-    the checkpoint journals, and the cross-process warn-once marker
-    files — then prune the now-empty bookkeeping subdirectories
-    (``warned/``, ``checkpoints/``, ``divergences/`` and friends).  It
-    used to leave the markers and empty directories behind, so a
-    "cleared" cache dir was never actually empty.  Used by benchmarks that need genuinely cold
-    runs and by service operators resetting a shared cache.
+    result cache (entries, size index, pins, quarantine, lock files)
+    and the checkpoint journals — then prune the now-empty bookkeeping
+    subdirectories (``checkpoints/``, ``divergences/`` and friends), so
+    a cleared cache dir is empty.  Used by benchmarks that need
+    genuinely cold runs and by service operators resetting a shared
+    cache.
 
     Also drops the compiled state living *inside* engines built so far
     (compiled fetch variants, fill-unit state machines, segment memos —
@@ -94,11 +106,10 @@ def clear_caches(disk: bool = False) -> None:
         diskcache.purge()
         checkpoint.purge()
         root = diskcache.cache_dir()
-        # warnonce.reset() above already removed the marker files; what
-        # remains is pruning empty bookkeeping directories (missing or
-        # non-empty ones are left alone — rmdir refuses non-empty dirs).
-        for name in ("warned", "checkpoints", "divergences", "locks",
-                     "pins", "quarantine"):
+        # Prune the empty bookkeeping directories (missing or non-empty
+        # ones are left alone — rmdir refuses non-empty dirs).
+        for name in ("checkpoints", "divergences", "locks", "pins",
+                     "quarantine"):
             try:
                 os.rmdir(root / name)
             except OSError:
@@ -155,9 +166,22 @@ def get_oracle(benchmark: str, n: Optional[int] = None) -> list:
     return oracle
 
 
+def _memoized_key(kind: str, benchmark: str, config, n: int,
+                  warmup_n: Optional[int]) -> str:
+    """:func:`cache_key` through the key memo."""
+    memo_key = (kind, benchmark, config, n, warmup_n)
+    key = _keys.get(memo_key)
+    if key is None:
+        extra = None if warmup_n is None else {"warmup": warmup_n}
+        key = cache_key(kind, benchmark, config, n, extra=extra)
+        if len(_keys) < _KEYS_MAX:
+            _keys[memo_key] = key
+    return key
+
+
 def frontend_cache_key(benchmark: str, config: FrontEndConfig, n: int) -> str:
     """The disk-cache key a front-end result is stored under."""
-    return cache_key("frontend", benchmark, config, n)
+    return _memoized_key("frontend", benchmark, config, n, None)
 
 
 def machine_cache_key(benchmark: str, config: MachineConfig, n: int,
@@ -169,8 +193,7 @@ def machine_cache_key(benchmark: str, config: MachineConfig, n: int,
     fault harness address exactly the entries the runner writes.
     """
     warmup_n = default_length(benchmark) if warmup else 0
-    return cache_key("machine", benchmark, config, n,
-                     extra={"warmup": warmup_n})
+    return _memoized_key("machine", benchmark, config, n, warmup_n)
 
 
 def _probe(memo: dict, memo_key: tuple, key: str, decode) -> Tuple[Any, Any]:

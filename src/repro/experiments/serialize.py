@@ -30,6 +30,12 @@ from repro.frontend.simulator import FrontEndResult
 from repro.frontend.stats import CycleCategory, FetchReason, FetchStats
 from repro.trace.segment import FinalizeReason
 
+#: Enum members by name: a plain dict lookup, where ``Enum[name]`` runs
+#: Python-level metaclass code for every decoded histogram row.
+_FETCH_REASONS = {member.name: member for member in FetchReason}
+_CYCLE_CATEGORIES = {member.name: member for member in CycleCategory}
+_FINALIZE_REASONS = {member.name: member for member in FinalizeReason}
+
 
 def _stats_to_dict(stats: FetchStats) -> Dict[str, Any]:
     return {
@@ -73,14 +79,14 @@ def _stats_from_dict(data: Dict[str, Any]) -> FetchStats:
         cache_miss_cycles=data["cache_miss_cycles"],
     )
     stats.size_reason_histogram = Counter({
-        (size, FetchReason[name]): count
+        (size, _FETCH_REASONS[name]): count
         for size, name, count in data["size_reason_histogram"]
     })
     stats.predictions_histogram = Counter({
         n: count for n, count in data["predictions_histogram"]
     })
     stats.cycle_accounting = Counter({
-        CycleCategory[name]: count
+        _CYCLE_CATEGORIES[name]: count
         for name, count in data["cycle_accounting"].items()
     })
     return stats
@@ -93,7 +99,7 @@ def _fill_reasons_to_dict(fill_reasons: dict) -> Dict[str, int]:
 
 
 def _fill_reasons_from_dict(data: Dict[str, int]) -> dict:
-    return {FinalizeReason[name]: count for name, count in data.items()}
+    return {_FINALIZE_REASONS[name]: count for name, count in data.items()}
 
 
 # ------------------------------------------------------------- front end
@@ -174,7 +180,7 @@ def machine_result_from_dict(data: Dict[str, Any]) -> MachineResult:
     for name in _MACHINE_INT_FIELDS:
         setattr(result, name, data[name])
     result.cycle_accounting = Counter({
-        CycleCategory[name]: count
+        _CYCLE_CATEGORIES[name]: count
         for name, count in data["cycle_accounting"].items()
     })
     result.fill_reasons = _fill_reasons_from_dict(data["fill_reasons"])

@@ -23,6 +23,11 @@ class FetchReason(enum.Enum):
     RET_INDIR_TRAP = "Ret, Indir, Trap"
     MAXIMUM_BRS = "MaximumBRs"
 
+    # Members are singletons: hashing by identity (a C slot) is exact and
+    # spares Enum's Python-level hash of the name on every histogram
+    # update and every decoded histogram row.
+    __hash__ = object.__hash__
+
 
 class CycleCategory(enum.Enum):
     """Where each fetch cycle went (Fig. 12)."""
@@ -33,6 +38,8 @@ class CycleCategory(enum.Enum):
     FULL_WINDOW = "Full Window"
     TRAPS = "Traps"
     MISFETCHES = "Misfetches"
+
+    __hash__ = object.__hash__  # as FetchReason
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,10 @@ def run_oracle(program: Program, max_instructions: Optional[int] = None) -> list
     :class:`DynInst`/state-object overhead.  This is the entry point the
     front-end simulator's oracle computation uses; every configuration of a
     benchmark replays this stream, so its cost is paid once per benchmark.
+
+    Entries are interned: every dynamic instance of one (pc, successor)
+    is the same tuple object, so a stream costs one list slot per
+    instruction rather than one tuple each.
     """
     regs = [0] * NUM_REGS
     regs[REG_SP] = STACK_BASE
@@ -183,6 +187,14 @@ def run_oracle(program: Program, max_instructions: Optional[int] = None) -> list
     limit = len(instructions)
     stream: list = []
     append = stream.append
+    # Interned entries, per pc: ``fall`` holds the fall-through entry
+    # (``taken`` None, ``next_pc`` pc + 1); ``seen`` holds every other
+    # successor, keyed by ``taken`` at a conditional branch (its two
+    # successors are fixed, and may both be pc + 1) and by ``next_pc``
+    # elsewhere.  Keys are ints and bools, never the tuple itself, whose
+    # Instruction would hash through Python-level dataclass code.
+    seen: List[Optional[dict]] = [None] * limit
+    fall: List[Optional[tuple]] = [None] * limit
     pc = program.entry
     remaining = max_instructions if max_instructions is not None else -1
     # The interpreter below inlines step_instruction's semantics (same
@@ -304,7 +316,19 @@ def run_oracle(program: Program, max_instructions: Optional[int] = None) -> list
             break
         else:  # pragma: no cover - exhaustive over the opcode set
             raise NotImplementedError(op)
-        append((inst, taken, next_pc))
+        if next_pc == pc + 1 and taken is None:
+            entry = fall[pc]
+            if entry is None:
+                entry = fall[pc] = (inst, None, next_pc)
+        else:
+            successors = seen[pc]
+            if successors is None:
+                successors = seen[pc] = {}
+            succ = next_pc if taken is None else taken
+            entry = successors.get(succ)
+            if entry is None:
+                entry = successors[succ] = (inst, taken, next_pc)
+        append(entry)
         pc = next_pc
         remaining -= 1
     return stream

@@ -57,9 +57,10 @@ client and the async server.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.experiments.cachekey import config_from_dict, config_to_dict
+from repro.experiments.diskcache import StoredPayload
 from repro.experiments.scheduler import FRONTEND, MACHINE, GridPoint
 from repro.experiments.serialize import (
     frontend_result_from_dict,
@@ -87,9 +88,45 @@ class ProtocolError(ValueError):
     """A malformed, oversized or unparseable protocol message."""
 
 
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _object(obj: Dict[str, Any], text: Callable[[str, Any], str]) -> str:
+    """``_dumps(obj)`` for a str-keyed dict, each value as ``text(key, value)``."""
+    return "{" + ",".join(_dumps(key) + ":" + text(key, obj[key])
+                          for key in sorted(obj)) + "}"
+
+
+def _stored(entry: Any) -> bool:
+    """Is this a ``done`` result entry carrying a disk hit's payload?"""
+    return isinstance(entry, dict) and isinstance(entry.get("payload"),
+                                                  StoredPayload)
+
+
+def _result_entry(entry: Any) -> str:
+    """``_dumps(entry)``, with a stored payload put in as its own text."""
+    if not _stored(entry):
+        return _dumps(entry)
+    return _object(entry, lambda key, value: value.text
+                   if key == "payload" else _dumps(value))
+
+
 def encode(message: Dict[str, Any]) -> bytes:
-    """One message -> one newline-terminated UTF-8 JSON line."""
-    line = json.dumps(message, sort_keys=True, separators=(",", ":"))
+    """One message -> one newline-terminated UTF-8 JSON line.
+
+    The line is ``json.dumps(message, sort_keys=True, separators=(",",
+    ":"))``.  In a ``done`` reply, a disk hit's
+    :class:`~repro.experiments.diskcache.StoredPayload` is already in
+    that encoding, so its stored text is spliced in instead of encoding
+    the payload again.
+    """
+    results = message.get("results")
+    if isinstance(results, list) and any(map(_stored, results)):
+        line = _object(message, lambda key, value: "[" + ",".join(
+            map(_result_entry, value)) + "]" if key == "results"
+            else _dumps(value))
+    else:
+        line = _dumps(message)
     data = line.encode("utf-8") + b"\n"
     if len(data) > MAX_LINE:
         raise ProtocolError(f"message of {len(data)} bytes exceeds the "

@@ -48,8 +48,24 @@ Every submission's computed points are journaled under a grid
 checkpoint journal (:mod:`repro.experiments.checkpoint`) keyed by its
 content-hashed point set, so crash-resume works per client request, not
 just per process.  Cache hits are not journaled (a hit is already
-durable in the cache, as in ``run_grid``): a warm hit costs one thread
-hop and no journal file.
+durable in the cache, as in ``run_grid``).
+
+A disk hit costs its file read, its validation and one reply write:
+
+* the point's key comes from the runner's key memo, so each point is
+  hashed once per process;
+* one worker-thread step probes the cache for every point, and builds
+  and replays the submission's journal only when a point is left
+  unanswered (a journaled point is then served from the journal);
+* the entry is parsed and decoded, which validates it (one that does
+  not decode is quarantined and recomputed), and
+  :func:`~repro.experiments.diskcache.load` keeps the payload's stored
+  text, which :func:`~repro.service.protocol.encode` splices into the
+  ``done`` reply instead of encoding the payload again.
+
+So a journal left by an interrupted run of a key set the cache now
+answers whole stays on disk until a run of that key set with misses
+completes, or until ``runner.clear_caches(disk=True)`` removes it.
 
 The server is single-event-loop; simulations run in pool workers (or,
 degraded, in threads via ``asyncio.to_thread``), so the loop only ever
@@ -517,23 +533,32 @@ class ExperimentService:
     # ------------------------------------------------------- submissions
 
     @staticmethod
-    def _prepare(journal: checkpoint.Journal, points, keys: List[str]):
+    def _prepare(points, keys: List[str]):
         """A submission's blocking IO, run as one worker-thread step.
 
-        Replays the checkpoint journal, then probes every point it does
-        not hold (:func:`scheduler._cached_payload`: memo, then disk).
-        Returns ``(journaled, hits)``: ``{key: (kind, payload)}`` and
-        ``{key: payload}``.  It creates no state, so a rejection or a
-        failure after it leaves none.
+        Probes every point (:func:`scheduler._cached_payload`: memo, then
+        disk).  Only when a point is left unanswered does it build the
+        submission's checkpoint journal and replay it; a journaled point
+        is then served from the journal, as a resumed grid's points
+        always were, even if the cache holds it too.  Returns
+        ``(journal, journaled, hits)``: the journal (None when the cache
+        answered every point), ``{key: (kind, payload)}`` and ``{key:
+        payload}``.  It creates no state, so a rejection or a failure
+        after it leaves none.
         """
-        journaled = journal.load()
         hits: Dict[str, Dict[str, Any]] = {}
         for point, key in zip(points, keys):
-            if key not in journaled and key not in hits:
+            if key not in hits:
                 payload = scheduler._cached_payload(point, key)
                 if payload is not None:
                     hits[key] = payload
-        return journaled, hits
+        if all(key in hits for key in keys):
+            return None, {}, hits
+        journal = checkpoint.Journal(keys)
+        journaled = journal.load()
+        for key in journaled:
+            hits.pop(key, None)
+        return journal, journaled, hits
 
     async def _handle_submit(self, conn: _Connection,
                              message: Dict[str, Any]) -> None:
@@ -551,13 +576,12 @@ class ExperimentService:
             await conn.send({"id": reply_id, "type": "error",
                              "error": str(exc)})
             return
-        # Journal and cache are read before the admission decision, so
-        # journaled and cached points cost neither a pool slot nor a
+        # Cache and journal are read before the admission decision, so
+        # cached and journaled points cost neither a pool slot nor a
         # window share.
         try:
-            journal = checkpoint.Journal(keys)
-            journaled, hits = await asyncio.to_thread(
-                self._prepare, journal, points, keys)
+            journal, journaled, hits = await asyncio.to_thread(
+                self._prepare, points, keys)
         except Exception as exc:  # a client must never hang
             await conn.send({"id": reply_id, "type": "error",
                              "error": faults.format_error(exc)})
@@ -637,13 +661,16 @@ class ExperimentService:
                 # table) or torn down; the admission reservations have
                 # done their job either way.
                 self._release_reservations(reserved)
+            # A submission with waits left a point unanswered, so it
+            # has a journal.
             for index, point, key, entry in waits:
                 results[index] = await self._await_entry(
                     entry, point, key, journal, deadline_at, loop)
             clean = all(r is not None and r.get("status") == "ok"
                         for r in results)
             # Only a journal that holds lines has a file to drop.
-            if clean and (journaled or journal.recorded):
+            if clean and journal is not None \
+                    and (journaled or journal.recorded):
                 await asyncio.to_thread(journal.complete)
             await conn.send({"id": reply_id, "type": "done",
                              "results": results})
@@ -653,7 +680,8 @@ class ExperimentService:
             await conn.send({"id": reply_id, "type": "error",
                              "error": faults.format_error(exc)})
         finally:
-            journal.close()  # no-op after complete(); keeps it for resume
+            if journal is not None:
+                journal.close()  # no-op after complete(); kept for resume
             for _index, _point, _key, entry in waits:
                 self.table.release(entry)
             conn.active -= 1

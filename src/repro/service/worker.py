@@ -143,34 +143,39 @@ class FleetWorker:
     def run(self) -> int:
         """Serve leases until stopped; returns points completed.
 
-        Arms this process as a fault-injection worker first, so
+        Arms this process as a fault-injection worker while it runs, so
         ``REPRO_FAULTS`` behaves identically whether a point lands on
-        the local pool or on this remote worker.
+        the local pool or on this remote worker; the previous state is
+        restored on return, so a worker run inside another process (a
+        test, an embedding service) leaves that process disarmed.
         """
-        faults.mark_worker()
-        failures = 0
-        while not self._done():
-            try:
-                self._session()
-                failures = 0
-            except (OSError, ConnectionError, protocol.ProtocolError,
-                    EOFError) as exc:
-                self._disconnect()
-                if self._done() or not self._reconnect:
+        was_armed = faults.mark_worker()
+        try:
+            failures = 0
+            while not self._done():
+                try:
+                    self._session()
+                    failures = 0
+                except (OSError, ConnectionError, protocol.ProtocolError,
+                        EOFError) as exc:
+                    self._disconnect()
+                    if self._done() or not self._reconnect:
+                        break
+                    failures += 1
+                    self.reconnects += 1
+                    ceiling = min(RECONNECT_CAP,
+                                  RECONNECT_BASE * (2 ** min(failures, 10)))
+                    delay = self._rng.uniform(0.0, ceiling)
+                    self._say(f"connection lost ({exc}); "
+                              f"reconnecting in {delay:.2f}s")
+                    if self._stop.wait(delay):
+                        break
+                except WorkerStopped:
                     break
-                failures += 1
-                self.reconnects += 1
-                ceiling = min(RECONNECT_CAP,
-                              RECONNECT_BASE * (2 ** min(failures, 10)))
-                delay = self._rng.uniform(0.0, ceiling)
-                self._say(f"connection lost ({exc}); "
-                          f"reconnecting in {delay:.2f}s")
-                if self._stop.wait(delay):
-                    break
-            except WorkerStopped:
-                break
-        self._disconnect()
-        return self.completed
+            self._disconnect()
+            return self.completed
+        finally:
+            faults.mark_worker(was_armed)
 
     def _done(self) -> bool:
         return self._stop.is_set() or (

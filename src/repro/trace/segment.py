@@ -31,6 +31,9 @@ class FinalizeReason(enum.Enum):
     RECOVERY = "recovery"            # pending segment cut by a pipeline flush
     FLUSH = "flush"                  # pipeline drain at end of run
 
+    # Identity hash, a C slot: see repro.frontend.stats.FetchReason.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class SegmentBranch:

@@ -697,18 +697,6 @@ def test_diskcache_store_reraises_keyboard_interrupt(monkeypatch):
     assert list(diskcache.cache_dir().glob("*.tmp")) == []
 
 
-def test_shared_warn_latch_spans_processes():
-    assert warnonce.warn_once("shared-test", "first", shared=True) is True
-    # Simulate a sibling process: fresh per-process state, same cache dir.
-    warnonce._emitted.clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert warnonce.warn_once("shared-test", "again", shared=True) is False
-    warnonce.reset()  # clears the marker files too
-    with pytest.warns(RuntimeWarning, match="fresh"):
-        assert warnonce.warn_once("shared-test", "fresh", shared=True) is True
-
-
 def test_corrupt_cache_quarantine_tolerates_losing_the_race(monkeypatch):
     """Two processes race to quarantine the same corrupt cache entry: the
     one whose rename loses must treat FileNotFoundError as success."""

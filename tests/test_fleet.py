@@ -347,6 +347,23 @@ def test_worker_computes_point_byte_identical():
         [_result_json(r) for r in clean]
 
 
+def test_in_process_worker_disarms_fault_injection_when_it_stops(
+        monkeypatch):
+    """A worker run inside this process arms fault injection only while
+    it runs: afterwards the parent is a safe floor again."""
+    monkeypatch.setenv("REPRO_FAULTS", "crash:p0")
+    assert faults.active_spec() == ()
+    service = _service(lease_ttl=10.0, heartbeat=0.5)
+    try:
+        with _Worker(service.service.host, service.service.port):
+            _wait_for(faults.in_worker)
+            assert faults.active_spec() != ()
+        assert not faults.in_worker()
+        assert faults.active_spec() == ()
+    finally:
+        service.stop()
+
+
 def test_event_stream_orders_point_lifecycle():
     """A subscriber sees queued -> leased -> started -> completed for a
     fleet-computed point, with worker identity and increasing seqs."""

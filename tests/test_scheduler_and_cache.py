@@ -14,7 +14,7 @@ from repro.config import (
     CoreConfig,
     MachineConfig,
 )
-from repro.experiments import diskcache, runner
+from repro.experiments import diskcache, runner, scheduler
 from repro.experiments.cachekey import (
     cache_key,
     code_fingerprint,
@@ -67,6 +67,70 @@ def test_cache_key_stability_and_sensitivity():
     assert key != cache_key("frontend", "m88ksim", BASELINE, N)
     assert key != cache_key("machine", "compress", BASELINE, N)
     assert len(key) == 64  # sha256 hex
+
+
+class _Requested(Exception):
+    """Raised by a stand-in once a paper artifact has named its points."""
+
+
+def _paper_grid_points(monkeypatch):
+    """Every point the paper's artifacts request first, unresolved."""
+    from repro.experiments import paper
+
+    requested = []
+
+    def grid(kind):
+        def record(benchmarks, configs, n=None, warmup=True, jobs=None):
+            requested.extend(GridPoint(kind, b, c, n, warmup)
+                             for b in benchmarks for c in configs)
+            raise _Requested
+        return record
+
+    def single(kind):
+        def record(benchmark, config, n=None, *_args, **_kwargs):
+            requested.append(GridPoint(kind, benchmark, config, n))
+            raise _Requested
+        return record
+
+    with monkeypatch.context() as patch:
+        patch.setattr(paper, "prefetch_frontend", grid("frontend"))
+        patch.setattr(paper, "prefetch_machine", grid("machine"))
+        patch.setattr(paper, "frontend_result", single("frontend"))
+        patch.setattr(paper, "machine_result", single("machine"))
+        for name, build in paper.ARTIFACTS.items():
+            if name != "table1":  # reads programs, requests no results
+                with pytest.raises(_Requested):
+                    build()
+    return requested
+
+
+def test_memoized_keys_match_cache_key_at_every_scale(monkeypatch):
+    """The runner's key memo returns exactly ``cache_key`` for every
+    paper grid point, with the scale switched back and forth in one
+    process (lengths and warm-up windows change with it)."""
+    points = _paper_grid_points(monkeypatch)
+    assert {p.kind for p in points} == {"frontend", "machine"}
+    scales = {"full": {}, "quick": {"REPRO_QUICK": "1"},
+              "smoke": {"REPRO_QUICK": "1", "REPRO_SCALE": "0.1"}}
+    seen = {}
+    for name in ("full", "quick", "smoke", "full", "smoke", "quick"):
+        monkeypatch.delenv("REPRO_QUICK", raising=False)
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        for knob, value in scales[name].items():
+            monkeypatch.setenv(knob, value)
+        keys = []
+        for point in points:
+            point = point.resolved()
+            extra = None
+            if point.kind == "machine":
+                extra = {"warmup": runner.default_length(point.benchmark)
+                         if point.warmup else 0}
+            key = scheduler.point_key(point)
+            assert key == cache_key(point.kind, point.benchmark,
+                                    point.config, point.n, extra=extra)
+            keys.append(key)
+        assert seen.setdefault(name, keys) == keys
+    assert len({tuple(keys) for keys in seen.values()}) == 3
 
 
 def test_code_fingerprint_is_cached_and_hex():

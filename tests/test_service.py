@@ -327,13 +327,9 @@ def test_cache_stats_index_self_heals():
 
 
 def test_clear_caches_disk_leaves_no_orphans():
-    """The satellite fix: a full disk wipe must not leave warn-once
-    markers, journals, empty bookkeeping dirs, pins or lock files."""
-    from repro.experiments import warnonce
-
+    """A full disk wipe must not leave journals, empty bookkeeping dirs,
+    pins or lock files."""
     runner.frontend_result("compress", BASELINE, N)
-    with pytest.warns(RuntimeWarning, match="marker"):
-        warnonce.warn_once("svc-test-marker", "marker", shared=True)
     checkpoint.Journal(["a" * 64]).record("a" * 64, "frontend", {"v": 1})
     diskcache.pin("ab" * 32)
     diskcache.entry_path("ab" * 32).write_text("{ torn")
@@ -343,7 +339,7 @@ def test_clear_caches_disk_leaves_no_orphans():
     leftovers = sorted(p.relative_to(root).as_posix()
                        for p in root.rglob("*") if not p.is_dir())
     assert leftovers == []
-    for name in ("warned", "checkpoints", "divergences", "locks", "pins",
+    for name in ("checkpoints", "divergences", "locks", "pins",
                  "quarantine"):
         assert not (root / name).exists(), name
 
@@ -677,6 +673,167 @@ def test_undecodable_cache_payload_is_recomputed_by_submit():
             status = client.status()
             assert status["counters"]["computed_ok"] == 1
             assert status["cache"]["quarantined"] == 1
+    finally:
+        service.stop()
+
+
+def _raw_reply(host, port, points, reply_id=7):
+    """Submit over a bare socket; the reply line exactly as sent."""
+    with socket.create_connection((host, port), timeout=60) as sock:
+        sock.sendall(protocol.encode({
+            "id": reply_id, "op": "submit",
+            "points": [protocol.point_to_dict(p) for p in points]}))
+        with sock.makefile("rb") as stream:
+            return stream.readline()
+
+
+def _machine_point():
+    return GridPoint("machine", "compress", MachineConfig(frontend=BASELINE),
+                     2_000, warmup=False)
+
+
+def test_disk_hit_reply_is_the_encoding_of_its_payload():
+    """A disk hit's reply carries the stored payload text as it is, and
+    the line is byte-identical to ``protocol.encode`` of the parsed
+    reply, for front-end and machine points."""
+    runner.frontend_result("compress", BASELINE, N)
+    runner.machine_result("compress", _machine_point().config, 2_000,
+                          warmup=False)
+    runner.clear_caches(disk=False)
+    for point in (_point(), _machine_point()):
+        stored = diskcache.load(scheduler.point_key(point))
+        assert isinstance(stored, diskcache.StoredPayload)
+        assert json.loads(stored.text) == stored
+    service = _service()
+    try:
+        host, port = service.start()
+        line = _raw_reply(host, port, [_point(), _machine_point()])
+        reply = json.loads(line)
+        assert reply["type"] == "done"
+        assert [r["status"] for r in reply["results"]] == ["ok", "ok"]
+        assert line == protocol.encode(reply)
+        for point, entry in zip((_point(), _machine_point()),
+                                reply["results"]):
+            key = scheduler.point_key(point)
+            assert entry["key"] == key
+            assert entry["payload"] == diskcache.load(key)
+    finally:
+        service.stop()
+
+
+def test_encode_splices_stored_payload_text():
+    """``protocol.encode`` of a done reply holding stored payloads is the
+    same bytes as encoding plain dicts."""
+    key = "ab" * 32
+    diskcache.store(key, "frontend", {"b": [1, 2.5], "a": {"z": None}})
+    stored = diskcache.load(key)
+    assert isinstance(stored, diskcache.StoredPayload)
+    message = {"type": "done", "id": "x", "results": [
+        {"key": key, "kind": "frontend", "status": "ok", "payload": stored},
+        {"key": "k", "kind": "frontend", "status": "error",
+         "retryable": True, "error": "e"}]}
+    plain = json.loads(json.dumps(message))
+    assert protocol.encode(message) == protocol.encode(plain)
+    assert protocol.encode(message) == (json.dumps(
+        plain, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def test_non_canonical_entry_replies_through_reencoding():
+    """An entry stored with other spacing loads as a plain dict and its
+    hit is encoded again, with the same reply as a canonical entry."""
+    expected = frontend_result_to_dict(
+        runner.frontend_result("compress", BASELINE, N))
+    runner.clear_caches(disk=False)
+    key = scheduler.point_key(_point().resolved())
+    canonical = diskcache.entry_path(key).read_bytes()
+    diskcache.entry_path(key).write_text(json.dumps(
+        json.loads(canonical), indent=1))
+    loaded = diskcache.load(key)
+    assert loaded == expected
+    assert not isinstance(loaded, diskcache.StoredPayload)
+    service = _service()
+    try:
+        host, port = service.start()
+        line = _raw_reply(host, port, [_point()])
+        reply = json.loads(line)
+        assert reply["results"][0]["status"] == "ok"
+        assert reply["results"][0]["payload"] == expected
+        assert line == protocol.encode(reply)
+        # The same bytes a canonical entry gives.
+        diskcache.entry_path(key).write_bytes(canonical)
+        runner.clear_caches(disk=False)
+        assert _raw_reply(host, port, [_point()]) == line
+    finally:
+        service.stop()
+
+
+def _spy_journals(monkeypatch):
+    """Record every checkpoint journal the service builds."""
+    built = []
+    real = checkpoint.Journal
+
+    def spy(keys):
+        built.append(list(keys))
+        return real(keys)
+
+    monkeypatch.setattr(checkpoint, "Journal", spy)
+    return built
+
+
+def test_all_hit_submission_builds_no_journal(monkeypatch):
+    """A submission the cache answers whole makes its one preparation
+    hop and never builds or replays a checkpoint journal."""
+    points = [_point(BASELINE), _point(PROMOTION)]
+    for point in points:
+        runner.frontend_result(point.benchmark, point.config, N)
+    runner.clear_caches(disk=False)
+    service = _service()
+    try:
+        with ServiceClient(*service.start()) as client:
+            built = _spy_journals(monkeypatch)
+            hops = _spy_thread_hops(monkeypatch)
+            raw = client.result(client.submit_nowait(points), raw=True)
+            assert [r["status"] for r in raw] == ["ok", "ok"]
+            assert [h.__name__ for h in hops] == ["_prepare"]
+            assert built == []
+            assert client.status()["counters"]["cache_hits"] == 2
+    finally:
+        service.stop()
+
+
+def test_mixed_submission_serves_journaled_points_from_the_journal(
+        monkeypatch):
+    """With one point left to compute, the submission's journal is
+    replayed, and a journaled point is served from it even though the
+    cache holds it too."""
+    points = [_point(BASELINE), _point(PROMOTION), _point(PROMOTION_PACKING)]
+    keys = [scheduler.point_key(p.resolved()) for p in points]
+    payloads = {}
+    for point, key in zip(points[:2], keys):
+        payloads[key] = frontend_result_to_dict(
+            runner.frontend_result(point.benchmark, point.config, N))
+    runner.clear_caches(disk=False)
+    # The second point is journaled only: its cache entry is gone.
+    diskcache.entry_path(keys[1]).unlink()
+    journal = checkpoint.Journal(keys)
+    for key in keys[:2]:
+        journal.record(key, "frontend", payloads[key])
+    journal.close()
+    service = _service()
+    try:
+        with ServiceClient(*service.start()) as client:
+            built = _spy_journals(monkeypatch)
+            raw = client.result(client.submit_nowait(points), raw=True)
+            assert [r["status"] for r in raw] == ["ok"] * 3
+            for entry, key in zip(raw, keys[:2]):
+                assert _wire(entry["payload"]) == _wire(payloads[key])
+            assert [sorted(b) for b in built] == [sorted(keys)]
+            counters = client.status()["counters"]
+            assert counters["journal_hits"] == 2
+            assert counters["cache_hits"] == 0
+            assert counters["computed_ok"] == 1
+        # The clean run dropped the journal.
+        assert not journal.path.exists()
     finally:
         service.stop()
 
