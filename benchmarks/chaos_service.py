@@ -8,7 +8,8 @@ The scenario the CI ``service-chaos`` job runs end to end:
    submissions spread across them, all on one connection.
 2. SIGTERM the server mid-run.  The drain must answer *every* pipelined
    submission — completed points ok, stragglers with an explicit
-   retryable error — and the process must exit; nothing may hang.
+   retryable error — and the process must exit; nothing may hang, and
+   its stderr (echoed here) may show no "Exception ignored" traceback.
 3. Restart the service with faults off and resubmit every distinct
    point with backoff.  The journals and the shared disk cache must
    cover everything that finished before the kill, so the restarted
@@ -68,11 +69,11 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
-def spawn_server(port: int, env: dict) -> subprocess.Popen:
+def spawn_server(port: int, env: dict, stderr=None) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", str(port),
          "--jobs", "2"],
-        env=env, cwd=REPO, start_new_session=True)
+        env=env, cwd=REPO, start_new_session=True, stderr=stderr)
 
 
 def spawn_worker(port: int, env: dict, name: str) -> subprocess.Popen:
@@ -160,7 +161,8 @@ def main() -> int:
             f"duplicate submissions under REPRO_FAULTS={args.faults}"
             + (f" with {args.workers} fleet workers" if args.workers
                else ""))
-        server = spawn_server(port, env)
+        server_stderr = tempfile.TemporaryFile()
+        server = spawn_server(port, env, stderr=server_stderr)
         try:
             wait_ready(port)
             if args.workers:
@@ -237,6 +239,13 @@ def main() -> int:
             f"server exited {server.returncode}")
         if ok == 0:
             raise SystemExit("nothing completed before the kill")
+        server_stderr.seek(0)
+        drained_stderr = server_stderr.read().decode(errors="replace")
+        server_stderr.close()
+        sys.stderr.write(drained_stderr)
+        if "Exception ignored" in drained_stderr:
+            raise SystemExit("the drained server printed an ignored "
+                             "exception as it exited (its stderr is above)")
 
         # Phase 2: restart clean; journals + cache cover finished work,
         # and surviving workers find the new server by themselves.

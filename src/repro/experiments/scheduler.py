@@ -349,14 +349,23 @@ def _spawn_pool(workers: int) -> ProcessPoolExecutor:
                                initargs=(warnonce.snapshot(),))
 
 
+#: Seconds :func:`_kill_pool` waits for the executor's manager thread.
+_MANAGER_JOIN_S = 5.0
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcibly stop a pool with a hung worker.
 
     ``shutdown`` alone would block behind the hang: terminate the worker
     processes first (best-effort — ``_processes`` is executor-private,
     so any failure just falls back to an abandoned pool), then release
-    the executor without waiting.
+    the executor without waiting.  Last, wait a bounded time for the
+    executor's manager thread to notice the dead workers and exit, just
+    as best-effort: left running, it closes its wakeup pipe while the
+    interpreter's exit hook writes to it, which prints an ignored
+    ``OSError: [Errno 9]`` traceback as the process exits.
     """
+    manager = getattr(pool, "_executor_manager_thread", None)  # shutdown drops it
     try:
         processes = dict(getattr(pool, "_processes", None) or {})
         for process in processes.values():
@@ -364,6 +373,11 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     except Exception:
         pass
     pool.shutdown(wait=False, cancel_futures=True)
+    try:
+        if manager is not None:
+            manager.join(_MANAGER_JOIN_S)
+    except Exception:
+        pass
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.isa.opcodes import Opcode, BRANCH_OPS, REG3_OPS, REG_IMM_OPS
@@ -53,17 +53,44 @@ def _shape(op: Opcode) -> tuple:
     return sources, dest, op.is_direct_control
 
 
-#: Per-opcode dataflow shape, read once per instruction built.
-_SHAPES = {op: _shape(op) for op in Opcode}
+#: Per-opcode dataflow shape, read once per instruction built.  Keyed by
+#: mnemonic: a str key hashes in C, an :class:`Opcode` key through
+#: ``Enum.__hash__`` in Python.
+_SHAPES = {op.mnemonic: _shape(op) for op in Opcode}
 
 
-@dataclass(frozen=True)
-class Instruction:
+class _Slots:
+    """Storage for :class:`Instruction`: its fields and cached dataflow."""
+
+    __slots__ = ("addr", "op", "rd", "rs1", "rs2", "imm", "target", "_srcs", "_dest")
+
+
+class _Unfrozen(_Slots):
+    """A writable twin of :class:`Instruction` that fills in its slots.
+
+    Writing a slot of a frozen dataclass costs an ``object.__setattr__``
+    call per field.  :meth:`Instruction.__new__` writes the slots of an
+    ``_Unfrozen`` object with plain attribute stores instead, then
+    switches its ``__class__``: both classes add nothing to ``_Slots``'
+    layout, so the switch is allowed and copies nothing.
+    """
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True, init=False)
+class Instruction(_Slots):
     """One static instruction.
 
     Addresses are in instruction units: the instruction at address ``a`` is
     followed sequentially by the instruction at ``a + 1``.  Multiply by
     :data:`INST_BYTES` when indexing byte-addressed structures.
+
+    Immutable, compared and hashed by its fields.  The fields live in
+    ``__slots__`` (see :class:`_Unfrozen`), so they have no class-level
+    defaults; the constructor supplies them.  The constructor is
+    ``__new__`` alone (``__init__`` is object's), so a caller building
+    many instructions may call ``Instruction.__new__`` directly.
 
     Attributes:
         addr: static address of this instruction.
@@ -75,23 +102,25 @@ class Instruction:
         target: static target address for direct control instructions.
     """
 
+    __slots__ = ()
+
     addr: int
     op: Opcode
-    rd: int = 0
-    rs1: int = 0
-    rs2: int = 0
-    imm: int = 0
-    target: Optional[int] = None
+    rd: int
+    rs1: int
+    rs2: int
+    imm: int
+    target: Optional[int]
 
-    def __post_init__(self):
-        rd, rs1, rs2 = self.rd, self.rs1, self.rs2
+    def __new__(cls, addr: int, op: Opcode, rd: int = 0, rs1: int = 0, rs2: int = 0,
+                imm: int = 0, target: Optional[int] = None) -> "Instruction":
         if not (0 <= rd < NUM_REGS and 0 <= rs1 < NUM_REGS and 0 <= rs2 < NUM_REGS):
             for name, value in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
                 if not 0 <= value < NUM_REGS:
-                    raise ValueError(f"{name}={value} out of range for {self.op.mnemonic}")
-        sources, dest, direct = _SHAPES[self.op]
-        if direct and self.target is None:
-            raise ValueError(f"{self.op.mnemonic} at {self.addr} requires a target")
+                    raise ValueError(f"{name}={value} out of range for {op.mnemonic}")
+        sources, dest, direct = _SHAPES[op.mnemonic]
+        if direct and target is None:
+            raise ValueError(f"{op.mnemonic} at {addr} requires a target")
         # Cache the dataflow queries; they run in the dispatch hot path.
         if sources is _RS1_RS2:
             if rs1 != REG_ZERO:
@@ -104,8 +133,23 @@ class Instruction:
             srcs = sources
         if dest is _RD:
             dest = rd if rd != REG_ZERO else None
-        object.__setattr__(self, "_srcs", srcs)
-        object.__setattr__(self, "_dest", dest)
+        self = _Unfrozen()
+        self.addr = addr
+        self.op = op
+        self.rd = rd
+        self.rs1 = rs1
+        self.rs2 = rs2
+        self.imm = imm
+        self.target = target
+        self._srcs = srcs
+        self._dest = dest
+        self.__class__ = cls
+        return self
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the default slot-state restore
+        # would assign the frozen fields one by one.
+        return (type(self), (self.addr, self.op, self.rd, self.rs1, self.rs2, self.imm, self.target))
 
     # --- dataflow helpers ------------------------------------------------
 

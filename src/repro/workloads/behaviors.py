@@ -128,8 +128,8 @@ def realize_array(behavior: BranchBehavior, rng: np.random.Generator) -> List[in
                 values[(offset + k) % n] = minority
     else:
         positions = rng.choice(n, size=minority_count, replace=False)
-        for pos in positions:
-            values[int(pos)] = minority
+        for pos in positions.tolist():
+            values[pos] = minority
     return values
 
 

@@ -9,8 +9,8 @@ labels in one pass at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.instruction import Instruction
@@ -21,21 +21,16 @@ from repro.isa.program import Program
 Target = Union[int, str]
 
 
-@dataclass(slots=True)
-class _Pending:
-    op: Opcode
-    rd: int
-    rs1: int
-    rs2: int
-    imm: Union[int, str]  # str = data label, resolved to a word address
-    target: Optional[Target]
-
-
 class CodeBuilder:
-    """Accumulates instructions with symbolic targets, then resolves them."""
+    """Accumulates instructions with symbolic targets, then resolves them.
+
+    Each emitted instruction is held as an ``(op, rd, rs1, rs2, imm,
+    target)`` tuple until :meth:`resolve` builds the
+    :class:`~repro.isa.instruction.Instruction` objects.
+    """
 
     def __init__(self):
-        self._pending: List[_Pending] = []
+        self._pending: List[tuple] = []
         self._symbols: Dict[str, int] = {}
         self._label_counter = 0
 
@@ -65,65 +60,67 @@ class CodeBuilder:
 
     def emit(self, op: Opcode, rd: int = 0, rs1: int = 0, rs2: int = 0,
              imm: Union[int, str] = 0, target: Optional[Target] = None) -> int:
-        """Append one instruction; returns its address."""
+        """Append one instruction; returns its address.
+
+        A str ``imm`` names a data label and a str ``target`` a code label;
+        :meth:`resolve` binds both.
+        """
         pending = self._pending
-        pending.append(_Pending(op, rd, rs1, rs2, imm, target))
+        pending.append((op, rd, rs1, rs2, imm, target))
         return len(pending) - 1
 
     def addi(self, rd: int, rs1: int, imm: Union[int, str]) -> int:
-        return self.emit(Opcode.ADDI, rd=rd, rs1=rs1, imm=imm)
+        return self.emit(Opcode.ADDI, rd, rs1, 0, imm)
 
     def load(self, rd: int, base: int, disp: Union[int, str] = 0) -> int:
-        return self.emit(Opcode.LD, rd=rd, rs1=base, imm=disp)
+        return self.emit(Opcode.LD, rd, base, 0, disp)
 
     def store(self, rs_data: int, base: int, disp: Union[int, str] = 0) -> int:
-        return self.emit(Opcode.ST, rs2=rs_data, rs1=base, imm=disp)
+        return self.emit(Opcode.ST, 0, base, rs_data, disp)
 
     def branch(self, op: Opcode, rs1: int, rs2: int, target: Target) -> int:
         if not op.is_cond_branch:
             raise ValueError(f"{op.mnemonic} is not a conditional branch")
-        return self.emit(op, rs1=rs1, rs2=rs2, target=target)
+        return self.emit(op, 0, rs1, rs2, 0, target)
 
     def jump(self, target: Target) -> int:
-        return self.emit(Opcode.JMP, target=target)
+        return self.emit(Opcode.JMP, 0, 0, 0, 0, target)
 
     def call(self, target: Target) -> int:
-        return self.emit(Opcode.CALL, target=target)
+        return self.emit(Opcode.CALL, 0, 0, 0, 0, target)
 
     def ret(self) -> int:
         return self.emit(Opcode.RET)
 
     def jr(self, rs1: int) -> int:
-        return self.emit(Opcode.JR, rs1=rs1)
+        return self.emit(Opcode.JR, 0, rs1)
 
     # --- resolution --------------------------------------------------------
 
-    def resolve(self) -> Tuple[List[Instruction], Dict[str, int]]:
-        """Resolve all labels; returns (instructions, symbols)."""
+    def resolve(self, data_symbols: Optional[Dict[str, int]] = None
+                ) -> Tuple[List[Instruction], Dict[str, int]]:
+        """Resolve all labels; returns (instructions, symbols).
+
+        A str immediate is looked up in ``data_symbols``.
+        """
+        symbols = self._symbols
+        # ``Instruction.__new__`` is the whole constructor (``__init__`` is
+        # object's), and calling it directly skips ``type.__call__``'s
+        # argument repacking: over half the cost of building one.
+        build = Instruction.__new__
         instructions: List[Instruction] = []
         append = instructions.append
-        symbols = self._symbols
-        for addr, pend in enumerate(self._pending):
-            target = pend.target
+        for addr, (op, rd, rs1, rs2, imm, target) in enumerate(self._pending):
             if isinstance(target, str):
                 if target not in symbols:
                     raise ValueError(f"undefined code label {target!r} at {addr}")
                 target = symbols[target]
-            imm = pend.imm
             if isinstance(imm, str):
-                raise ValueError(
-                    f"unresolved data label {imm!r} at {addr}; bind data labels before resolve()"
-                )
-            append(Instruction(addr, pend.op, pend.rd, pend.rs1, pend.rs2, imm, target))
+                if data_symbols is None or imm not in data_symbols:
+                    raise ValueError(f"undefined data label {imm!r} at {addr}")
+                imm = data_symbols[imm]
+            append(build(Instruction, addr, op, rd, rs1, rs2, imm, target))
         return instructions, dict(symbols)
-
-    def bind_data_labels(self, data_symbols: Dict[str, int]) -> None:
-        """Replace string immediates with data word addresses."""
-        for addr, pend in enumerate(self._pending):
-            if isinstance(pend.imm, str):
-                if pend.imm not in data_symbols:
-                    raise ValueError(f"undefined data label {pend.imm!r} at {addr}")
-                pend.imm = data_symbols[pend.imm]
 
     def address_of(self, label: str) -> int:
         return self._symbols[label]
@@ -146,8 +143,9 @@ class DataBuilder:
     def array(self, name: str, values: Sequence[int], size: Optional[int] = None) -> int:
         """Place a labelled word array; returns its word address.
 
-        ``size`` pads the array with zero words past ``values`` up to that
-        length.  Zero words stay out of the data image.
+        ``values`` are integers: ints, bools or numpy integers.  ``size``
+        pads the array with zero words past ``values`` up to that length.
+        Zero words stay out of the data image.
         """
         if name in self._symbols:
             raise ValueError(f"data label {name!r} already placed")
@@ -156,7 +154,10 @@ class DataBuilder:
             raise ValueError(f"data array {name!r}: size {size} < {len(values)} values")
         base = self._cursor
         self._symbols[name] = base
-        self._data.update(filter(itemgetter(1), enumerate(map(int, values), base)))
+        # One C-level pass: the zero words select themselves out, and
+        # ``index`` turns bools and numpy ints into ints.
+        self._data.update(compress(zip(range(base, base + len(values)), map(index, values)),
+                                   values))
         self._cursor += length
         return base
 
@@ -188,15 +189,15 @@ class DataBuilder:
 
 def finish_program(code: CodeBuilder, data: DataBuilder, name: str, entry_label: str = "main") -> Program:
     """Resolve builders into a validated :class:`Program`."""
-    code.bind_data_labels(data.symbols)
-    instructions, symbols = code.resolve()
+    data_symbols = data.symbols
+    instructions, symbols = code.resolve(data_symbols)
     data.patch_tables(symbols)
     program = Program(
         instructions=instructions,
         entry=symbols.get(entry_label, 0),
         data=data.image,
         symbols=symbols,
-        data_symbols=data.symbols,
+        data_symbols=data_symbols,
         name=name,
     )
     program.validate_targets()

@@ -35,10 +35,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.gcpause import gc_paused
 from repro.isa.executor import STACK_BASE
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -49,6 +51,7 @@ from repro.workloads.behaviors import (
     sample_behavior,
 )
 from repro.workloads.builder import CodeBuilder, DataBuilder, finish_program
+from repro.workloads.draws import Draws
 from repro.workloads.profiles import BenchmarkProfile, get_profile
 
 _SCRATCH = list(range(1, 9))
@@ -57,6 +60,16 @@ _INDEX_REGS = _SCRATCH[:4]
 _VALUE_REGS = _SCRATCH[4:]
 _SOURCE_REGS = _SCRATCH + _ACCUMULATORS
 _ALU_OPS = [Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR]
+_ADD = Opcode.ADD
+_MUL = Opcode.MUL
+# Pool sizes for ``_stmt_block``, which draws ``pool[rng.below(size)]``
+# (``_pick`` without the call) for every instruction it emits.
+_N_SCRATCH = len(_SCRATCH)
+_N_ACCUMULATORS = len(_ACCUMULATORS)
+_N_INDEX = len(_INDEX_REGS)
+_N_VALUE = len(_VALUE_REGS)
+_N_SOURCE = len(_SOURCE_REGS)
+_N_ALU_OPS = len(_ALU_OPS)
 _BIASED_BRANCH_OPS = [Opcode.BNE, Opcode.BEQ]
 
 
@@ -65,6 +78,14 @@ def _cdf(weights) -> List[float]:
     cdf = np.asarray(weights, dtype=float).cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
+
+
+@lru_cache(maxsize=None)
+def _zipf_cdf(n: int) -> List[float]:
+    """:func:`_cdf` of the switch-case weights ``1/1, 1/2 ... 1/n``, normalised."""
+    weights = 1.0 / np.arange(1, n + 1)
+    weights /= weights.sum()
+    return _cdf(weights)
 
 
 # Skew correlated-branch thresholds toward the extremes: most correlated
@@ -88,7 +109,7 @@ class WorkloadGenerator:
 
     def __init__(self, profile: BenchmarkProfile, seed: Optional[int] = None):
         self.profile = profile
-        self.rng = np.random.default_rng(profile.seed if seed is None else seed)
+        self.rng = Draws(np.random.default_rng(profile.seed if seed is None else seed))
         self.code = CodeBuilder()
         self.data = DataBuilder()
         self.sites: List[_SiteInfo] = []
@@ -100,25 +121,32 @@ class WorkloadGenerator:
         kind_weights = np.array([profile.bias_mix[k] for k in self._kinds])
         self._kind_cdf = _cdf(kind_weights / kind_weights.sum())
         self._ws_mask = profile.working_set_words - 1
+        self._hot_mask = min(profile.working_set_words, 2048) - 1
         if profile.working_set_words & self._ws_mask:
             raise ValueError("working_set_words must be a power of two")
 
     # ------------------------------------------------------------------ API
 
     def generate(self) -> Program:
-        """Build and return the complete program."""
+        """Build and return the complete program.
+
+        The cyclic GC is paused meanwhile: generation builds no reference
+        cycles, yet its hundreds of thousands of tracked objects
+        (instructions, pending tuples, arrays) would trigger hundreds of
+        collections, each walking every program already alive.
+        """
         profile = self.profile
         words = profile.working_set_words
-        self.data.array("work", self.rng.integers(0, 256, size=min(words, 1 << 16)).tolist(),
-                        size=words)
-
-        utility_labels = self._build_utilities()
-        phase_labels = [
-            self._build_phase(i, utility_labels) for i in range(profile.n_phases)
-        ]
-        mutate_label = self._build_mutator() if self._needs_mutator() else None
-        self._build_main(phase_labels, mutate_label)
-        return finish_program(self.code, self.data, name=profile.name)
+        with gc_paused():
+            self.data.array("work", self.rng.integers(0, 256, size=min(words, 1 << 16)).tolist(),
+                            size=words)
+            utility_labels = self._build_utilities()
+            phase_labels = [
+                self._build_phase(i, utility_labels) for i in range(profile.n_phases)
+            ]
+            mutate_label = self._build_mutator() if self._needs_mutator() else None
+            self._build_main(phase_labels, mutate_label)
+            return finish_program(self.code, self.data, name=profile.name)
 
     # ------------------------------------------------------------ RNG draws
     #
@@ -128,7 +156,7 @@ class WorkloadGenerator:
 
     def _pick(self, seq: Sequence):
         """``rng.choice(seq)``: one uniform draw from ``seq``."""
-        return seq[int(self.rng.integers(0, len(seq)))]
+        return seq[self.rng.below(len(seq))]
 
     def _pick_weighted(self, seq: Sequence, cdf: List[float]):
         """``rng.choice(seq, p=w)`` for ``cdf == _cdf(w)``."""
@@ -301,41 +329,44 @@ class WorkloadGenerator:
         """
         code = self.code
         rng = self.rng
-        offset = int(rng.integers(0, 1 << 12))
-        code.addi(dest, 17, offset)
+        code.addi(dest, 17, rng.below(1 << 12))
         if rng.random() < 0.3:
             code.emit(Opcode.MUL, rd=dest, rs1=dest, rs2=18)
             mask = self._ws_mask
         else:
-            mask = min(self.profile.working_set_words, 2048) - 1
+            mask = self._hot_mask
         code.emit(Opcode.ANDI, rd=dest, rs1=dest, imm=mask)
 
     def _stmt_block(self, length: Optional[int] = None) -> None:
         """A straightline run of ALU work with embedded loads."""
         code = self.code
+        emit = code.emit
         rng = self.rng
+        below = rng.below
+        random = rng.random
         profile = self.profile
         if length is None:
-            length = int(rng.integers(profile.block_len[0], profile.block_len[1] + 1))
+            low, high = profile.block_len
+            length = low + below(high + 1 - low)
+        mem_in_block = profile.mem_in_block
         emitted = 0
+        # Arguments evaluate left to right, so each emit draws its
+        # registers in the order rd, rs1, rs2.
         while emitted < length:
-            if rng.random() < profile.mem_in_block and emitted + 2 <= length:
-                index_reg = self._pick(_INDEX_REGS)
-                value_reg = self._pick(_VALUE_REGS)
+            if random() < mem_in_block and emitted + 2 <= length:
+                index_reg = _INDEX_REGS[below(_N_INDEX)]
+                value_reg = _VALUE_REGS[below(_N_VALUE)]
                 self._emit_work_index(index_reg)
                 code.load(value_reg, index_reg, "work")
                 emitted += 2
             else:
-                op = Opcode.MUL if rng.random() < 0.06 else self._pick(_ALU_OPS)
-                rd = self._pick(_SCRATCH)
-                rs1 = self._pick(_SOURCE_REGS)
-                rs2 = self._pick(_SCRATCH)
-                code.emit(op, rd=rd, rs1=rs1, rs2=rs2)
+                op = _MUL if random() < 0.06 else _ALU_OPS[below(_N_ALU_OPS)]
+                emit(op, _SCRATCH[below(_N_SCRATCH)], _SOURCE_REGS[below(_N_SOURCE)],
+                     _SCRATCH[below(_N_SCRATCH)])
                 emitted += 1
-        if rng.random() < 0.3:
-            acc = self._pick(_ACCUMULATORS)
-            src = self._pick(_SCRATCH)
-            code.emit(Opcode.ADD, rd=acc, rs1=acc, rs2=src)
+        if random() < 0.3:
+            acc = _ACCUMULATORS[below(_N_ACCUMULATORS)]
+            emit(_ADD, acc, acc, _SCRATCH[below(_N_SCRATCH)])
 
     def _new_context_array(self) -> tuple:
         """A shared, slowly varying array of small values (0..7).
@@ -455,14 +486,16 @@ class WorkloadGenerator:
         profile = self.profile
         n_cases = int(rng.integers(profile.switch_cases[0], profile.switch_cases[1] + 1))
         period = int(2 ** rng.integers(5, 9))
-        # Zipf-skewed case selection, like interpreter opcode frequencies.
-        weights = 1.0 / np.arange(1, n_cases + 1)
-        weights /= weights.sum()
-        values = rng.choice(n_cases, size=period, p=weights)
+        # Zipf-skewed case selection, like interpreter opcode frequencies:
+        # ``rng.choice(n_cases, size=period, p=weights)``, drawn the way
+        # ``choice`` draws it, one ``random()`` per value.
+        cdf = _zipf_cdf(n_cases)
+        random = rng.random
+        values = [bisect_right(cdf, random()) for _ in range(period)]
         site_id = self._site_counter
         self._site_counter += 1
         case_label_names = [f".case_{site_id}_{c}" for c in range(n_cases)]
-        self.data.array(f"cases_{site_id}", values.tolist())
+        self.data.array(f"cases_{site_id}", values)
         self.data.jump_table(f"jt_{site_id}", case_label_names)
         offset = int(rng.integers(0, 1 << 12))
         code.addi(1, 17, offset)

@@ -13,7 +13,8 @@ PACKAGES = [
     "repro.isa", "repro.isa.assembler", "repro.isa.executor",
     "repro.isa.instruction", "repro.isa.opcodes", "repro.isa.program",
     "repro.workloads", "repro.workloads.behaviors", "repro.workloads.builder",
-    "repro.workloads.generator", "repro.workloads.profiles", "repro.workloads.stats",
+    "repro.workloads.draws", "repro.workloads.generator", "repro.workloads.profiles",
+    "repro.workloads.stats",
     "repro.branch", "repro.branch.counters", "repro.branch.gshare",
     "repro.branch.history", "repro.branch.hybrid", "repro.branch.indirect",
     "repro.branch.multiple", "repro.branch.pas", "repro.branch.ras",

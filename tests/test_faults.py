@@ -546,12 +546,23 @@ def test_checkpoints_can_be_disabled(monkeypatch):
 #: A two-point grid whose ordinal 0 (BASELINE, first at equal cost)
 #: hangs far past the tests below while ordinal 1 completes and is
 #: journaled.  SIGUSR1 dumps every thread's stack to stderr, in the
-#: parent and, through the fork, in both pool workers.
+#: parent and, through the fork, in both pool workers.  The child names
+#: the journal it opens in the file ``sys.argv[1]``: its cache keys hash
+#: the sources as the child reads them, which differ from the test
+#: process's cached fingerprint if ``src/`` changed in between.
 _HUNG_GRID_SCRIPT = (
-    "import faulthandler, signal\n"
+    "import faulthandler, os, signal, sys\n"
     "faulthandler.register(signal.SIGUSR1, all_threads=True)\n"
     "from repro.config import BASELINE, PROMOTION_PACKING\n"
+    "from repro.experiments import checkpoint\n"
     "from repro.experiments.scheduler import GridPoint, run_grid\n"
+    "opened = checkpoint.Journal.__init__\n"
+    "def announce(journal, keys):\n"
+    "    opened(journal, keys)\n"
+    "    with open(sys.argv[1] + '.tmp', 'w') as handle:\n"
+    "        handle.write(str(journal.path))\n"
+    "    os.replace(sys.argv[1] + '.tmp', sys.argv[1])\n"
+    "checkpoint.Journal.__init__ = announce\n"
     f"run_grid([GridPoint('frontend', 'compress', BASELINE, {N}),\n"
     f"          GridPoint('frontend', 'compress', PROMOTION_PACKING, {N})],\n"
     "         jobs=2)\n"
@@ -561,6 +572,7 @@ _HUNG_GRID_SCRIPT = (
 def _spawn_hung_grid(stderr_path: Path) -> subprocess.Popen:
     """Start the hung grid in its own process group, stderr to a file.
 
+    The child writes its journal's path to :func:`_journal_path_file`.
     No deadline, so the child blocks forever on the hung worker until
     the test kills the whole group.
     """
@@ -569,22 +581,31 @@ def _spawn_hung_grid(stderr_path: Path) -> subprocess.Popen:
     env["REPRO_FAULTS"] = "hang:p0:600"
     env["REPRO_DISK_CACHE"] = "0"
     with open(stderr_path, "wb") as stderr:
-        return subprocess.Popen([sys.executable, "-c", _HUNG_GRID_SCRIPT],
+        return subprocess.Popen([sys.executable, "-c", _HUNG_GRID_SCRIPT,
+                                 str(_journal_path_file(stderr_path))],
                                 env=env, cwd=REPO, start_new_session=True,
                                 stdout=subprocess.DEVNULL, stderr=stderr)
 
 
-def _wait_for_journal(child: subprocess.Popen, journal: Path,
-                      stderr_path: Path) -> None:
-    """Wait up to 120 s for the first complete journal line.
+def _journal_path_file(stderr_path: Path) -> Path:
+    """Where the hung-grid child names its journal, beside its stderr."""
+    return stderr_path.with_name("child-journal-path.txt")
+
+
+def _wait_for_journal(child: subprocess.Popen, stderr_path: Path) -> Path:
+    """Wait up to 120 s for the first complete line of the child's
+    journal; returns the journal's path, as the child named it.
 
     On a stall, the failure message carries the stacks of the child and
     its workers, dumped by SIGUSR1 before the caller's SIGKILL.
     """
+    path_file = _journal_path_file(stderr_path)
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
-        if journal.exists() and journal.read_text().endswith("\n"):
-            return
+        if path_file.exists():
+            journal = Path(path_file.read_text())
+            if journal.exists() and journal.read_text().endswith("\n"):
+                return journal
         if child.poll() is not None:
             pytest.fail("child exited before journaling anything; stderr:\n"
                         + stderr_path.read_text(errors="replace"))
@@ -603,11 +624,10 @@ def test_sigkilled_run_resumes_from_journal(monkeypatch, tmp_path):
     unjournaled point (asserted by journal inspection and a call count)."""
     points = [GridPoint("frontend", "compress", BASELINE, N),
               GridPoint("frontend", "compress", PROMOTION_PACKING, N)]
-    journal = _journal_path(points)
     stderr_path = tmp_path / "child-stderr.txt"
     child = _spawn_hung_grid(stderr_path)
     try:
-        _wait_for_journal(child, journal, stderr_path)
+        journal = _wait_for_journal(child, stderr_path)
     finally:
         try:
             os.killpg(child.pid, signal.SIGKILL)
@@ -644,11 +664,10 @@ def test_sigint_interrupted_run_leaves_resumable_journal(monkeypatch,
     next run recomputes only the interrupted point."""
     points = [GridPoint("frontend", "compress", BASELINE, N),
               GridPoint("frontend", "compress", PROMOTION_PACKING, N)]
-    journal = _journal_path(points)
     stderr_path = tmp_path / "child-stderr.txt"
     child = _spawn_hung_grid(stderr_path)
     try:
-        _wait_for_journal(child, journal, stderr_path)
+        journal = _wait_for_journal(child, stderr_path)
         os.kill(child.pid, signal.SIGINT)  # the parent only, like Ctrl-C
         # The regression: exit used to block on the executor's atexit
         # join of the hung worker.  The scheduler now kills the pool on

@@ -5,7 +5,8 @@ unit's interned state graph — and a dropped machine core must die by
 refcount alone.  Cyclic garbage here would wait for the cyclic
 collector, whose generation-0 passes then re-walk everything
 long-lived; the scheduler pauses the GC once per unit of work
-(``scheduler._run_point``) on the strength of this invariant.
+(``scheduler._run_point``) on the strength of this invariant, and the
+workload generator once per program.
 """
 
 import collections
@@ -73,6 +74,18 @@ def test_dropped_machine_run_leaves_no_fetch_side_garbage(name, config):
                                   fast=True)
 
     found, garbage = _cyclic_garbage(work)
+    kinds = collections.Counter(type(o).__name__ for o in garbage)
+    assert found == 0, kinds.most_common(8)
+
+
+def test_program_generation_leaves_no_cyclic_garbage():
+    """The workload generator pauses the GC while it builds a program
+    (``WorkloadGenerator.generate``), on the strength of building no
+    reference cycles: the generator, its builders and the ``Draws``
+    stream die by refcount alone."""
+    from repro.workloads.generator import generate_program
+
+    found, garbage = _cyclic_garbage(lambda: generate_program("compress"))
     kinds = collections.Counter(type(o).__name__ for o in garbage)
     assert found == 0, kinds.most_common(8)
 

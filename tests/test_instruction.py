@@ -1,5 +1,9 @@
 """Instruction record: dataflow queries, validation, disassembly."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.isa.instruction import Instruction, NUM_REGS, REG_LINK
@@ -100,6 +104,25 @@ def test_instruction_is_immutable():
     i = inst(Opcode.ADD, rd=1, rs1=2, rs2=3)
     with pytest.raises(Exception):
         i.rd = 5
+
+
+def test_instruction_is_a_slotted_frozen_dataclass():
+    """Built through its writable twin, an instruction ends up an
+    ordinary frozen dataclass instance, with no ``__dict__``."""
+    i = inst(Opcode.BNE, addr=4, rs1=1, rs2=2, target=9)
+    assert type(i) is Instruction and not hasattr(i, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        i.target = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del i.op
+    twin = Instruction(4, Opcode.BNE, 0, 1, 2, 0, 9)
+    assert twin == i and hash(twin) == hash(i) and twin is not i
+    assert i != dataclasses.replace(i, target=8)
+    assert dataclasses.replace(i, target=8).target == 8
+    assert repr(i) == ("Instruction(addr=4, op=<Opcode.BNE: ('BNE', <OpClass.COND_BRANCH: "
+                       "'cond_branch'>)>, rd=0, rs1=1, rs2=2, imm=0, target=9)")
+    for copied in (pickle.loads(pickle.dumps(i)), copy.copy(i), copy.deepcopy(i)):
+        assert copied == i and copied.src_regs() == (1, 2)
 
 
 @pytest.mark.parametrize("op,kwargs,text", [

@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import time
 from concurrent.futures.process import _ExecutorManagerThread
 
 import pytest
@@ -297,6 +298,22 @@ def test_pooled_grid_leaves_no_executor_thread():
     alive = [thread for thread in threading.enumerate()
              if isinstance(thread, _ExecutorManagerThread)]
     assert not alive
+
+
+def test_kill_pool_leaves_no_executor_thread():
+    """Killing a pool whose worker hangs also waits out the executor's
+    manager thread: left running, it closes its wakeup pipe while the
+    interpreter's exit hook writes to it."""
+    pool = scheduler._spawn_pool(1)
+    hung = pool.submit(time.sleep, 600)
+    deadline = time.monotonic() + 30
+    while not hung.running() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert hung.running()
+    manager = pool._executor_manager_thread
+    assert manager.is_alive()
+    scheduler._kill_pool(pool)
+    assert not manager.is_alive()
 
 
 def test_run_grid_populates_runner_memo():
