@@ -3,7 +3,7 @@
 Measures the complete front-end simulation — fetch engine, predictors,
 fill unit, trace cache — on the Fig-4/6-class grid (the fetch-breakdown
 benchmarks x {baseline, promotion}), running each point once on the fast
-stack (``build_engine(..., fast=True)``: array-backed predictors +
+stack (``runner.run_frontend(..., fast=True)``: array-backed predictors +
 compiled segment fetch plans) and once on the frozen reference stack
 (``fast=False``), and asserting the serialized results are
 byte-identical before recording the speedup.  Timings land in
@@ -29,8 +29,6 @@ from repro.config import BASELINE, PROMOTION, PROMOTION_PACKING
 from repro.experiments import runner
 from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import frontend_result_to_dict
-from repro.frontend.build import build_engine
-from repro.frontend.simulator import FrontEndSimulator
 
 #: Fig-4/6-class grid: the fetch-breakdown figures run these benchmarks
 #: under the baseline (Fig 4) and promotion (Fig 6) front ends.
@@ -55,9 +53,8 @@ def _time_frontend() -> dict:
 
             def run_point(config, fast):
                 start = time.perf_counter()
-                engine = build_engine(program, config, fast=fast)
-                result = FrontEndSimulator(program, config, oracle=oracle,
-                                           engine=engine).run()
+                result = runner.run_frontend(program, config, n, oracle,
+                                             fast=fast)
                 return time.perf_counter() - start, result
 
             for rows, configs in (("grid", GRID_CONFIGS),

@@ -3,11 +3,13 @@
 Every iteration samples a synthetic workload profile (a randomized
 variant of one of the paper benchmarks' generation profiles) and a
 random front-end configuration, generates the program, and drives it
-through :func:`repro.validate.lockstep.lockstep_frontend` — the fast
-array-backed stack checked fetch-by-fetch against the frozen reference
-stack over the identical oracle stream.  Any disagreement (delivered
-fetch slots, predictor digests, end-of-run engine state, serialized
-result) raises, printing the seed so the case replays exactly:
+through the differential harness, :func:`repro.validate.lockstep.lockstep`
+(one case function, :func:`run_case`, for both kinds).  In the default
+``--mode frontend`` the fast array-backed stack is checked
+fetch-by-fetch against the frozen reference stack over the identical
+oracle stream.  Any disagreement (delivered fetch slots, predictor
+digests, end-of-run engine state, serialized result) raises, printing
+the seed so the case replays exactly:
 
     python benchmarks/fuzz_frontend.py --runs 1 --seed-base <seed>
 
@@ -15,8 +17,8 @@ result) raises, printing the seed so the case replays exactly:
 program, a random machine configuration (random front end, randomly
 perfect memory disambiguation, randomly warmed), run through both the
 machine core + fast front end and the frozen seed core + reference
-front end, asserting the serialized ``MachineResult``s are
-byte-identical.  ``--mode both`` alternates.
+front end (cold runs included), asserting the serialized
+``MachineResult``s are byte-identical.  ``--mode both`` alternates.
 
 The CI validation job runs a fixed-seed smoke sweep (the harness is
 fully deterministic per seed); longer local sweeps just raise
@@ -93,24 +95,6 @@ def random_config(rng: np.random.Generator):
     )
 
 
-def run_one(seed: int, length: int = DEFAULT_LENGTH) -> str:
-    """One fuzz case; returns a short label, raises on divergence."""
-    from repro.frontend.simulator import compute_oracle
-    from repro.validate.lockstep import lockstep_frontend
-    from repro.workloads.generator import generate_program
-
-    rng = np.random.default_rng(seed)
-    profile = random_profile(rng)
-    config = random_config(rng)
-    program = generate_program(profile, seed=seed)
-    oracle = compute_oracle(program, length)
-    # report=False: fuzz programs are reproduced from the seed, not from
-    # a benchmark name, so a disk report could not be replayed.
-    lockstep_frontend(profile.name, config, length, report=False,
-                      program=program, oracle=oracle)
-    return f"{profile.name}/{config.describe()}"
-
-
 def random_machine_config(rng: np.random.Generator):
     """A random complete machine: random front end, random core mode."""
     from repro.config import CoreConfig, MachineConfig
@@ -120,31 +104,40 @@ def random_machine_config(rng: np.random.Generator):
         core=CoreConfig(perfect_disambiguation=bool(rng.random() < 0.3)))
 
 
-def run_one_machine(seed: int, length: int = DEFAULT_LENGTH) -> str:
-    """One machine-core fuzz case; returns a label, raises on divergence.
+def run_case(kind: str, seed: int, length: int = DEFAULT_LENGTH) -> str:
+    """One fuzz case of ``kind``; returns a short label, raises on divergence.
 
-    Runs through :func:`repro.validate.lockstep.lockstep_machine`, which
-    pairs the machine core with the fast front end and the frozen seed
-    core with the reference front end, so a serialized-result mismatch
-    flags a divergence in either layer.  The machine window is a quarter
-    of the front-end budget — cycle-level runs are the slow part of a
-    sweep.
+    Runs through :func:`repro.validate.lockstep.lockstep`.  A machine
+    case pairs the machine core with the fast front end and the frozen
+    seed core with the reference front end, so a serialized-result
+    mismatch flags a divergence in either layer; its window is a
+    quarter of the front-end budget (cycle-level runs are the slow part
+    of a sweep), and half the cases first warm the front end over
+    ``length`` instructions.
     """
     from repro.frontend.simulator import compute_oracle
-    from repro.validate.lockstep import lockstep_machine
+    from repro.validate.lockstep import lockstep
     from repro.workloads.generator import generate_program
 
     rng = np.random.default_rng(seed)
     profile = random_profile(rng)
-    config = random_machine_config(rng)
-    warmup = bool(rng.random() < 0.5)
+    if kind == "machine":
+        config = random_machine_config(rng)
+        warmup = bool(rng.random() < 0.5)
+        n = max(500, length // 4)
+        label = f"{profile.name}/{config.describe()}/"
+        label += "warm" if warmup else "cold"
+    else:
+        config = random_config(rng)
+        warmup, n = True, length
+        label = f"{profile.name}/{config.describe()}"
     program = generate_program(profile, seed=seed)
-    lockstep_machine(profile.name, config, max(500, length // 4),
-                     warmup=warmup, report=False, program=program,
-                     warmup_oracle=(compute_oracle(program, length)
-                                    if warmup else None))
-    warm = "warm" if warmup else "cold"
-    return f"{profile.name}/{config.describe()}/{warm}"
+    # report=False: fuzz programs are reproduced from the seed, not from
+    # a benchmark name, so a disk report could not be replayed.
+    lockstep(kind, profile.name, config, n, warmup=warmup, report=False,
+             program=program,
+             oracle=compute_oracle(program, length) if warmup else None)
+    return label
 
 
 def main(argv=None) -> int:
@@ -166,18 +159,17 @@ def main(argv=None) -> int:
                              "(default frontend)")
     args = parser.parse_args(argv)
 
-    mode_names = {run_one: "frontend", run_one_machine: "machine"}
     for i in range(args.runs):
         seed = args.seed_base + i
         if args.mode == "machine" or (args.mode == "both" and i % 2):
-            case = run_one_machine
+            kind = "machine"
         else:
-            case = run_one
+            kind = "frontend"
         try:
-            label = case(seed, args.length)
+            label = run_case(kind, seed, args.length)
         except DivergenceError as exc:
             print(f"\nDIVERGENCE at seed {seed}: {exc.message}")
-            print(f"replay: python {sys.argv[0]} --mode {mode_names[case]} "
+            print(f"replay: python {sys.argv[0]} --mode {kind} "
                   f"--runs 1 --seed-base {seed} --length {args.length}")
             return 1
         if (i + 1) % 20 == 0 or i + 1 == args.runs:

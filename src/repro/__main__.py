@@ -38,10 +38,8 @@ from dataclasses import replace
 
 from repro import config as cfg
 from repro.config import CoreConfig, MachineConfig
-from repro.core.machine import Machine
 from repro.experiments import paper
-from repro.frontend.simulator import FrontEndSimulator
-from repro.frontend.stats import FetchReason
+from repro.frontend.stats import CycleCategory, FetchReason
 from repro.report import format_bar_chart, format_histogram, format_table
 from repro.trace.fill_unit import PackingPolicy
 from repro.workloads.profiles import BENCHMARK_NAMES, get_profile
@@ -98,33 +96,37 @@ def _print_divergence(exc) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.workloads.generator import generate_program
+    from repro.experiments import runner
+    from repro.frontend.build import fast_stack_enabled
 
     if args.validate:
         os.environ["REPRO_VALIDATE"] = args.validate
-    program = generate_program(args.benchmark)
     config = _build_config(args)
     n = args.instructions or get_profile(args.benchmark).default_dynamic
     if args.machine:
-        machine_config = MachineConfig(
+        run_config = MachineConfig(
             frontend=config,
             core=CoreConfig(perfect_disambiguation=args.perfect_memory),
         )
-        if args.validate:
-            from repro.validate.errors import DivergenceError
-            from repro.validate.lockstep import lockstep_machine
-            try:
-                result = lockstep_machine(args.benchmark, machine_config, n,
-                                          warmup=False)
-            except DivergenceError as exc:
-                return _print_divergence(exc)
-        else:
-            result = Machine(program, machine_config,
-                             max_instructions=n).run()
+    else:
+        run_config = config
+    if args.validate:
+        from repro.validate.errors import DivergenceError
+        from repro.validate.lockstep import lockstep
+        try:
+            result = lockstep("machine" if args.machine else "frontend",
+                              args.benchmark, run_config, n, warmup=False)
+        except DivergenceError as exc:
+            return _print_divergence(exc)
+    else:
+        run = runner.run_machine if args.machine else runner.run_frontend
+        result = run(runner.get_program(args.benchmark), run_config, n, None,
+                     fast=fast_stack_enabled())
+    if args.machine:
         print(format_table(
             ["Metric", "Value"],
             [["benchmark", args.benchmark],
-             ["configuration", machine_config.describe()],
+             ["configuration", run_config.describe()],
              ["retired instructions", result.retired],
              ["cycles", result.cycles],
              ["IPC", result.ipc],
@@ -136,24 +138,14 @@ def _cmd_run(args) -> int:
             title="Machine simulation",
         ))
         print()
+        # In category order: the two cores count into their Counters in
+        # different orders.
         print(format_bar_chart(
-            {k.value: v for k, v in result.cycle_accounting.items()},
+            {k.value: result.cycle_accounting[k] for k in CycleCategory
+             if k in result.cycle_accounting},
             title="Cycle accounting", fmt="{:8d}",
         ))
     else:
-        if args.validate:
-            from repro.frontend.simulator import compute_oracle
-            from repro.validate.errors import DivergenceError
-            from repro.validate.lockstep import lockstep_frontend
-            try:
-                result = lockstep_frontend(
-                    args.benchmark, config, n, program=program,
-                    oracle=compute_oracle(program, n))
-            except DivergenceError as exc:
-                return _print_divergence(exc)
-        else:
-            result = FrontEndSimulator(program, config,
-                                       max_instructions=n).run()
         stats = result.stats
         print(format_table(
             ["Metric", "Value"],

@@ -33,7 +33,7 @@ class IdealReturnAddressStack:
         # would silently corrupt checkpoint/restore.  Bound per instance
         # so the off path keeps the bare method.
         from repro import validate
-        if validate.invariants_armed():
+        if validate.armed():
             self.snapshot = self._snapshot_checked
 
     def push(self, return_address: int) -> None:

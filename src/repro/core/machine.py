@@ -274,7 +274,7 @@ class Machine:
         # construction when REPRO_VALIDATE enables any validation mode
         # (zero cost when off — the flag gates every call site).
         from repro import validate
-        self._validate_state = validate.invariants_armed()
+        self._validate_state = validate.armed()
 
     # ------------------------------------------------------------------ run
 

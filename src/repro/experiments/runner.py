@@ -44,6 +44,7 @@ from repro.experiments.serialize import (
     machine_result_from_dict,
     machine_result_to_dict,
 )
+from repro.frontend import build
 from repro.frontend.simulator import FrontEndResult, FrontEndSimulator, compute_oracle
 from repro.isa.program import Program
 from repro.workloads.profiles import get_profile
@@ -100,8 +101,7 @@ def clear_caches(disk: bool = False) -> None:
     _frontend.clear()
     _machine.clear()
     warnonce.reset()
-    from repro.frontend.build import reset_compiled_state
-    reset_compiled_state()
+    build.reset_compiled_state()
     if disk:
         diskcache.purge()
         checkpoint.purge()
@@ -247,7 +247,7 @@ def admit_frontend_result(result: FrontEndResult, n: int) -> None:
 
 
 def _discard_forced_divergence() -> None:
-    """Drop any armed ``diverge`` fault latch before a pinned run.
+    """Drop any armed ``diverge`` fault latch before an unchecked run.
 
     When a point is requeued with ``engine="reference"`` the lockstep
     guard is skipped, so a latch armed by the chaos harness for *this*
@@ -271,46 +271,98 @@ def _sample_params(key: str) -> Tuple[int, int]:
     return stride, int(key[:16], 16) % stride
 
 
+def _plan(kind: str, key: str,
+          engine: Optional[str]) -> Tuple[bool, Optional[Tuple[int, int]]]:
+    """``(fast, check)``: how one uncached point runs.
+
+    ``engine`` pins the point to one stack with no validation (the
+    scheduler's graceful-degradation path after a detected divergence).
+    Otherwise an armed ``REPRO_VALIDATE`` cross-checks the point through
+    :func:`repro.validate.lockstep.lockstep` with ``check = (stride,
+    offset)``: the front end samples fetches, the machine samples points
+    (in ``sample`` mode only the 1-in-N points whose key-seeded offset
+    is 0 run lockstep, the rest run plain on the fast stack).  Under
+    ``REPRO_ENGINE=reference`` the default stack is the reference stack,
+    so a differential run would compare it to itself: it runs plain.
+    """
+    from repro import validate
+    if engine is None and validate.armed() and build.fast_stack_enabled():
+        stride, offset = _sample_params(key)
+        if kind == "frontend":
+            return True, (stride, offset)
+        if offset == 0:
+            return True, (1, 0)
+        engine = "fast"
+    if engine is None:
+        return build.fast_stack_enabled(), None
+    _discard_forced_divergence()
+    return engine != "reference", None
+
+
+def run_frontend(program: Program, config: FrontEndConfig, n: int,
+                 oracle: Optional[list], *, fast: bool,
+                 observer=None) -> FrontEndResult:
+    """One front-end run on the named stack, from explicit inputs.
+
+    ``fast`` selects the fast stack or the frozen reference stack;
+    ``oracle`` is the correct-path stream (None computes ``n``
+    instructions of it).  ``observer`` is a per-fetch lockstep observer
+    (:mod:`repro.validate.observer`).  Nothing is memoized or cached.
+    """
+    engine = build.build_engine(program, config, fast=fast)
+    return FrontEndSimulator(program, config, oracle=oracle,
+                             max_instructions=n, engine=engine,
+                             observer=observer).run()
+
+
+def run_machine(program: Program, config: MachineConfig, n: int,
+                oracle: Optional[list], *, fast: bool) -> MachineResult:
+    """One machine run of ``n`` instructions on the named stack.
+
+    ``fast=True`` runs the fast front end and the event-driven core
+    (:mod:`repro.core.machine`); ``fast=False`` the frozen reference
+    front end and :mod:`repro.core.machine_reference`.  The engine is
+    built here for both, cold runs included.  ``oracle`` is the warm-up
+    stream the front end is first trained over functionally; None runs
+    cold.
+    """
+    engine = build.build_engine(program, config.frontend,
+                                memory_config=config.memory, fast=fast)
+    if oracle is not None:
+        FrontEndSimulator(program, config.frontend, oracle=oracle,
+                          engine=engine).run()
+    if fast:
+        machine_cls = Machine
+    else:
+        from repro.core.machine_reference import Machine as machine_cls
+    return machine_cls(program, config, max_instructions=n,
+                       engine=engine).run()
+
+
 def frontend_result(benchmark: str, config: FrontEndConfig,
                     n: Optional[int] = None,
                     engine: Optional[str] = None) -> FrontEndResult:
     """Oracle-driven front-end run, memoized in process and on disk.
 
-    ``engine`` pins the run to one stack: ``"fast"`` or ``"reference"``
-    (no validation — this is the scheduler's graceful-degradation path
-    after a detected divergence).  With ``engine=None`` and
-    ``REPRO_VALIDATE`` armed, the run goes through the lockstep
-    differential guard; the two stacks are byte-identical on success,
-    so validated, pinned and plain results all share one cache key.
+    ``engine`` pins the run to one stack, ``"fast"`` or ``"reference"``;
+    see :func:`_plan`.  The two stacks are byte-identical, so validated,
+    pinned and plain results all share one cache key.
     """
     if n is None:
         n = default_length(benchmark)
     result = cached_frontend_result(benchmark, config, n)
     if result is not None:
         return result
-    from repro import validate
-    from repro.frontend.build import build_engine, fast_stack_enabled
-    if engine is not None:
-        _discard_forced_divergence()
-        built = build_engine(get_program(benchmark), config,
-                             fast=(engine != "reference"))
-        result = FrontEndSimulator(
-            get_program(benchmark), config,
-            oracle=get_oracle(benchmark, n), engine=built).run()
-    elif validate.armed() and fast_stack_enabled():
-        from repro.validate.lockstep import lockstep_frontend
-        stride, offset = _sample_params(
-            frontend_cache_key(benchmark, config, n))
-        result = lockstep_frontend(benchmark, config, n,
-                                   stride=stride, offset=offset)
+    key = frontend_cache_key(benchmark, config, n)
+    fast, check = _plan("frontend", key, engine)
+    if check is None:
+        result = run_frontend(get_program(benchmark), config, n,
+                              get_oracle(benchmark, n), fast=fast)
     else:
-        # Under REPRO_ENGINE=reference the default stack is the reference
-        # stack, so a differential run would compare it to itself.
-        result = FrontEndSimulator(
-            get_program(benchmark), config,
-            oracle=get_oracle(benchmark, n)).run()
-    diskcache.store(frontend_cache_key(benchmark, config, n),
-                    "frontend", frontend_result_to_dict(result))
+        from repro.validate.lockstep import lockstep
+        result = lockstep("frontend", benchmark, config, n,
+                          stride=check[0], offset=check[1])
+    diskcache.store(key, "frontend", frontend_result_to_dict(result))
     _frontend[(benchmark, config, n)] = result
     return result
 
@@ -327,70 +379,26 @@ def machine_result(benchmark: str, config: MachineConfig,
     structures functionally, then measure.
 
     The warmup window scales with the environment knobs, so it is part
-    of the disk cache key.
-
-    ``engine`` pins the run to one complete stack (machine core + front
-    end): ``"fast"`` or ``"reference"``, with no validation.  With
-    ``engine=None`` and ``REPRO_VALIDATE`` armed the run goes through
-    the lockstep machine driver; in ``sample`` mode only a deterministic
-    1-in-N slice of grid points (seeded from the cache key) is
-    cross-checked, the rest run plain.
+    of the disk cache key.  ``engine`` pins the run to one complete
+    stack (machine core + front end); see :func:`_plan`.
     """
     if n is None:
         n = machine_length(benchmark)
     result = cached_machine_result(benchmark, config, n, warmup=warmup)
     if result is not None:
         return result
-    from repro import validate
-    from repro.frontend.build import fast_stack_enabled
-    if engine is not None:
-        _discard_forced_divergence()
-        result = _machine_one_stack(benchmark, config, n, warmup,
-                                    fast=(engine != "reference"))
-    elif validate.armed() and fast_stack_enabled():
-        stride, offset = _sample_params(
-            machine_cache_key(benchmark, config, n, warmup=warmup))
-        if offset == 0:
-            from repro.validate.lockstep import lockstep_machine
-            result = lockstep_machine(benchmark, config, n, warmup=warmup)
-        else:
-            _discard_forced_divergence()
-            result = _machine_one_stack(benchmark, config, n, warmup,
-                                        fast=True)
+    key = machine_cache_key(benchmark, config, n, warmup=warmup)
+    fast, check = _plan("machine", key, engine)
+    if check is None:
+        result = run_machine(get_program(benchmark), config, n,
+                             get_oracle(benchmark) if warmup else None,
+                             fast=fast)
     else:
-        # As in frontend_result: REPRO_ENGINE=reference is not
-        # cross-checked against itself.
-        result = _machine_one_stack(benchmark, config, n, warmup,
-                                    fast=fast_stack_enabled())
-    diskcache.store(machine_cache_key(benchmark, config, n, warmup=warmup),
-                    "machine", machine_result_to_dict(result))
+        from repro.validate.lockstep import lockstep
+        result = lockstep("machine", benchmark, config, n, warmup=warmup)
+    diskcache.store(key, "machine", machine_result_to_dict(result))
     _machine[(benchmark, config, n, warmup)] = result
     return result
-
-
-def _machine_one_stack(benchmark: str, config: MachineConfig, n: int,
-                       warmup: bool, fast: bool) -> MachineResult:
-    """One plain machine run on the named stack (no cross-checking).
-
-    ``fast=True`` runs the fast front end and the event-driven core
-    (:mod:`repro.core.machine`); ``fast=False`` the frozen reference
-    stack and :mod:`repro.core.machine_reference` (``REPRO_ENGINE=
-    reference``, and the scheduler's post-divergence degradation path).
-    """
-    program = get_program(benchmark)
-    engine = None
-    if warmup:
-        from repro.frontend.build import build_engine
-        engine = build_engine(program, config.frontend,
-                              memory_config=config.memory, fast=fast)
-        FrontEndSimulator(program, config.frontend,
-                          oracle=get_oracle(benchmark), engine=engine).run()
-    if fast:
-        machine_cls = Machine
-    else:
-        from repro.core.machine_reference import Machine as machine_cls
-    return machine_cls(program, config, max_instructions=n,
-                       engine=engine).run()
 
 
 def probe_machine(benchmark: str, config: MachineConfig,

@@ -99,7 +99,7 @@ class FrontEndSimulator:
         self.oracle = oracle if oracle is not None else compute_oracle(program, max_instructions)
         self.engine = engine if engine is not None else build_engine(program, config)
         #: Optional validation observer (repro.validate.observer): its
-        #: ``wrap(fetch)`` intercepts every fetch — generic and compiled-
+        #: ``wrap(engine)`` intercepts every fetch — generic and compiled-
         #: variant alike pass through the one ``fetch`` callable.  None
         #: (the default) leaves the hot loop untouched.
         self.observer = observer
@@ -137,7 +137,7 @@ class FrontEndSimulator:
         engine = self.engine
         fetch = engine.fetch
         if self.observer is not None:
-            fetch = self.observer.wrap(fetch)
+            fetch = self.observer.wrap(engine)
         stats = self.stats
         cycle_accounting = stats.cycle_accounting
         match = self._match

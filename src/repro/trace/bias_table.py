@@ -72,7 +72,7 @@ class BranchBiasTable:
         # bound as an instance attribute only when armed, so the off
         # path keeps the bare method — zero added cost per branch.
         from repro import validate
-        if validate.invariants_armed():
+        if validate.armed():
             self.update_fast = self._update_fast_checked
 
     def _slot(self, pc: int) -> int:

@@ -78,7 +78,7 @@ def _segment_validation_armed() -> bool:
     so tests and the CLI can arm the guard after this module loads.
     """
     from repro import validate
-    return validate.invariants_armed()
+    return validate.armed()
 
 
 class FillUnit:

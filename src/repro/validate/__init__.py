@@ -1,23 +1,28 @@
 """Online divergence guard: lockstep fast/reference validation.
 
-PR 4 split every hot front-end component into a fast engine and a
-frozen reference copy, pinned by a fixed parity suite.  This package
-turns that parity contract into an *online* guard that can run under
-any config and workload:
+Every hot front-end component and the machine core have a fast version
+and a frozen reference copy.  One differential harness,
+:func:`repro.validate.lockstep.lockstep`, runs a point of either kind
+(front end or machine) through both stacks with the runner's one-stack
+runs and compares them; the parity suites, the differential fuzzer,
+divergence-report replay and this online guard all go through it:
 
 * **Lockstep differential mode** (``REPRO_VALIDATE=lockstep``, or the
   ``--validate`` CLI flag): every simulation drives the fast and the
-  reference stacks over the same input and cross-checks delivered fetch
-  slots, predictor-state digests, fill-unit finalizations and the final
-  serialized result (:mod:`repro.validate.lockstep`).
-* **Sample mode** (``REPRO_VALIDATE=sample`` or ``sample:N``): the same
-  dual run, but the per-fetch observer checks a deterministic 1-in-N
-  slice of fetches (offset seeded from the grid point's content hash)
-  — cheap enough for CI grids; the end-of-run full-result comparison is
-  always kept.
-* **Structural invariants**: when any mode is armed, the fill unit,
-  bias table, RAS and machine core run extra self-checks
-  (:func:`invariants_armed`); they cost nothing when validation is off.
+  reference stacks over the same input.  Front-end points cross-check
+  delivered fetch slots, predictor-state digests, fill-unit
+  finalizations and the final serialized result; machine points the
+  final serialized result.
+* **Sample mode** (``REPRO_VALIDATE=sample`` or ``sample:N``): front-end
+  points run the same dual run, but the per-fetch observer checks a
+  deterministic 1-in-N slice of fetches (offset seeded from the grid
+  point's content hash); machine points are sampled whole, 1 in N
+  (the rest run plain on the fast stack).  Cheap enough for CI grids;
+  the end-of-run full-result comparison is always kept.
+* **Structural invariants**: when any mode is armed (:func:`armed`),
+  the fill unit, bias table, RAS and machine core run extra
+  self-checks, bound per instance at construction; they cost nothing
+  when validation is off.
 * **Divergence handling**: the first mismatch raises
   :class:`~repro.validate.errors.DivergenceError` after writing a
   self-contained report under ``$REPRO_CACHE_DIR/divergences/``
@@ -30,8 +35,8 @@ Legacy compatibility: ``REPRO_VALIDATE=1`` historically enabled only
 the fill unit's per-segment checks; it now means ``lockstep``, a strict
 superset.
 
-This ``__init__`` stays import-light (mode parsing only); the heavy
-submodules load lazily via attribute access.
+This ``__init__`` stays import-light (mode parsing only); import the
+submodules by name (``from repro.validate import errors``).
 """
 
 from __future__ import annotations
@@ -95,26 +100,3 @@ def sample_stride() -> int:
 def armed() -> bool:
     """Whether any validation mode is on."""
     return mode() != OFF
-
-
-def invariants_armed() -> bool:
-    """Whether structural invariant checks should run.
-
-    Currently identical to :func:`armed`: any validation mode arms the
-    per-structure self-checks.  Split out so structures take a single
-    boolean at construction time and stay zero-cost when off.
-    """
-    return armed()
-
-
-def __getattr__(name: str):
-    """Lazy re-exports of the heavy submodules' public API."""
-    import importlib
-
-    if name in ("errors", "digests", "observer", "lockstep", "report"):
-        return importlib.import_module(f"{__name__}.{name}")
-    for module in ("errors", "lockstep", "report", "digests", "observer"):
-        mod = importlib.import_module(f"{__name__}.{module}")
-        if hasattr(mod, name):
-            return getattr(mod, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

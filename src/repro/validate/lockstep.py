@@ -1,24 +1,26 @@
-"""Lockstep differential drivers: fast vs reference, same inputs.
+"""The differential harness: one point, fast vs reference, same inputs.
 
-The two front-end stacks consume the identical oracle stream, so a
-reference run recorded fetch-by-fetch followed by a fast run checked
-against the recording is observationally equivalent to driving both
-engines side by side — and it pinpoints the exact first mismatching
-fetch ordinal (see :mod:`repro.validate.observer`).  On top of the
-per-fetch checks, both drivers compare the complete serialized results
-byte-for-byte and the final engine-state digests, so even a mismatch
-outside the sampled slice is caught at run end.
+:func:`lockstep` runs a point of either kind through both stacks with
+the runner's one-stack runs (:func:`repro.experiments.runner.run_frontend`
+and :func:`~repro.experiments.runner.run_machine`), reference first,
+then compares them.  A table (:data:`KINDS`) says per kind which run to
+use, how to serialize its result, and whether the per-fetch observer and
+the engine digest apply:
 
-Two entry points:
+* ``"frontend"`` — oracle-driven front-end simulation.  The two stacks
+  consume the identical oracle stream, so a reference run recorded
+  fetch-by-fetch followed by a fast run checked against the recording
+  is observationally equivalent to driving both engines side by side,
+  and it pinpoints the first mismatching fetch ordinal (see
+  :mod:`repro.validate.observer`).  The end-of-run engine-state digests
+  are compared too.
+* ``"machine"`` — full cycle-level runs through the fast core + fast
+  front end and the frozen seed core + reference front end, cold or
+  functionally warmed.  The machine core has no per-fetch observer.
 
-* :func:`lockstep_frontend` — oracle-driven front-end simulation
-  through both stacks; returns the (verified) fast result.
-* :func:`lockstep_machine` — full cycle-level runs through the fast
-  machine core + fast front end and the frozen reference machine +
-  reference front end; the machine core has no per-fetch observer, so
-  the check is the end-of-run serialized-result comparison.
-
-On the first mismatch a divergence report is written
+Both kinds end with a byte-level comparison of the serialized results,
+so even a mismatch outside the sampled slice is caught at run end.  On
+the first mismatch a divergence report is written
 (:mod:`repro.validate.report`) and the enriched
 :class:`~repro.validate.errors.DivergenceError` propagates; the
 experiment scheduler catches it and requeues the point pinned to the
@@ -27,8 +29,9 @@ reference engine.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
+from repro.experiments import runner
 from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import (
     frontend_result_to_dict,
@@ -39,146 +42,99 @@ from repro.validate.digests import engine_digest
 from repro.validate.observer import FetchChecker, FetchRecorder
 
 
-def _mode_label(stride: int) -> str:
-    return "lockstep" if stride <= 1 else "sample"
+class Kind(NamedTuple):
+    """One differential pairing: a one-stack run taking ``fast=``."""
+
+    run: Callable
+    serialize: Callable
+    #: Whether the per-fetch observer and the engine digest apply.
+    per_fetch: bool
 
 
-def lockstep_frontend(benchmark: str, config, n: int, *, stride: int = 1,
-                      offset: int = 0, report: bool = True,
-                      program=None, oracle=None):
-    """Run one front-end point through both stacks and cross-check.
-
-    ``program``/``oracle`` default to the runner's memoized ones for
-    ``benchmark``; the fuzzer passes synthetic ones directly (with
-    ``benchmark`` as a label).  Returns the verified fast result.
-    """
-    from repro.experiments import runner
-    from repro.frontend.build import build_engine
-    from repro.frontend.simulator import FrontEndSimulator
-
-    if program is None:
-        program = runner.get_program(benchmark)
-    if oracle is None:
-        oracle = runner.get_oracle(benchmark, n)
-
-    ref_engine = build_engine(program, config, fast=False)
-    recorder = FetchRecorder(ref_engine, stride=stride, offset=offset)
-    ref_result = FrontEndSimulator(program, config, oracle=oracle,
-                                   engine=ref_engine,
-                                   observer=recorder).run()
-
-    fast_engine = build_engine(program, config, fast=True)
-    checker = FetchChecker(fast_engine, recorder)
-    divergence: Optional[errors.DivergenceError] = None
-    fast_result = None
-    try:
-        fast_result = FrontEndSimulator(program, config, oracle=oracle,
-                                        engine=fast_engine,
-                                        observer=checker).run()
-    except errors.DivergenceError as exc:
-        divergence = exc
-    if divergence is None:
-        divergence = checker.excess_fetches()
-    if divergence is None and engine_digest(fast_engine) != engine_digest(ref_engine):
-        divergence = errors.DivergenceError(
-            "fast engine diverged from reference: end-of-run engine "
-            "state digest mismatch")
-        divergence.expected = engine_digest(ref_engine)
-        divergence.got = engine_digest(fast_engine)
-    if divergence is None:
-        fast_bytes = canonical_json(frontend_result_to_dict(fast_result))
-        ref_bytes = canonical_json(frontend_result_to_dict(ref_result))
-        if fast_bytes != ref_bytes:
-            divergence = errors.DivergenceError(
-                "fast engine diverged from reference: serialized "
-                "FrontEndResult mismatch")
-    if divergence is not None:
-        if report:
-            path = report_module.write_report(
-                kind="frontend", benchmark=benchmark, config=config, n=n,
-                exc=divergence, mode=_mode_label(stride), stride=stride,
-                offset=offset)
-            if path is not None:
-                divergence = divergence.with_report(path)
-        raise divergence
-    return fast_result
+KINDS: Dict[str, Kind] = {
+    "frontend": Kind(runner.run_frontend, frontend_result_to_dict, True),
+    "machine": Kind(runner.run_machine, machine_result_to_dict, False),
+}
 
 
-def lockstep_machine(benchmark: str, config, n: int, *, warmup: bool = True,
-                     warmup_n: Optional[int] = None, report: bool = True,
-                     program=None, warmup_oracle=None):
-    """Run one machine point through both full stacks and cross-check.
-
-    The reference side pairs the frozen machine core with the frozen
-    front end; the fast side pairs the event-driven core with the fast
-    front end — so a mismatch flags a divergence in *either* layer.
-    ``program``/``warmup_oracle`` default to the runner's memoized ones
-    for ``benchmark`` (the warm-up oracle over ``warmup_n``
-    instructions); the fuzzer passes synthetic ones directly (with
-    ``benchmark`` as a label).  Returns the verified fast result.
-    """
-    from repro.core.machine import Machine
-    from repro.core.machine_reference import Machine as ReferenceMachine
-    from repro.experiments import runner
-    from repro.frontend.build import build_engine
-    from repro.frontend.simulator import FrontEndSimulator
-
-    if program is None:
-        program = runner.get_program(benchmark)
-    if warmup and warmup_n is None and warmup_oracle is None:
-        warmup_n = runner.default_length(benchmark)
-
-    def one_run(machine_cls, fast: bool):
-        engine = None
-        if warmup:
-            engine = build_engine(program, config.frontend,
-                                  memory_config=config.memory, fast=fast)
-            oracle = warmup_oracle
-            if oracle is None:
-                oracle = runner.get_oracle(benchmark, warmup_n)
-            FrontEndSimulator(program, config.frontend, oracle=oracle,
-                              engine=engine).run()
-        return machine_cls(program, config, max_instructions=n,
-                           engine=engine).run()
-
-    divergence: Optional[errors.DivergenceError] = None
-    if errors.consume_forced_divergence():
-        divergence = errors.DivergenceError(
-            "fast machine diverged from reference: injected divergence",
-            injected=True)
-        fast_result = None
-    else:
-        ref_result = one_run(ReferenceMachine, fast=False)
-        fast_result = one_run(Machine, fast=True)
-        fast_bytes = canonical_json(machine_result_to_dict(fast_result))
-        ref_bytes = canonical_json(machine_result_to_dict(ref_result))
-        if fast_bytes != ref_bytes:
-            divergence = errors.DivergenceError(
-                "fast machine diverged from reference: serialized "
-                "MachineResult mismatch")
-    if divergence is not None:
-        if report:
-            path = report_module.write_report(
-                kind="machine", benchmark=benchmark, config=config, n=n,
-                exc=divergence, mode="lockstep", warmup=warmup,
-                warmup_n=warmup_n)
-            if path is not None:
-                divergence = divergence.with_report(path)
-        raise divergence
-    return fast_result
+def _digest_mismatch(checker: FetchChecker,
+                     recorder: FetchRecorder) -> Optional[errors.DivergenceError]:
+    expected = engine_digest(recorder.engine)
+    got = engine_digest(checker.engine)
+    if got == expected:
+        return None
+    exc = errors.DivergenceError(
+        "fast engine diverged from reference: end-of-run engine state "
+        "digest mismatch")
+    exc.expected = expected
+    exc.got = got
+    return exc
 
 
-def lockstep_parity_cases(cases, n: int) -> List[str]:
-    """Run lockstep over a list of ``(benchmark, config)`` cases.
-
-    Returns the list of divergence report paths (empty on full parity);
-    used by the CI validation job to sweep the pinned parity cases plus
-    the paper grids through the online guard.
-    """
-    paths = []
-    for benchmark, config in cases:
+def _compare(kind: str, inputs: tuple, stride: int, offset: int):
+    """``(fast result, first divergence or None)`` of one dual run."""
+    spec = KINDS[kind]
+    if spec.per_fetch:
+        recorder = FetchRecorder(stride=stride, offset=offset)
+        ref_result = spec.run(*inputs, fast=False, observer=recorder)
+        checker = FetchChecker(recorder)
         try:
-            lockstep_frontend(benchmark, config, n)
+            fast_result = spec.run(*inputs, fast=True, observer=checker)
         except errors.DivergenceError as exc:
-            paths.append(exc.report_path or f"<unwritten: {exc.message}>")
-    return paths
+            return None, exc
+        divergence = (checker.excess_fetches()
+                      or _digest_mismatch(checker, recorder))
+        if divergence is not None:
+            return fast_result, divergence
+    elif errors.consume_forced_divergence():
+        # No per-fetch observer to fire an armed injection: it fires here.
+        return None, errors.DivergenceError(
+            f"fast {kind} diverged from reference: injected divergence",
+            injected=True)
+    else:
+        ref_result = spec.run(*inputs, fast=False)
+        fast_result = spec.run(*inputs, fast=True)
+    if (canonical_json(spec.serialize(fast_result))
+            != canonical_json(spec.serialize(ref_result))):
+        return fast_result, errors.DivergenceError(
+            f"fast {kind} diverged from reference: serialized "
+            f"{type(fast_result).__name__} mismatch")
+    return fast_result, None
+
+
+def lockstep(kind: str, benchmark: str, config, n: int, *, stride: int = 1,
+             offset: int = 0, warmup: bool = True,
+             warmup_n: Optional[int] = None, report: bool = True,
+             program=None, oracle=None):
+    """Run one point through both stacks and cross-check them.
+
+    ``stride``/``offset`` select the checked 1-in-N fetch slice where
+    the per-fetch observer applies.  ``warmup``/``warmup_n`` apply to
+    the machine: a warm run first trains the front end over a
+    ``warmup_n``-instruction oracle (default: the benchmark's front-end
+    run length); a cold one takes no oracle.  ``program``/``oracle``
+    (the front-end stream, or the machine's warm-up stream) default to
+    the runner's memoized ones for ``benchmark``; the fuzzer passes
+    synthetic ones directly (with ``benchmark`` as a label).  Returns
+    the verified fast result.
+    """
+    machine = kind == "machine"
+    if program is None:
+        program = runner.get_program(benchmark)
+    if oracle is None and (warmup or not machine):
+        if machine and warmup_n is None:
+            warmup_n = runner.default_length(benchmark)
+        oracle = runner.get_oracle(benchmark, warmup_n if machine else n)
+    fast_result, divergence = _compare(kind, (program, config, n, oracle),
+                                       stride, offset)
+    if divergence is None:
+        return fast_result
+    if report:
+        path = report_module.write_report(
+            kind=kind, benchmark=benchmark, config=config, n=n,
+            exc=divergence, mode="lockstep" if stride <= 1 else "sample",
+            stride=stride, offset=offset,
+            **({"warmup": warmup, "warmup_n": warmup_n} if machine else {}))
+        if path is not None:
+            divergence = divergence.with_report(path)
+    raise divergence

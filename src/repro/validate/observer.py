@@ -1,8 +1,9 @@
 """Per-fetch observers for lockstep differential validation.
 
 The front-end simulator exposes a single interception point — the
-engine's ``fetch`` callable — and every fetch (generic walk or compiled
-variant) passes through it exactly once.  A :class:`FetchRecorder`
+engine's ``fetch`` callable, which it asks the observer to wrap — and
+every fetch (generic walk or compiled variant) passes through it
+exactly once.  A :class:`FetchRecorder`
 wraps the *reference* engine's fetch and records the signature of each
 checked fetch plus periodic engine-state digests; a
 :class:`FetchChecker` wraps the *fast* engine's fetch and compares
@@ -35,16 +36,19 @@ DIGEST_PERIOD = 2048
 class FetchRecorder:
     """Records checked fetch signatures and periodic digests."""
 
-    def __init__(self, engine, stride: int = 1, offset: int = 0):
-        self.engine = engine
+    def __init__(self, stride: int = 1, offset: int = 0):
+        self.engine = None
         self.stride = max(1, stride)
         self.offset = offset % self.stride
         self.ordinal = 0
         self.signatures: Dict[int, tuple] = {}
         self.digests: Dict[int, str] = {}
 
-    def wrap(self, fetch):
+    def wrap(self, engine):
         """The instrumented fetch callable the simulator should drive."""
+        self.engine = engine
+        fetch = engine.fetch
+
         def observed(pc):
             result = fetch(pc)
             ordinal = self.ordinal
@@ -60,8 +64,8 @@ class FetchRecorder:
 class FetchChecker:
     """Checks a fast run against a :class:`FetchRecorder`'s recording."""
 
-    def __init__(self, engine, recorder: FetchRecorder):
-        self.engine = engine
+    def __init__(self, recorder: FetchRecorder):
+        self.engine = None
         self.stride = recorder.stride
         self.offset = recorder.offset
         self.expected_signatures = recorder.signatures
@@ -78,8 +82,11 @@ class FetchChecker:
         exc.got = got
         return exc
 
-    def wrap(self, fetch):
+    def wrap(self, engine):
         """The instrumented fetch callable the simulator should drive."""
+        self.engine = engine
+        fetch = engine.fetch
+
         def observed(pc):
             result = fetch(pc)
             ordinal = self.ordinal

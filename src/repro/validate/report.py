@@ -157,18 +157,12 @@ def replay_report(path) -> Optional[DivergenceError]:
     was injected by the chaos harness, or the bug has been fixed).
     """
     payload = load_report(path)
-    config = config_from_dict(payload["config"])
-    from repro.validate import lockstep
+    from repro.validate.lockstep import lockstep
     try:
-        if payload["kind"] == "machine":
-            lockstep.lockstep_machine(
-                payload["benchmark"], config, payload["repro_n"],
-                warmup=bool(payload.get("warmup", True)),
-                warmup_n=payload.get("warmup_n"), report=False)
-        else:
-            lockstep.lockstep_frontend(
-                payload["benchmark"], config, payload["repro_n"],
-                report=False)
+        lockstep(payload["kind"], payload["benchmark"],
+                 config_from_dict(payload["config"]), payload["repro_n"],
+                 warmup=payload.get("warmup") is not False,
+                 warmup_n=payload.get("warmup_n"), report=False)
     except DivergenceError as exc:
         return exc
     return None

@@ -34,6 +34,15 @@ def test_run_machine(capsys):
     assert "Cycle accounting" in out
 
 
+def test_run_machine_prints_the_same_on_either_stack(capsys, monkeypatch):
+    args = ["run", "compress", "--machine", "--instructions", "2000"]
+    assert main(args) == 0
+    fast = capsys.readouterr().out
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    assert main(args) == 0
+    assert capsys.readouterr().out == fast
+
+
 def test_run_machine_perfect_memory(capsys):
     assert main(["run", "compress", "--machine", "--perfect-memory",
                  "--instructions", "3000"]) == 0

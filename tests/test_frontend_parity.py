@@ -9,9 +9,10 @@ inputs its serialized :class:`FrontEndResult` — every counter in
 ``FetchStats``, every histogram bucket, every derived rate — must be
 **byte-identical** to the frozen seed copies
 (:mod:`repro.branch.reference`, :mod:`repro.frontend.fetch_reference`,
-:mod:`repro.trace.fill_unit_reference`), and the two stacks must stay in
-lockstep fetch-by-fetch through randomized probe streams and mid-stream
-snapshot/restore round trips.  With snapshot capture on, as under the
+:mod:`repro.trace.fill_unit_reference`), checked by the differential
+harness (:func:`repro.validate.lockstep.lockstep`) fetch by fetch, and
+the two stacks must stay in lockstep through randomized probe streams
+and mid-stream snapshot/restore round trips.  With snapshot capture on, as under the
 machine core, the fast engines' compiled fetches must deliver the
 reference walks' checkpoint snapshots and prediction records, fetch by
 fetch.
@@ -24,15 +25,14 @@ import pytest
 
 from repro import config as cfg
 from repro.experiments import runner
-from repro.experiments.cachekey import canonical_json
-from repro.experiments.serialize import frontend_result_to_dict
 from repro.frontend.build import build_engine, build_predictor
 from repro.frontend.fetch import FETCH_WIDTH
 from repro.frontend.simulator import FrontEndSimulator, compute_oracle
 from repro.frontend.stats import FetchReason
 from repro.isa import assemble
 from repro.isa.opcodes import Opcode
-from repro.validate.digests import engine_digest
+from repro.validate.digests import engine_digest, fetch_signature
+from repro.validate.lockstep import lockstep
 
 N = 12_000
 
@@ -46,34 +46,11 @@ CASES = [
 ]
 
 
-def _run(benchmark: str, config, fast: bool):
-    program = runner.get_program(benchmark)
-    engine = build_engine(program, config, fast=fast)
-    return FrontEndSimulator(program, config,
-                             oracle=runner.get_oracle(benchmark, N),
-                             engine=engine).run()
-
-
 @pytest.mark.parametrize("bench, config", CASES)
 def test_fast_frontend_matches_reference(bench, config):
-    reference = _run(bench, config, fast=False)
-    optimized = _run(bench, config, fast=True)
-    assert canonical_json(frontend_result_to_dict(optimized)) == \
-        canonical_json(frontend_result_to_dict(reference))
-
-
-def test_parity_covers_fetch_stats_exactly():
-    """Stats equality is exact: same fetch counts, same histogram buckets."""
-    reference = _run("compress", cfg.PROMOTION_PACKING, fast=False)
-    optimized = _run("compress", cfg.PROMOTION_PACKING, fast=True)
-    assert optimized.stats.fetches == reference.stats.fetches
-    assert optimized.stats.cond_mispredicts == reference.stats.cond_mispredicts
-    assert optimized.stats.promoted_branches == reference.stats.promoted_branches
-    assert dict(optimized.stats.size_reason_histogram) == \
-        dict(reference.stats.size_reason_histogram)
-    assert dict(optimized.stats.predictions_histogram) == \
-        dict(reference.stats.predictions_histogram)
-    assert optimized.cycles == reference.cycles
+    """Fetch-by-fetch signatures, the end-of-run engine digests and the
+    serialized results agree (the harness raises on any mismatch)."""
+    lockstep("frontend", bench, config, N, report=False)
 
 
 @pytest.mark.parametrize("kind", ["tree", "split"])
@@ -116,9 +93,19 @@ def test_randomized_predictor_training_parity(kind):
             path = path + (taken,)
 
 
-def test_snapshot_restore_roundtrip_midstream():
+@pytest.mark.parametrize("validate", [None, "lockstep"],
+                         ids=["unset", "lockstep"])
+def test_snapshot_restore_roundtrip_midstream(validate, monkeypatch):
     """Fast and reference engines stay in lockstep through randomized
-    probes with snapshot/restore round trips interleaved mid-stream."""
+    probes with snapshot/restore round trips interleaved mid-stream.
+
+    With ``REPRO_VALIDATE`` armed the engines bind their structural
+    invariant checks at construction; restore must not trip them.
+    """
+    if validate is None:
+        monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_VALIDATE", validate)
     program = runner.get_program("compress")
     oracle = runner.get_oracle("compress", N)
     config = cfg.PROMOTION
@@ -128,19 +115,6 @@ def test_snapshot_restore_roundtrip_midstream():
     FrontEndSimulator(program, config, oracle=oracle, engine=fast).run()
     FrontEndSimulator(program, config, oracle=oracle, engine=ref).run()
 
-    def sig(result):
-        return (
-            result.pc,
-            result.source,
-            result.next_pc,
-            tuple(inst.addr for inst in result.active),
-            tuple(result.active_dirs),
-            tuple(result.active_promoted),
-            result.predictions_used,
-            result.raw_reason,
-            result.divergence,
-        )
-
     rng = random.Random(1998)
     snap_fast = snap_ref = None
     for i in range(400):
@@ -148,12 +122,14 @@ def test_snapshot_restore_roundtrip_midstream():
         if i % 29 == 0:
             snap_fast, snap_ref = fast.snapshot(), ref.snapshot()
             assert snap_fast == snap_ref
-        assert sig(fast.fetch(pc)) == sig(ref.fetch(pc))
+        assert fetch_signature(pc, fast.fetch(pc)) == \
+            fetch_signature(pc, ref.fetch(pc))
         if i % 29 == 17:
             fast.restore(snap_fast)
             ref.restore(snap_ref)
             assert fast.snapshot() == snap_fast
             assert ref.snapshot() == snap_ref
+    assert engine_digest(fast) == engine_digest(ref)
 
 
 def _fetch_kinds(result) -> set:

@@ -18,7 +18,6 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.paper import FIG10_CONFIGS, _machine_configs
-from repro.frontend.simulator import FrontEndSimulator
 from repro.gcpause import gc_paused
 
 #: Long enough for every config to intern hundreds of fill-unit states
@@ -53,7 +52,7 @@ def test_dropped_frontend_run_leaves_no_cyclic_garbage(name, config):
     oracle = runner.get_oracle("gcc", FRONTEND_N)
 
     def work():
-        FrontEndSimulator(program, config, oracle=oracle).run()
+        runner.run_frontend(program, config, FRONTEND_N, oracle, fast=True)
 
     found, garbage = _cyclic_garbage(work)
     kinds = collections.Counter(type(o).__name__ for o in garbage)
@@ -66,12 +65,11 @@ def test_dropped_machine_run_leaves_no_fetch_side_garbage(name, config):
     """Warm-up plus machine window leave no cyclic garbage at all: no
     fetch-side object, and no in-flight record (the core releases the
     window's producer/consumer and checkpoint links at halt)."""
-    runner.get_program("gcc")
-    runner.get_oracle("gcc")
+    program = runner.get_program("gcc")
+    oracle = runner.get_oracle("gcc")
 
     def work():
-        runner._machine_one_stack("gcc", config, MACHINE_N, warmup=True,
-                                  fast=True)
+        runner.run_machine(program, config, MACHINE_N, oracle, fast=True)
 
     found, garbage = _cyclic_garbage(work)
     kinds = collections.Counter(type(o).__name__ for o in garbage)

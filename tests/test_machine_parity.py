@@ -7,7 +7,9 @@ that makes it trustworthy: on identical inputs, its serialized
 :class:`MachineResult` must be **byte-identical** to the one produced by
 the frozen reference copy of the seed implementation
 (:mod:`repro.core.machine_reference`), including every cycle count,
-event counter, and derived rate.
+event counter, and derived rate.  The byte-identity cases run through
+the differential harness (:func:`repro.validate.lockstep.lockstep`),
+whose reference side pairs the seed core with the seed front end.
 
 The cases deliberately cross the interesting machine features: cold and
 functionally warmed front ends, promotion (promoted-branch faults),
@@ -25,13 +27,10 @@ import pytest
 
 from repro import config as cfg
 from repro.config import CoreConfig, MachineConfig
-from repro.core.machine import Machine
-from repro.core.machine_reference import Machine as ReferenceMachine
 from repro.experiments import runner
 from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import machine_result_to_dict
-from repro.frontend.build import build_engine
-from repro.frontend.simulator import FrontEndSimulator
+from repro.validate.lockstep import lockstep
 
 #: Machine window length for the parity runs; the warmup, when on, uses
 #: a longer oracle-driven front-end pass first (as the runner does).
@@ -51,38 +50,15 @@ CASES = [
                  MachineConfig(frontend=cfg.BASELINE,
                                core=CoreConfig(perfect_disambiguation=True)),
                  True, id="go-perfect-disamb-warm"),
+    pytest.param("compress", MachineConfig(frontend=cfg.PROMOTION_PACKING),
+                 True, id="compress-packing-warm"),
 ]
-
-
-def _run(machine_cls, benchmark: str, config: MachineConfig, warmup: bool):
-    program = runner.get_program(benchmark)
-    engine = None
-    if warmup:
-        engine = build_engine(program, config.frontend,
-                              memory_config=config.memory)
-        FrontEndSimulator(program, config.frontend,
-                          oracle=runner.get_oracle(benchmark, WARMUP_N),
-                          engine=engine).run()
-    return machine_cls(program, config, max_instructions=N,
-                       engine=engine).run()
 
 
 @pytest.mark.parametrize("bench, config, warmup", CASES)
 def test_event_driven_core_matches_reference(bench, config, warmup):
-    reference = _run(ReferenceMachine, bench, config, warmup)
-    optimized = _run(Machine, bench, config, warmup)
-    assert canonical_json(machine_result_to_dict(optimized)) == \
-        canonical_json(machine_result_to_dict(reference))
-
-
-def test_parity_covers_ipc_exactly():
-    """IPC equality is exact (not approximate): same cycles, same retires."""
-    config = MachineConfig(frontend=cfg.PROMOTION_PACKING)
-    reference = _run(ReferenceMachine, "compress", config, True)
-    optimized = _run(Machine, "compress", config, True)
-    assert optimized.cycles == reference.cycles
-    assert optimized.retired == reference.retired
-    assert optimized.ipc == reference.ipc
+    lockstep("machine", bench, config, N, warmup=warmup, warmup_n=WARMUP_N,
+             report=False)
 
 
 # ---------------------------------------------------- randomized ablations
@@ -123,10 +99,8 @@ def _random_ablation_cases(count: int = 4):
 
 @pytest.mark.parametrize("bench, config, warmup", _random_ablation_cases())
 def test_randomized_ablation_parity(bench, config, warmup):
-    reference = _run(ReferenceMachine, bench, config, warmup)
-    optimized = _run(Machine, bench, config, warmup)
-    assert canonical_json(machine_result_to_dict(optimized)) == \
-        canonical_json(machine_result_to_dict(reference))
+    lockstep("machine", bench, config, N, warmup=warmup, warmup_n=WARMUP_N,
+             report=False)
 
 
 # ---------------------------------------------- machine grids and the stack
@@ -183,7 +157,7 @@ def test_machine_grid_matches_isolated_points(jobs, tmp_path, monkeypatch,
 
 
 def _spy_stacks(monkeypatch):
-    """Record reference-core instantiations and every built engine."""
+    """Record the engine of every reference core and every built engine."""
     from repro.core import machine_reference
     from repro.frontend import build
 
@@ -193,8 +167,8 @@ def _spy_stacks(monkeypatch):
 
     class Spy(real_machine):
         def __init__(self, *args, **kwargs):
-            machines.append(1)
             real_machine.__init__(self, *args, **kwargs)
+            machines.append(self.engine)
 
     def spy_build(*args, **kwargs):
         engine = real_build(*args, **kwargs)
@@ -212,6 +186,32 @@ def _stack_modules(engine):
             type(engine.fill_unit).__module__}
 
 
+def _reference_modules():
+    from repro.branch import reference as branch_reference
+    from repro.frontend import fetch_reference
+    from repro.trace import fill_unit_reference
+    return {fetch_reference.__name__, branch_reference.__name__,
+            fill_unit_reference.__name__}
+
+
+def test_cold_reference_side_runs_the_reference_front_end(monkeypatch,
+                                                          small_machine_runs):
+    """A cold run passes no warmed engine to the core; its reference side
+    must still build the seed front end, not the ``REPRO_ENGINE`` one."""
+    machines, engines = _spy_stacks(monkeypatch)
+    config = MachineConfig(frontend=cfg.PROMOTION_PACKING)
+    runner.clear_caches(disk=True)
+    lockstep("machine", "compress", config, 1_000, warmup=False, report=False)
+    runner.machine_result("compress", config, 1_000, warmup=False,
+                          engine="reference")
+    assert [_stack_modules(engine) for engine in machines] == \
+        [_reference_modules()] * 2
+    # Each reference core runs on the engine built for it (lockstep
+    # builds the reference side first).
+    assert machines == [engines[0], engines[2]]
+    runner.clear_caches(disk=True)
+
+
 def test_engine_reference_pins_both_halves(monkeypatch, small_machine_runs):
     """``REPRO_ENGINE=reference`` runs the seed core *and* the seed front
     end; the default runs neither, and the results are byte-identical.
@@ -219,19 +219,14 @@ def test_engine_reference_pins_both_halves(monkeypatch, small_machine_runs):
     The knob is the escape hatch if parity is ever in doubt in the
     field, so it must actually instantiate the reference stack.
     """
-    from repro.branch import reference as branch_reference
-    from repro.frontend import fetch_reference
-    from repro.trace import fill_unit_reference
-
     machines, engines = _spy_stacks(monkeypatch)
     config = MachineConfig(frontend=cfg.PROMOTION_PACKING)
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     runner.clear_caches(disk=True)
     pinned = runner.machine_result("compress", config, 1_000)
     assert machines, "REPRO_ENGINE=reference must run the reference core"
-    assert [_stack_modules(engine) for engine in engines] == [{
-        fetch_reference.__name__, branch_reference.__name__,
-        fill_unit_reference.__name__}]
+    assert [_stack_modules(engine) for engine in engines] == \
+        [_reference_modules()]
 
     monkeypatch.delenv("REPRO_ENGINE")
     runner.clear_caches(disk=True)
@@ -240,9 +235,7 @@ def test_engine_reference_pins_both_halves(monkeypatch, small_machine_runs):
     fast = runner.machine_result("compress", config, 1_000)
     assert not machines, "the default path must use the fast machine core"
     assert len(engines) == 1
-    assert not _stack_modules(engines[0]) & {
-        fetch_reference.__name__, branch_reference.__name__,
-        fill_unit_reference.__name__}
+    assert not _stack_modules(engines[0]) & _reference_modules()
     assert canonical_json(machine_result_to_dict(fast)) == \
         canonical_json(machine_result_to_dict(pinned))
     runner.clear_caches(disk=True)

@@ -29,12 +29,7 @@ from repro.experiments.serialize import frontend_result_to_dict
 from repro.frontend.build import build_engine, reset_compiled_state
 from repro.frontend.simulator import FrontEndSimulator
 from repro.validate import errors
-from repro.validate.digests import engine_digest, fetch_signature
-from repro.validate.lockstep import (
-    lockstep_frontend,
-    lockstep_machine,
-    lockstep_parity_cases,
-)
+from repro.validate.lockstep import lockstep
 from repro.validate.report import load_report, replay_report
 
 N = 6_000
@@ -108,7 +103,6 @@ def test_armed_follows_env(monkeypatch):
     assert not validate.armed()
     monkeypatch.setenv("REPRO_VALIDATE", "lockstep")
     assert validate.armed()
-    assert validate.invariants_armed()
     monkeypatch.setenv("REPRO_VALIDATE", "sample:8")
     assert validate.sample_stride() == 8
 
@@ -116,77 +110,52 @@ def test_armed_follows_env(monkeypatch):
 # --- lockstep soundness ------------------------------------------------------
 
 
-def test_lockstep_frontend_clean(monkeypatch):
+def test_frontend_lockstep_clean(monkeypatch):
     monkeypatch.setenv("REPRO_VALIDATE", "lockstep")
-    result = lockstep_frontend("compress", cfg.PROMOTION_PACKING, N)
+    result = lockstep("frontend", "compress", cfg.PROMOTION_PACKING, N)
     assert result.instructions_retired > 0
 
 
 def test_lockstep_sample_mode_clean(monkeypatch):
     monkeypatch.setenv("REPRO_VALIDATE", "sample:16")
-    result = lockstep_frontend("compress", BASELINE, N, stride=16, offset=3)
+    result = lockstep("frontend", "compress", BASELINE, N, stride=16,
+                      offset=3)
     assert result.instructions_retired > 0
 
 
-def test_lockstep_parity_cases_clean(monkeypatch):
+def test_machine_lockstep_clean(monkeypatch):
     monkeypatch.setenv("REPRO_VALIDATE", "lockstep")
-    cases = [("compress", BASELINE), ("go", cfg.PROMOTION_COST_REG)]
-    assert lockstep_parity_cases(cases, N) == []
-
-
-def test_lockstep_machine_clean(monkeypatch):
-    monkeypatch.setenv("REPRO_VALIDATE", "lockstep")
-    result = lockstep_machine("compress", cfg.MachineConfig(), 3_000,
-                              warmup=False)
+    result = lockstep("machine", "compress", cfg.MachineConfig(), 3_000,
+                      warmup=False)
     assert result.retired == 3_000
-
-
-def test_snapshot_restore_midstream_no_false_positives(monkeypatch):
-    """Mid-stream snapshot -> restore -> lockstep continues cleanly.
-
-    With validation armed (instance invariants bound at construction),
-    both engines are probed in lockstep with snapshot/restore round
-    trips interleaved; every post-restore fetch signature and the final
-    engine digests must still agree — restore must not trip the guard.
-    """
-    monkeypatch.setenv("REPRO_VALIDATE", "lockstep")
-    program = runner.get_program("compress")
-    oracle = runner.get_oracle("compress", N)
-    fast = build_engine(program, PROMOTION, fast=True)
-    ref = build_engine(program, PROMOTION, fast=False)
-    FrontEndSimulator(program, PROMOTION, oracle=oracle, engine=fast).run()
-    FrontEndSimulator(program, PROMOTION, oracle=oracle, engine=ref).run()
-
-    import random
-    rng = random.Random(2026)
-    snap_fast = snap_ref = None
-    for i in range(300):
-        pc = oracle[rng.randrange(len(oracle))][0].addr
-        if i % 23 == 0:
-            snap_fast, snap_ref = fast.snapshot(), ref.snapshot()
-            assert snap_fast == snap_ref
-        assert fetch_signature(pc, fast.fetch(pc)) == \
-            fetch_signature(pc, ref.fetch(pc))
-        if i % 23 == 11:
-            fast.restore(snap_fast)
-            ref.restore(snap_ref)
-    assert engine_digest(fast) == engine_digest(ref)
 
 
 # --- sensitivity: injected divergences --------------------------------------
 
 
-def test_injected_divergence_writes_replayable_report(tmp_path):
+def _injected_divergence(kind: str) -> errors.DivergenceError:
+    """An injected divergence on one compress point of ``kind``; a
+    machine point is warmed over ``N`` instructions."""
     errors.arm_forced_divergence()
+    config = BASELINE if kind == "frontend" else cfg.MachineConfig()
     with pytest.raises(errors.DivergenceError) as excinfo:
-        lockstep_frontend("compress", BASELINE, N)
-    exc = excinfo.value
+        lockstep(kind, "compress", config, N, warmup_n=N)
+    return excinfo.value
+
+
+@pytest.mark.parametrize("kind", ["frontend", "machine"])
+def test_injected_divergence_writes_replayable_report(kind):
+    exc = _injected_divergence(kind)
     assert exc.injected
     assert exc.report_path is not None
     report = load_report(exc.report_path)
     assert report["benchmark"] == "compress"
-    assert report["kind"] == "frontend"
+    assert report["kind"] == kind
     assert report["repro_n"] <= N
+    if kind == "machine":
+        assert (report["warmup"], report["warmup_n"]) == (True, N)
+    else:
+        assert (report["warmup"], report["warmup_n"]) == (None, None)
     # The perturbation was transient, so the replay comes back clean.
     assert replay_report(exc.report_path) is None
 
@@ -411,7 +380,7 @@ def _load_fuzzer():
 def test_fuzzer_smoke():
     fuzz = _load_fuzzer()
     for seed in (0, 1, 2):
-        fuzz.run_one(seed, length=2_500)
+        fuzz.run_case("frontend", seed, length=2_500)
 
 
 def test_fuzzer_main_reports_divergence(capsys):
@@ -436,10 +405,9 @@ def test_cli_validate_replay_unreadable_report(tmp_path, capsys):
     assert main(["validate-replay", str(bad)]) == 2
 
 
-def test_cli_validate_replay_roundtrip(capsys):
-    errors.arm_forced_divergence()
-    with pytest.raises(errors.DivergenceError) as excinfo:
-        lockstep_frontend("compress", BASELINE, N)
+@pytest.mark.parametrize("kind", ["frontend", "machine"])
+def test_cli_validate_replay_roundtrip(kind, capsys):
+    exc = _injected_divergence(kind)
     from repro.__main__ import main
-    assert main(["validate-replay", excinfo.value.report_path]) == 0
+    assert main(["validate-replay", exc.report_path]) == 0
     assert "does not reproduce" in capsys.readouterr().out
