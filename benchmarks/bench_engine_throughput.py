@@ -25,7 +25,7 @@ from repro.experiments import diskcache
 from repro.experiments import runner
 from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import machine_result_to_dict
-from repro.frontend.build import build_engine
+from repro.frontend.build import reset_compiled_state
 from repro.frontend.simulator import FrontEndSimulator
 from repro.isa.executor import run_oracle
 
@@ -67,6 +67,9 @@ def _time_engine() -> dict:
                 "inst_per_sec": len(oracle) / elapsed if elapsed else 0.0,
             })
             for label, config in CONFIGS:
+                # Cold compiled state per config: an earlier config's
+                # store would flatter this row.
+                reset_compiled_state()
                 start = time.perf_counter()
                 result = FrontEndSimulator(program, config, oracle=oracle).run()
                 elapsed = time.perf_counter() - start
@@ -139,8 +142,9 @@ def _time_machine() -> dict:
 
     Runs the figure-11-class machine grid (one benchmark, the paper's three
     front-end configurations, warmed front end) end to end — front-end
-    warmup plus machine window — once per core per repeat over
-    :mod:`repro.core.machine` and the seed reference it must match, keeps
+    warmup plus machine window — once per stack per repeat through
+    ``runner.run_machine``: the fast front end and :mod:`repro.core.machine`
+    against the seed front end and seed core they must match, keeps
     the best-of-N minimum per configuration, and asserts the serialized
     results are byte-identical before recording the speedups.
     """
@@ -155,13 +159,12 @@ def _time_machine() -> dict:
         oracle = runner.get_oracle(name, warm_n)
 
         def run_point(machine_cls, config):
+            # Each repeat starts from empty compiled state, so a store
+            # warmed by an earlier repeat or config cannot flatter it.
+            reset_compiled_state()
             start = time.perf_counter()
-            engine = build_engine(program, config.frontend,
-                                  memory_config=config.memory)
-            FrontEndSimulator(program, config.frontend, oracle=oracle,
-                              engine=engine).run()
-            result = machine_cls(program, config, max_instructions=n,
-                                 engine=engine).run()
+            result = runner.run_machine(program, config, n, oracle,
+                                        fast=machine_cls is Machine)
             return time.perf_counter() - start, result
 
         def best_point(machine_cls, config):

@@ -29,6 +29,7 @@ from repro.config import BASELINE, PROMOTION, PROMOTION_PACKING
 from repro.experiments import runner
 from repro.experiments.cachekey import canonical_json
 from repro.experiments.serialize import frontend_result_to_dict
+from repro.frontend.build import reset_compiled_state
 
 #: Fig-4/6-class grid: the fetch-breakdown figures run these benchmarks
 #: under the baseline (Fig 4) and promotion (Fig 6) front ends.
@@ -52,6 +53,10 @@ def _time_frontend() -> dict:
             oracle = runner.get_oracle(name, n)
 
             def run_point(config, fast):
+                # Each repeat starts from empty compiled state, so a
+                # store warmed by an earlier repeat or config cannot
+                # flatter it.
+                reset_compiled_state()
                 start = time.perf_counter()
                 result = runner.run_frontend(program, config, n, oracle,
                                              fast=fast)

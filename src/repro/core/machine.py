@@ -168,7 +168,10 @@ class Machine:
         self.config = config
         self.max_instructions = max_instructions
         if engine is None:
-            engine = build_engine(program, config.frontend, memory_config=config.memory)
+            # The fast core runs the fast front end; the runner pairs
+            # stacks explicitly (``runner.run_machine``).
+            engine = build_engine(program, config.frontend,
+                                  memory_config=config.memory, fast=True)
         else:
             # A functionally warmed engine: predictors, caches and bias
             # table stay trained, but the speculative fetch state must
@@ -186,7 +189,10 @@ class Machine:
         # Speculative architectural state (dispatch-order functional execution).
         self.spec_regs = [0] * NUM_REGS
         self.spec_regs[REG_SP] = STACK_BASE
-        self.memory_image: Dict[int, int] = dict(program.data)
+        #: Committed stores: a write overlay on the program's data image,
+        #: which loads read through to and which is never copied.
+        self.memory_image: Dict[int, int] = {}
+        self._data_get = program.data.get
         self.rename: List[Optional[InFlight]] = [None] * NUM_REGS
         self.store_queue: List[InFlight] = []
         self.load_queue: List[InFlight] = []
@@ -1023,6 +1029,7 @@ class Machine:
         store_map_get = self.store_map.get
         store_map = self.store_map
         memory_get = self.memory_image.get
+        data_get = self._data_get
         ready_heaps = self.ready_heaps
         unknown_stores = self.unknown_stores
         track_unknown = not self._perfect_disamb
@@ -1101,7 +1108,10 @@ class Machine:
                             break
                         bucket.pop()
                 if value is None:
-                    value = memory_get(mem_addr, 0) & _MASK
+                    value = memory_get(mem_addr)
+                    if value is None:
+                        value = data_get(mem_addr, 0)
+                    value &= _MASK
                 dest = inst._dest
             elif op is _BNE:
                 taken = regs[inst.rs1] != regs[inst.rs2]
@@ -1273,7 +1283,10 @@ class Machine:
                         break
                     bucket.pop()
             if value is None:
-                value = self.memory_image.get(mem_addr, 0) & _MASK
+                value = self.memory_image.get(mem_addr)
+                if value is None:
+                    value = self._data_get(mem_addr, 0)
+                value &= _MASK
             dest = inst._dest
         elif op is _BNE:
             taken = regs[inst.rs1] != regs[inst.rs2]

@@ -44,7 +44,7 @@ from repro.experiments.serialize import (
     machine_result_from_dict,
     machine_result_to_dict,
 )
-from repro.frontend import build
+from repro.frontend import build, store
 from repro.frontend.simulator import FrontEndResult, FrontEndSimulator, compute_oracle
 from repro.isa.program import Program
 from repro.workloads.profiles import get_profile
@@ -127,9 +127,15 @@ def generate_program(benchmark: str) -> Program:
 
 
 def get_program(benchmark: str) -> Program:
-    """Memoized synthetic program for a paper benchmark."""
+    """Memoized synthetic program for a paper benchmark.
+
+    A miss first lets go of this thread's compiled front-end state
+    (:mod:`repro.frontend.store`): it belongs to another program, and
+    would otherwise stay alive while this one is generated.
+    """
     program = _programs.get(benchmark)
     if program is None:
+        store.drop_program_store()
         program = generate_program(benchmark)
         _programs[benchmark] = program
     return program

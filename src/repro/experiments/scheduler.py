@@ -12,7 +12,10 @@ Scheduling decisions:
   out **largest estimated cost first** (machine points cost roughly
   four front-end points of the same length, plus their warmup), with at
   most ``jobs`` tasks in flight so per-point deadlines measure runtime,
-  not queueing.
+  not queueing.  Equal costs keep the order in which their benchmarks
+  first appear, so one benchmark's points run back to back and share
+  its compiled front-end state (:mod:`repro.frontend.store`); a serial
+  grid lets that state go at the end of the benchmark's last point.
 * **Oracles computed before the fork.**  The parent computes every
   oracle a missing point needs into the runner's memo before it spawns
   the pool, so forked workers inherit them instead of re-executing.
@@ -76,6 +79,7 @@ from repro.experiments.serialize import (
     machine_result_from_dict,
     machine_result_to_dict,
 )
+from repro.frontend import store
 from repro.gcpause import gc_paused
 
 #: GridPoint.kind values.
@@ -256,11 +260,15 @@ def _worker_init(emitted_keys: Tuple[str, ...]) -> None:
     faults.mark_worker()
 
 
-def _run_point(point: GridPoint, engine: Optional[str] = None):
+def _run_point(point: GridPoint, engine: Optional[str] = None,
+               release: bool = False):
     """Execute one resolved point through the runner.
 
     ``engine="reference"`` pins the run to the frozen reference stack —
     the supervisor's degradation path after a detected divergence.
+    ``release`` lets go of this thread's compiled front-end state when
+    the point is done (the caller knows the next point runs another
+    program), so the point that used it pays for freeing it.
 
     The whole unit — program generation, oracle, warm-up, simulation and
     result encoding — runs under one pause of the cyclic GC: the
@@ -270,10 +278,15 @@ def _run_point(point: GridPoint, engine: Optional[str] = None):
     """
     with gc_paused():
         if point.kind == FRONTEND:
-            return runner.frontend_result(point.benchmark, point.config,
-                                          point.n, engine=engine)
-        return runner.machine_result(point.benchmark, point.config, point.n,
-                                     warmup=point.warmup, engine=engine)
+            result = runner.frontend_result(point.benchmark, point.config,
+                                            point.n, engine=engine)
+        else:
+            result = runner.machine_result(point.benchmark, point.config,
+                                           point.n, warmup=point.warmup,
+                                           engine=engine)
+        if release:
+            store.drop_program_store()
+        return result
 
 
 def _run_point_task(point: GridPoint, ordinal: int, attempt: int, key: str,
@@ -399,8 +412,15 @@ class _Supervisor:
                  keys: Dict[GridPoint, str], policy: _Policy,
                  journal: checkpoint.Journal):
         # Longest first: with independent points, scheduling the most
-        # expensive work early minimizes the makespan straggler.
-        self.order = sorted(misses, key=_estimated_cost, reverse=True)
+        # expensive work early minimizes the makespan straggler.  Ties
+        # go by each benchmark's first appearance (the sort is stable
+        # within one), so a benchmark's equal-cost points run back to
+        # back on its compiled front-end state.
+        first: Dict[str, int] = {}
+        for index, point in enumerate(misses):
+            first.setdefault(point.benchmark, index)
+        self.order = sorted(misses, key=lambda point: (
+            -_estimated_cost(point), first[point.benchmark]))
         self.ordinals = {point: i for i, point in enumerate(self.order)}
         self.keys = keys
         self.policy = policy
@@ -489,8 +509,12 @@ class _Supervisor:
         (faults never fire here)."""
         while pending:
             point = pending.popleft()
+            # The grid's last point keeps its program's state: a later
+            # grid may start on the same program.
+            release = bool(pending) and pending[0].benchmark != point.benchmark
             try:
-                result = _run_point(point, engine=self._state(point).engine)
+                result = _run_point(point, engine=self._state(point).engine,
+                                    release=release)
             except Exception as exc:
                 if self._settle(point, exc, True,
                                 pending.appendleft) == faults.RETRY:

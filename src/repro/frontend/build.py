@@ -28,6 +28,7 @@ from repro.branch.multiple import MultipleBranchPredictor, SplitMultiplePredicto
 from repro.config import FrontEndConfig
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryConfig, MemoryHierarchy
+from repro.frontend import store
 from repro.frontend.fetch import ICacheFetchEngine, TraceFetchEngine
 from repro.trace.bias_table import BranchBiasTable
 from repro.trace.fill_unit import FillUnit
@@ -53,27 +54,32 @@ def fast_stack_enabled() -> bool:
 
 
 def reset_compiled_state() -> None:
-    """Drop derived/compiled caches inside every live engine.
+    """Empty every compiled cache in place, in every store and live engine.
 
-    The fast stack memoizes aggressively: per-engine block, compiled-block
-    and candidate caches keyed by pc, the fill unit's segment memo and
-    interned state machine, and per-segment lazy artifacts (fetch slots,
-    compiled fetch plans, pattern-specialized variants).  All of these are keyed by
-    object identity or pc against the program the engine was built for —
-    a long-lived process that regenerates programs (the differential
-    fuzzer, notebook sessions) must be able to invalidate them without
-    rebuilding every engine.  Architectural state (predictor counters,
-    trace-cache contents, bias table) is deliberately untouched.
+    The fast stack compiles aggressively, and most of it is per program,
+    not per engine: each thread keeps one :class:`~repro.frontend.store.
+    ProgramStore` for its current program (block walks, compiled block
+    variants, fill-event slots, the fill unit's segment memos and state
+    graphs), which every fast engine built for the program shares.  An
+    engine adds its own candidate memo, and each segment its lazy
+    artifacts (fetch slots, fetch plan, pattern-specialized variants).
+    Every store still held by a thread or a live engine is emptied, with
+    the live engines' per-engine caches and resident segments, so
+    compiled state can never outlive a program a long-lived process
+    dropped (the differential fuzzer, notebook sessions), and a timing
+    harness can start each repeat cold.  The stores stay bound to their
+    threads and engines, empty.  Architectural state (predictor
+    counters, trace-cache contents, bias table) is deliberately
+    untouched.
     """
     for engine in list(_live_engines):
-        for attr in ("_block_cache", "_compiled_blocks", "_cand_cache"):
-            cache = getattr(engine, attr, None)
-            if cache is not None:
-                cache.clear()
+        cand_cache = getattr(engine, "_cand_cache", None)
+        if cand_cache is not None:
+            cand_cache.clear()
         fill_unit = getattr(engine, "fill_unit", None)
         if hasattr(fill_unit, "reset_compiled"):
-            # Fast fill unit: segment memo plus the state graph and its
-            # node list.
+            # Fast fill unit: flushes its live state out of the graph
+            # before the graph is emptied under it.
             fill_unit.reset_compiled()
         elif fill_unit is not None and hasattr(fill_unit, "_segment_memo"):
             # The reference copy keeps no state machine: its memo is the
@@ -88,6 +94,8 @@ def reset_compiled_state() -> None:
                     segment._variants = None
                     segment._pattern_mask = -1
                     segment._trace_key = 0
+    for program_store in store.live_stores():
+        program_store.clear()
 
 
 def build_memory(config: FrontEndConfig, memory_config: Optional[MemoryConfig] = None) -> MemoryHierarchy:

@@ -22,6 +22,7 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import Program
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.frontend.stats import FetchReason
+from repro.frontend.store import program_store
 from repro.trace.fill_unit import FillUnit
 from repro.trace.segment import FinalizeReason, TraceSegment
 from repro.trace.trace_cache import TraceCache
@@ -160,12 +161,13 @@ class CompiledVariant:
     )
 
 
-def compile_variant(segment: TraceSegment, key: int,
-                    inactive_issue: bool) -> CompiledVariant:
+def compile_variant(segment: TraceSegment, key: int, inactive_issue: bool,
+                    slots: dict) -> CompiledVariant:
     """Compile the fetch of ``segment`` under predicted pattern ``key``.
 
     Bit ``k`` of ``key`` is the predicted direction of the segment's
-    ``k``-th dynamic branch.  The walk follows the segment's fetch plan
+    ``k``-th dynamic branch.  ``slots`` interns fill-event slots (see
+    :func:`_compile_retire`).  The walk follows the segment's fetch plan
     (control events only) along the embedded path, cut at the first
     dynamic branch whose prediction disagrees with it: the same outcome
     as :meth:`TraceFetchEngine._fetch_from_segment_slow` without an
@@ -267,11 +269,25 @@ def compile_variant(segment: TraceSegment, key: int,
     v.trap_last = (not v.divergence
                    and instructions[-1].op.opclass is OpClass.TRAP)
     v.source = "tc"
-    _compile_retire(v)
+    _compile_retire(v, slots)
     return v
 
 
-def _compile_retire(v: CompiledVariant) -> None:
+#: ``(pos, direction)`` oracle checks, shared: ``[pos][direction]``.
+_BRANCH_CHECKS = tuple(((pos, False), (pos, True))
+                       for pos in range(FETCH_WIDTH))
+
+
+def _fill_slots(inst: Instruction, is_branch: bool) -> tuple:
+    """The fill slots ``(inst, direction, promoted)`` ``inst`` can retire
+    as: ``(inst, None, False)``, or for a conditional branch the four
+    slots indexed ``[direction][promoted]``."""
+    if not is_branch:
+        return (inst, None, False)
+    return tuple(((inst, d, False), (inst, d, True)) for d in (False, True))
+
+
+def _compile_retire(v: CompiledVariant, slots: dict) -> None:
     """Fill in what retiring ``v``'s active slots wholesale needs.
 
     Single pass over the active slots building the oracle branch checks,
@@ -279,6 +295,10 @@ def _compile_retire(v: CompiledVariant) -> None:
     extend the pending block wholesale, conditional branches re-consult
     the bias table live at retire time — promotion state evolves between
     fetches of the same variant — and segment enders cut the block).
+    Fill slots come from ``slots`` (address -> :func:`_fill_slots`), so
+    every variant retiring an instruction shares them; a conditional
+    branch's event carries both of its slots, not promoted and promoted,
+    for the bias table's live answer to pick.
     """
     branch_checks = []
     fill_events = []
@@ -287,24 +307,28 @@ def _compile_retire(v: CompiledVariant) -> None:
     run: List[tuple] = []
     v_dirs = v.dirs
     v_promoted = v.promoted
+    slots_get = slots.get
     for pos, inst in enumerate(v.active):
         d = v_dirs[pos]
+        slot = slots_get(inst.addr)
+        if slot is None:
+            slot = slots[inst.addr] = _fill_slots(inst, d is not None)
         if d is not None:
-            branch_checks.append((pos, d))
+            branch_checks.append(_BRANCH_CHECKS[pos][d])
             if v_promoted[pos]:
                 n_promoted += 1
             if run:
                 fill_events.append((0, tuple(run)))
                 run = []
-            fill_events.append((1, (inst, d)))
+            fill_events.append((1, slot[d]))
             fill_branches.append((inst.addr, d))
         elif inst.op.ends_trace_segment:
             if run:
                 fill_events.append((0, tuple(run)))
                 run = []
-            fill_events.append((2, (inst, None, False)))
+            fill_events.append((2, slot))
         else:
-            run.append((inst, None, False))
+            run.append(slot)
     if run:
         fill_events.append((0, tuple(run)))
     v.branch_checks = tuple(branch_checks)
@@ -313,8 +337,8 @@ def _compile_retire(v: CompiledVariant) -> None:
     v.fill_branches = tuple(fill_branches)
 
 
-def compile_block(block: List[Instruction],
-                  train_by_addr: bool) -> Tuple[CompiledVariant, CompiledVariant]:
+def compile_block(block: List[Instruction], train_by_addr: bool,
+                  slots: dict) -> Tuple[CompiledVariant, CompiledVariant]:
     """Compile the icache fetch of ``block`` (non-empty, as delivered).
 
     Returns the variants for a not-taken and a taken prediction of the
@@ -326,7 +350,8 @@ def compile_block(block: List[Instruction],
     instruction, its last, so its one conditional branch (if any) has no
     GHR bit or RAS push ahead of it.  ``train_by_addr`` selects the
     training record: ``(branch pc, taken)`` for the hybrid predictor,
-    ``(path, taken)`` for the multiple-branch predictors.
+    ``(path, taken)`` for the multiple-branch predictors.  ``slots``
+    interns fill-event slots (see :func:`_compile_retire`).
     """
     last = block[-1]
     op = last.op
@@ -371,7 +396,7 @@ def compile_block(block: List[Instruction],
             v.dyn_pos = {n - 1: 0}
             v.snap_recipe = ((n - 1, 0, 0),)
             v.next_pc = last.target if predicted else last.fall_through
-        _compile_retire(v)
+        _compile_retire(v, slots)
         variants.append(v)
     return variants[0], variants[-1]
 
@@ -406,16 +431,23 @@ class _FrontEndBase:
         #: derives its snapshots from the fetch-entry GHR/RAS and its
         #: ``snap_recipe`` (see :meth:`_serve`).
         self.capture_snapshots = False
+        #: The program's compiled state, shared with every fast engine
+        #: built for it on this thread (:mod:`repro.frontend.store`).
+        store = self._store = program_store(program)
+        line_bytes = memory.config.l1i_line_bytes
         #: pc -> (block, line_breaks): the natural fetch block starting at
         #: a pc (up to the first control / fetch width / image end) is a
-        #: pure function of the static program, so it is walked once; only
-        #: the cache-line hit checks are replayed per fetch.
-        self._block_cache: dict = {}
+        #: pure function of the static program and the line size, so it
+        #: is walked once; only the cache-line hit checks are replayed
+        #: per fetch.
+        self._block_cache: dict = store.walks_for(line_bytes)
         #: pc -> (variants, cut_variants) for the compiled icache path:
         #: the :func:`compile_block` pair of the block at pc (None off the
         #: code image) and, per split-line cut position, the pair of the
         #: shortened block.
-        self._compiled_blocks: dict = {}
+        self._compiled_blocks: dict = store.blocks_for(type(self), line_bytes)
+        #: addr -> the instruction's shared fill slots (:func:`_fill_slots`).
+        self._slots: dict = store.slots
 
     def snapshot(self) -> tuple:
         return (self.ghr.snapshot(), self.ras.snapshot())
@@ -464,13 +496,15 @@ class _FrontEndBase:
         stall, cut = self._replay_lines(pc, breaks)
         entry = self._compiled_blocks.get(pc)
         if entry is None:
-            variants = compile_block(block, self._train_by_addr) if block else None
+            variants = (compile_block(block, self._train_by_addr, self._slots)
+                        if block else None)
             entry = self._compiled_blocks[pc] = (variants, {})
         variants, cuts = entry
         if cut:
             variants = cuts.get(cut)
             if variants is None:
-                variants = cuts[cut] = compile_block(block[:cut], self._train_by_addr)
+                variants = cuts[cut] = compile_block(
+                    block[:cut], self._train_by_addr, self._slots)
         return variants, stall
 
     def block_sibling(self, pc: int, variant: CompiledVariant) -> CompiledVariant:
@@ -601,6 +635,8 @@ class TraceFetchEngine(_FrontEndBase):
         #: inactive issue is always on in the paper; ablation turns the
         #: dormant remainder of partially matching lines into a plain cut
         self.inactive_issue = inactive_issue
+        fill_unit.share(*self._store.fill_for(
+            inactive_issue, fill_unit._validate_segments, fill_unit.policy))
         #: one-shot direction overrides installed by promoted-fault recovery
         self._fault_overrides = {}
         #: pc -> [epoch, candidates, ghr_value, scores]: path-associative
@@ -712,12 +748,21 @@ class TraceFetchEngine(_FrontEndBase):
         else:
             key = 0
             tokens = None
+        variant = segment._variants.get(key)
+        if variant is None:
+            variant = self.segment_variant(segment, key)
+        return self._serve(pc, variant, 0, tokens, segment)
+
+    def segment_variant(self, segment: TraceSegment, key: int) -> CompiledVariant:
+        """``segment``'s compiled variant for pattern ``key``, compiled on
+        first use (the segment's plan must already be prepared, as any
+        fetch of it does)."""
         variants = segment._variants
         variant = variants.get(key)
         if variant is None:
-            variant = compile_variant(segment, key, self.inactive_issue)
-            variants[key] = variant
-        return self._serve(pc, variant, 0, tokens, segment)
+            variant = variants[key] = compile_variant(
+                segment, key, self.inactive_issue, self._slots)
+        return variant
 
     def _fetch_from_segment_slow(self, pc: int, segment: TraceSegment) -> FetchResult:
         """Per-slot segment walk, the one fetch not served from a compiled

@@ -19,12 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.config import FrontEndConfig
 from repro.frontend.build import build_engine
-from repro.frontend.fetch import (
-    FetchResult,
-    PredRecord,
-    TraceFetchEngine,
-    compile_variant,
-)
+from repro.frontend.fetch import FetchResult, PredRecord, TraceFetchEngine
 from repro.frontend.stats import CycleCategory, FetchReason, FetchRecord, FetchStats
 from repro.gcpause import gc_paused
 from repro.isa.executor import run_oracle
@@ -160,6 +155,7 @@ class FrontEndSimulator:
             note_recovery = fill_unit.note_recovery
         engine_restore = engine.restore
         block_sibling = getattr(engine, "block_sibling", None)
+        segment_variant = getattr(engine, "segment_variant", None)
         inactive_issue = getattr(engine, "inactive_issue", False)
         # The fast paths bypass PredRecord: one update_batch call flushes
         # a compiled plan's whole training record (the raw tokens plus
@@ -290,13 +286,8 @@ class FrontEndSimulator:
                             if segment is None:
                                 prefix = block_sibling(result.pc, variant)
                             else:
-                                variants = segment._variants
-                                key2 = variant.key ^ (1 << dyn_k)
-                                prefix = variants.get(key2)
-                                if prefix is None:
-                                    prefix = compile_variant(segment, key2,
-                                                             inactive_issue)
-                                    variants[key2] = prefix
+                                prefix = segment_variant(
+                                    segment, variant.key ^ (1 << dyn_k))
                             stats.cond_mispredicts += 1
                             retire_compiled(prefix)
                             if prefix.ghr_count:
@@ -330,13 +321,8 @@ class FrontEndSimulator:
                             # key matches every embedded direction), and it
                             # retires compiled.
                             segment = result.segment
-                            variants = segment._variants
-                            key2 = segment._trace_key
-                            vstar = variants.get(key2)
-                            if vstar is None:
-                                vstar = compile_variant(segment, key2,
-                                                        inactive_issue)
-                                variants[key2] = vstar
+                            vstar = segment_variant(segment,
+                                                    segment._trace_key)
                             i_star = i + vstar.n_active
                             ok2 = i_star <= n
                             if ok2:

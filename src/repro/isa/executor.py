@@ -180,8 +180,11 @@ def run_oracle(program: Program, max_instructions: Optional[int] = None) -> list
     """
     regs = [0] * NUM_REGS
     regs[REG_SP] = STACK_BASE
-    memory = dict(program.data)
+    # Stores go to a write overlay and loads read through it to the
+    # program's image, which is never copied (gcc's holds 160k words).
+    memory: Dict[int, int] = {}
     mem_get = memory.get
+    data_get = program.data.get
 
     instructions = program.instructions
     limit = len(instructions)
@@ -226,7 +229,10 @@ def run_oracle(program: Program, max_instructions: Optional[int] = None) -> list
             if rd is not None:
                 regs[rd] = (regs[inst.rs1] + regs[inst.rs2]) & MASK
         elif op is LD:
-            value = mem_get((regs[inst.rs1] + inst.imm) & MASK, 0) & MASK
+            addr = (regs[inst.rs1] + inst.imm) & MASK
+            value = mem_get(addr)
+            if value is None:
+                value = data_get(addr, 0) & MASK
             rd = inst._dest
             if rd is not None:
                 regs[rd] = value

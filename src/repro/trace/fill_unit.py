@@ -25,6 +25,7 @@ count against the three-dynamic-branch limit.
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import Counter
 from typing import List, Optional
 
@@ -67,6 +68,65 @@ class PackingPolicy(enum.Enum):
 #: instruction, so per-instruction allocation cost dominates its profile.
 _Slot = tuple
 
+
+def _slot_codes(slots) -> list:
+    """Int codes naming ``slots``, one per slot:
+    ``(addr << 2) | (dir is True) << 1 | promoted``.
+
+    An address names one static instruction, so whether it is a branch
+    is known and ``dir is True`` tells its two directions apart (a
+    non-branch's direction is None).  The low bits come from a
+    conditional rather than from shifts: fewer bytecodes per slot.
+    """
+    return [(inst.addr << 2) + ((3 if p else 2) if d else p)
+            for inst, d, p in slots]
+
+
+def _packed(codes: list) -> bytes:
+    """``codes`` as one bytes object: the memo and state keys live as
+    long as the program's compiled state, and one bytes object takes a
+    fraction of the room of a tuple of ``(addr, dir, promoted)`` triples,
+    or even of int objects."""
+    return array("q", codes).tobytes()
+
+
+#: The empty (pending, block) state's key: no codes, then the -1 that
+#: separates pending from block codes.
+_EMPTY_STATE = _packed([-1])
+
+
+class StateGraph:
+    """Interned compiled-retire states of the fill unit.
+
+    ``nodes[i]`` is ``[edges, pending_slots, block_slots, pending_dyn,
+    recovery_edge, i]``: ``edges`` maps (plan id, bias responses) ->
+    (plan, finalized segments, target index), and ``recovery_edge``
+    caches what :meth:`FillUnit.note_recovery` finalizes from the state
+    (every recovery ends in the empty state, ``nodes[0]``).  ``index``
+    maps a state's packed slot codes to its node.  An edge names its
+    target by its index into ``nodes``, never by the node itself: the
+    graph loops back as traces recur, and object links would make it
+    cyclic, so a dropped graph would wait for the cyclic GC instead of
+    dying by refcount (``tests/test_gc_hygiene.py``).
+    """
+
+    __slots__ = ("nodes", "index")
+
+    def __init__(self):
+        empty: list = [{}, (), (), 0, None, 0]
+        self.nodes: List[list] = [empty]
+        self.index: dict = {_EMPTY_STATE: empty}
+
+    def clear(self) -> None:
+        """Back to the empty node alone, in place (fill units keep it)."""
+        empty = self.nodes[0]
+        del self.nodes[1:]
+        empty[0].clear()
+        empty[4] = None
+        self.index.clear()
+        self.index[_EMPTY_STATE] = empty
+
+
 def _segment_validation_armed() -> bool:
     """Validate every finalized segment against its structural invariants?
 
@@ -108,12 +168,15 @@ class FillUnit:
         #: dynamic (non-promoted) conditional branches in ``_pending``,
         #: maintained incrementally — scanning per merge was a hot spot.
         self._pending_dyn = 0
-        #: (reason, ((addr, dir, promoted), ...)) -> TraceSegment.  Loops
-        #: finalize the same slot sequence over and over; reusing the
-        #: previously built (immutable-in-practice) segment skips the
+        #: (reason, packed slot codes) -> (TraceSegment, reason), a slot's
+        #: code being ``(addr << 2) | (direction is True) << 1 | promoted``
+        #: (see :func:`_slot_codes`); state edges record the same pairs.
+        #: Loops finalize the same slot sequence over and over; reusing
+        #: the previously built (immutable-in-practice) segment skips the
         #: SegmentBranch/TraceSegment construction, which dominated
         #: finalize time.  Keyed by address — a program address names a
-        #: unique static instruction.
+        #: unique static instruction — so a fast engine swaps in its
+        #: program's shared memo (:meth:`share`).
         self._segment_memo: dict = {}
         self.finalize_reasons: Counter = Counter()
         self.segments_built = 0
@@ -123,42 +186,51 @@ class FillUnit:
         #: promotion responses — so each distinct state is interned as a
         #: node and each (plan, responses) edge out of it replays as
         #: "insert these memoized segments, move to that node".
-        #: node: [edges, pending_slots, block_slots, pending_dyn,
-        #: recovery_edge, index] — edges maps (plan id, bias responses) ->
-        #: (plan, finalized segments, target index); recovery_edge caches
-        #: what :meth:`note_recovery` finalizes from this state (every
-        #: recovery ends in the empty state).  An edge names its target by
-        #: its index into ``_nodes``, never by the node itself: the graph
-        #: loops back as traces recur, and object links would make it
-        #: cyclic, so a dropped engine would wait for the cyclic GC
-        #: instead of dying by refcount (``tests/test_gc_hygiene.py``).
-        self._reset_state_machine()
-        self._recording: Optional[list] = None
-        #: Segment invariant checks, armed at construction (zero cost off).
-        self._validate_segments = _segment_validation_armed()
-
-    def _reset_state_machine(self) -> None:
-        """Start a fresh, empty compiled-retire state graph."""
-        #: The empty (pending, block) state, pre-interned at index 0: every
-        #: recovery and flush lands here, so it is the most-visited node.
-        self._empty_node: list = [{}, (), (), 0, None, 0]
-        self._nodes: List[list] = [self._empty_node]
-        self._state_nodes: dict = {((), ()): self._empty_node}
+        #: The graph (a :class:`StateGraph`) depends only on the program,
+        #: the packing policy and the segment memo its edges record, so a
+        #: fast engine swaps in its program's shared graph (:meth:`share`).
+        self._use_graph(StateGraph())
         self._cur_node: Optional[list] = None
         #: True while ``_cur_node`` is authoritative and the live
         #: ``_pending``/``_block`` lists lag behind it (edge-hit fast
         #: transitions don't touch them; see :meth:`_materialize`).
         self._state_stale = False
+        self._recording: Optional[list] = None
+        #: Segment invariant checks, armed at construction (zero cost off).
+        self._validate_segments = _segment_validation_armed()
+
+    def _use_graph(self, graph: "StateGraph") -> None:
+        self._graph = graph
+        self._nodes: List[list] = graph.nodes
+        self._state_nodes: dict = graph.index
+        #: The empty (pending, block) state, pre-interned at index 0: every
+        #: recovery and flush lands here, so it is the most-visited node.
+        self._empty_node: list = graph.nodes[0]
+
+    def share(self, segment_memo: dict, graph: "StateGraph") -> None:
+        """Adopt a segment memo and state graph other fill units extend.
+
+        Called on a fresh fill unit, before it retires anything.  Fill
+        units sharing a memo must build segments for one program, and
+        the caller keys it by whatever else a segment carries; fill
+        units sharing a graph must also share its memo and packing
+        policy (see :mod:`repro.frontend.store`).
+        """
+        self._segment_memo = segment_memo
+        self._use_graph(graph)
+        self._cur_node = None
 
     def reset_compiled(self) -> None:
-        """Drop the segment memo and the state graph, keeping the fill state.
+        """Empty the segment memo and the state graph, keeping the fill state.
 
-        Edge-hit state is flushed into the live lists first, so dropping
-        the graph cannot lose pending slots.
+        Both are emptied in place, so fill units sharing them see the
+        same.  Edge-hit state is flushed into the live lists first, so
+        dropping the graph cannot lose pending slots.
         """
         self._materialize()
+        self._cur_node = None
         self._segment_memo.clear()
-        self._reset_state_machine()
+        self._graph.clear()
 
     # ------------------------------------------------------------- retire
 
@@ -319,14 +391,14 @@ class FillUnit:
         """Intern the current (pending, block) contents as a state node.
 
         Must be called with the live lists current.  A slot is identified
-        by ``(addr, direction, promoted)`` — a program address names a
-        unique static instruction (the same convention as the segment
+        by its int code (:func:`_slot_codes`) — a program address names
+        a unique static instruction (the same convention as the segment
         memo).  Returns None once the node budget is exhausted.
         """
-        key = (
-            tuple([(inst.addr, d, p) for inst, d, p in self._pending]),
-            tuple([(inst.addr, d, p) for inst, d, p in self._block]),
-        )
+        codes = _slot_codes(self._pending)
+        codes.append(-1)
+        codes += _slot_codes(self._block)
+        key = _packed(codes)
         node = self._state_nodes.get(key)
         if node is None:
             if len(self._state_nodes) >= self.MAX_STATE_NODES:
@@ -382,10 +454,10 @@ class FillUnit:
                     if start < run_len:
                         block.extend(payload[start:])
             elif kind == 1:
-                inst, taken = payload
-                promoted = bool((responses >> branch_index) & 1)
+                # payload: the branch's (not promoted, promoted) slots
+                promoted = (responses >> branch_index) & 1
                 branch_index += 1
-                block.append((inst, taken, promoted))
+                block.append(payload[promoted])
                 if not promoted:
                     full, block = block, []
                     self._block = block
@@ -562,17 +634,17 @@ class FillUnit:
             return
         slots, self._pending = self._pending, []
         self._pending_dyn = 0
-        key = (reason, tuple([(inst.addr, direction, promoted)
-                              for inst, direction, promoted in slots]))
-        segment = self._segment_memo.get(key)
-        if segment is None:
-            self._segment_memo[key] = segment = self._build_segment(slots, reason)
-        self.trace_cache.insert(segment)
+        key = (reason, _packed(_slot_codes(slots)))
+        entry = self._segment_memo.get(key)
+        if entry is None:
+            entry = (self._build_segment(slots, reason), reason)
+            self._segment_memo[key] = entry
+        self.trace_cache.insert(entry[0])
         self.finalize_reasons[reason] += 1
         self.segments_built += 1
         recording = self._recording
         if recording is not None:
-            recording.append((segment, reason))
+            recording.append(entry)
 
     def _build_segment(self, slots: List[_Slot],
                        reason: FinalizeReason) -> TraceSegment:

@@ -368,13 +368,13 @@ def test_worker_failure_whose_inline_rerun_diverges_pins_reference(
     scheduler.take_divergences()
     real = scheduler._run_point
 
-    def staged(point, engine=None):
+    def staged(point, engine=None, **kwargs):
         if faults.in_worker():
             raise ValueError("worker-only failure")
         if engine is None:
             raise DivergenceError("injected divergence in the parent")
         assert engine == "reference"
-        return real(point, engine=engine)
+        return real(point, engine=engine, **kwargs)
 
     monkeypatch.setattr(scheduler, "_run_point", staged)
     with pytest.warns(RuntimeWarning, match="diverged from the reference"):

@@ -1,12 +1,12 @@
 """The simulators' object graphs are acyclic, and the GC pause is sound.
 
-A dropped engine — compiled fetch variants, trace segments, the fill
-unit's interned state graph — and a dropped machine core must die by
-refcount alone.  Cyclic garbage here would wait for the cyclic
-collector, whose generation-0 passes then re-walk everything
-long-lived; the scheduler pauses the GC once per unit of work
-(``scheduler._run_point``) on the strength of this invariant, and the
-workload generator once per program.
+A dropped engine, a dropped program store — compiled fetch variants,
+trace segments, the fill unit's interned state graphs — and a dropped
+machine core must die by refcount alone.  Cyclic garbage here would
+wait for the cyclic collector, whose generation-0 passes then re-walk
+everything long-lived; the scheduler pauses the GC once per unit of
+work (``scheduler._run_point``) on the strength of this invariant, and
+the workload generator once per program.
 """
 
 import collections
@@ -18,6 +18,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.paper import FIG10_CONFIGS, _machine_configs
+from repro.frontend import store
 from repro.gcpause import gc_paused
 
 #: Long enough for every config to intern hundreds of fill-unit states
@@ -70,6 +71,25 @@ def test_dropped_machine_run_leaves_no_fetch_side_garbage(name, config):
 
     def work():
         runner.run_machine(program, config, MACHINE_N, oracle, fast=True)
+
+    found, garbage = _cyclic_garbage(work)
+    kinds = collections.Counter(type(o).__name__ for o in garbage)
+    assert found == 0, kinds.most_common(8)
+
+
+def test_dropped_program_store_leaves_no_cyclic_garbage():
+    """A program's store, filled by all five Fig 10 front ends, is
+    acyclic too: dropping it leaves nothing for the cyclic GC."""
+    program = runner.get_program("gcc")
+    oracle = runner.get_oracle("gcc", FRONTEND_N)
+
+    def work():
+        for _name, config in FIG10_CONFIGS:
+            runner.run_frontend(program, config, FRONTEND_N, oracle,
+                                fast=True)
+        held = store.program_store(program)
+        assert held.blocks and held.fill and held.slots
+        store.drop_program_store()
 
     found, garbage = _cyclic_garbage(work)
     kinds = collections.Counter(type(o).__name__ for o in garbage)

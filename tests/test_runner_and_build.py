@@ -63,23 +63,29 @@ def test_build_memory_sizes():
 
 
 def test_clear_caches_empties_compiled_blocks(program):
-    """``runner.clear_caches`` drops every live engine's compiled blocks,
+    """``runner.clear_caches`` empties the program store every live engine
+    compiles into — block walks and variants, fill slots, segment memo —
     and the fill unit's state graph down to its empty node."""
     import repro.experiments.runner as runner
-    from repro.frontend import build
+    from repro.frontend import build, store
     from repro.frontend.simulator import FrontEndSimulator
     engines = [build_engine(program, config) for config in (ICACHE, BASELINE)]
     for engine, config in zip(engines, (ICACHE, BASELINE)):
         FrontEndSimulator(program, config, max_instructions=3_000,
                           engine=engine).run()
         assert engine._compiled_blocks
+    held = store.program_store(program)
+    assert all(engine._store is held for engine in engines)
     fill_unit = engines[1].fill_unit
     assert len(fill_unit._nodes) == len(fill_unit._state_nodes) > 1
     runner.clear_caches()
     for engine in list(build._live_engines):
         assert not getattr(engine, "_compiled_blocks", None)
+    assert held in store.live_stores()
+    assert not any(held.walks.values()) and not any(held.blocks.values())
+    assert not held.slots
     assert fill_unit._nodes == [fill_unit._empty_node]
-    assert fill_unit._state_nodes == {((), ()): fill_unit._empty_node}
+    assert list(fill_unit._state_nodes.values()) == [fill_unit._empty_node]
     assert fill_unit._cur_node is None and not fill_unit._segment_memo
 
 

@@ -335,6 +335,37 @@ def test_run_grid_serves_cached_points_without_pool(monkeypatch):
     assert len(results) == 4
 
 
+def test_equal_cost_points_of_a_benchmark_run_back_to_back(monkeypatch):
+    """Cost ties go by each benchmark's first appearance, so one
+    benchmark's points run together, in input order, on its program
+    store; a serial grid lets the store go after the benchmark's last
+    point unless that point ends the grid."""
+    from repro.frontend import store
+    programs = {name: runner.get_program(name)
+                for name in ("m88ksim", "compress")}
+    ran = []
+    real = scheduler._run_point
+
+    def spy(point, engine=None, release=False):
+        held = getattr(store._local, "store", None)
+        found = ("none" if held is None else
+                 "own" if held.program is programs[point.benchmark] else
+                 "other")
+        ran.append((point.benchmark, point.config, found, release))
+        return real(point, engine=engine, release=release)
+
+    monkeypatch.setattr(scheduler, "_run_point", spy)
+    grid = [GridPoint("frontend", b, c, N)
+            for c in (PROMOTION, BASELINE) for b in ("m88ksim", "compress")]
+    store.drop_program_store()
+    run_grid(grid, jobs=1)
+    assert ran == [("m88ksim", PROMOTION, "none", False),
+                   ("m88ksim", BASELINE, "own", True),
+                   ("compress", PROMOTION, "none", False),
+                   ("compress", BASELINE, "own", False)]
+    assert store.program_store(programs["compress"]).blocks
+
+
 def test_run_grid_deduplicates():
     point = GridPoint("frontend", "compress", BASELINE, N)
     results = run_grid([point, point, point], jobs=1)
